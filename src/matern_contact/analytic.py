@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate
 
 from .geometry import FloatOrArray, lens_asymmetric, lens_symmetric
 
@@ -42,7 +41,6 @@ __all__ = [
     "mhc_intensity",
     "mhc_retention",
     "pair_retention",
-    "pair_retention_quadrature",
     "pair_retention_unconditional",
     "retention_cmhc_to_mhc",
     "retention_mhc_to_mhc",
@@ -164,56 +162,6 @@ def pair_retention(r: FloatOrArray, params: ProcessParams) -> FloatOrArray:
         if np.any(active):
             out[active] = _pair_retention_active(r_arr[active], params)
     return float(out[0]) if scalar else out
-
-
-def pair_retention_quadrature(
-    r: float, params: ProcessParams, abs_tol: float = 1e-10
-) -> float:
-    """``pair_retention`` evaluated by nested 2-D quadrature of the raw mark
-    integrals; serves as the independent cross-check for the closed form.
-
-    Raises:
-        QuadratureError: if the integrator's error estimate exceeds ``abs_tol``.
-    """
-    r = float(r)
-    if params.delta == 0.0:
-        return 1.0 if r > 0.0 else 0.0
-    if r <= params.delta:
-        return 0.0
-    lam = params.lambda_p
-    ball = params.ball_area
-    l1 = float(lens_symmetric(r, params.delta))
-    l2 = float(lens_asymmetric(r, params.delta))
-    a = lam * ball
-    b = lam * (ball - l2)
-    c = lam * (ball + l1 - l2)
-    d = lam * (ball - l1)
-    # candidate mark below the reference mark
-    low, err_low = integrate.dblquad(
-        lambda t, t_o: math.exp(-a * t_o - b * t),
-        0.0,
-        1.0,
-        0.0,
-        lambda t_o: t_o,
-        epsabs=0.25 * abs_tol,
-        epsrel=1e-11,
-    )
-    # candidate mark above the reference mark
-    high, err_high = integrate.dblquad(
-        lambda t_o, t: math.exp(-c * t - d * t_o),
-        0.0,
-        1.0,
-        0.0,
-        lambda t: t,
-        epsabs=0.25 * abs_tol,
-        epsrel=1e-11,
-    )
-    if err_low + err_high > abs_tol:
-        raise QuadratureError(
-            f"mark-integral error estimate {err_low + err_high:.3e} exceeds "
-            f"{abs_tol:.3e} at r={r}, params={params}"
-        )
-    return low + high
 
 
 def retention_mhc_to_mhc(r: FloatOrArray, params: ProcessParams) -> FloatOrArray:

@@ -239,10 +239,10 @@ def _emit(text: str, path: Path | None) -> None:
         path.write_text(text)
 
 
-def _grid_for(opts: dict, case: ContactCase, params: ProcessParams) -> np.ndarray:
-    config = ExperimentConfig(
+def _config(opts: dict, case: ContactCase, delta: float) -> ExperimentConfig:
+    return ExperimentConfig(
         case=case,
-        params=params,
+        params=ProcessParams(opts["lambda_p"], delta),
         window=opts["window"],
         replications=opts["reps"],
         seed=opts["seed"],
@@ -251,7 +251,6 @@ def _grid_for(opts: dict, case: ContactCase, params: ProcessParams) -> np.ndarra
         r_points=opts["points"],
         abs_tol=opts["tol"],
     )
-    return config.r_grid()
 
 
 def _curve_csv(radii, values, errors) -> str:
@@ -267,9 +266,10 @@ def cmd_analytic(opts: dict) -> int:
     case = _require_case(opts)
     many = len(opts["delta"]) > 1
     for delta in opts["delta"]:
-        params = ProcessParams(opts["lambda_p"], delta)
-        grid = _grid_for(opts, case, params)
-        curve = contact_cdf(RetentionFunction(case, params), grid, opts["tol"])
+        config = _config(opts, case, delta)
+        params = config.params
+        eta = RetentionFunction(case, params)
+        curve = contact_cdf(eta, config.r_grid(), config.abs_tol)
         if opts["format"] == "json":
             text = json.dumps(
                 {
@@ -306,19 +306,9 @@ def cmd_simulate(opts: dict) -> int:
     case = _require_case(opts)
     many = len(opts["delta"]) > 1
     for delta in opts["delta"]:
-        params = ProcessParams(opts["lambda_p"], delta)
-        config = ExperimentConfig(
-            case=case,
-            params=params,
-            window=opts["window"],
-            replications=opts["reps"],
-            seed=opts["seed"],
-            r_min=opts["rmin"],
-            r_max=opts["rmax"],
-            r_points=opts["points"],
-            abs_tol=opts["tol"],
-        )
-        report = run_experiment(config, on_pattern=_make_sink(opts, case, params))
+        config = _config(opts, case, delta)
+        sink = _make_sink(opts, case, config.params)
+        report = run_experiment(config, on_pattern=sink)
         radii = report.analytic.radii
         f_hat = report.empirical.cdf(radii)
         n = report.empirical.n
@@ -354,19 +344,9 @@ def cmd_compare(opts: dict) -> int:
     entries = []
     failed = False
     for delta in opts["delta"]:
-        params = ProcessParams(opts["lambda_p"], delta)
-        config = ExperimentConfig(
-            case=case,
-            params=params,
-            window=opts["window"],
-            replications=opts["reps"],
-            seed=opts["seed"],
-            r_min=opts["rmin"],
-            r_max=opts["rmax"],
-            r_points=opts["points"],
-            abs_tol=opts["tol"],
-        )
-        report = run_experiment(config, on_pattern=_make_sink(opts, case, params))
+        config = _config(opts, case, delta)
+        sink = _make_sink(opts, case, config.params)
+        report = run_experiment(config, on_pattern=sink)
         entry = report.to_dict()
         entry["config"]["threshold"] = threshold
         entry["within_threshold"] = bool(report.sup_distance <= threshold)
@@ -420,6 +400,12 @@ def main(argv: list[str] | None = None) -> int:
         }[ns.command]
         return command(opts)
     except (UsageError, ValueError, OSError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        # a replication that failed on bad input is a usage error as well
+        if not isinstance(exc.__cause__, ValueError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

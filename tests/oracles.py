@@ -12,6 +12,8 @@ import math
 import numpy as np
 from scipy import integrate
 
+from matern_contact import ProcessParams, QuadratureError
+
 
 def lens_area_two_circles(d: float, r1: float, r2: float) -> float:
     """Standard intersection area of two circles with radii r1, r2 and centre
@@ -45,6 +47,72 @@ def lens_area_raster(d: float, r1: float, r2: float, cells: int = 1600) -> float
     in1 = cx[:, None] ** 2 + cy[None, :] ** 2 <= r1 * r1
     in2 = (cx[:, None] - d) ** 2 + cy[None, :] ** 2 <= r2 * r2
     return float(np.count_nonzero(in1 & in2)) * hx * hy
+
+
+def pair_retention_quadrature(
+    r: float, params: ProcessParams, abs_tol: float = 1e-10
+) -> float:
+    """``pair_retention`` evaluated by nested 2-D quadrature of the raw mark
+    integrals; serves as the independent cross-check for the closed form.
+
+    Raises:
+        QuadratureError: if the integrator's error estimate exceeds ``abs_tol``.
+    """
+    r = float(r)
+    if params.delta == 0.0:
+        return 1.0 if r > 0.0 else 0.0
+    if r <= params.delta:
+        return 0.0
+    lam = params.lambda_p
+    ball = params.ball_area
+    l1 = lens_area_two_circles(r, params.delta, params.delta)
+    # the candidate's disk against the void ball, its centre on the boundary
+    l2 = lens_area_two_circles(r, r, params.delta)
+    a = lam * ball
+    b = lam * (ball - l2)
+    c = lam * (ball + l1 - l2)
+    d = lam * (ball - l1)
+    # candidate mark below the reference mark
+    low, err_low = integrate.dblquad(
+        lambda t, t_o: math.exp(-a * t_o - b * t),
+        0.0,
+        1.0,
+        0.0,
+        lambda t_o: t_o,
+        epsabs=0.25 * abs_tol,
+        epsrel=1e-11,
+    )
+    # candidate mark above the reference mark
+    high, err_high = integrate.dblquad(
+        lambda t_o, t: math.exp(-c * t - d * t_o),
+        0.0,
+        1.0,
+        0.0,
+        lambda t: t,
+        epsabs=0.25 * abs_tol,
+        epsrel=1e-11,
+    )
+    if err_low + err_high > abs_tol:
+        raise QuadratureError(
+            f"mark-integral error estimate {err_low + err_high:.3e} exceeds "
+            f"{abs_tol:.3e} at r={r}, params={params}"
+        )
+    return low + high
+
+
+def on_the_seam(
+    rng: np.random.Generator, coords: np.ndarray, side: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Put a few coordinates on the window's seam: exactly at ``side``, or a
+    hair below 0 (where ``np.mod`` rounds to ``side``). Returns the pattern's
+    copy and the oracle's copy, which holds 0, the same torus position."""
+    at = rng.choice(len(coords), size=min(3, len(coords)), replace=False)
+    seam = coords.copy()
+    seam[at] = side
+    seam[at[:1]] = -1e-20
+    wrapped = coords.copy()
+    wrapped[at] = 0.0
+    return seam, wrapped
 
 
 def _min_image(a: np.ndarray, b: np.ndarray, period: float) -> np.ndarray:

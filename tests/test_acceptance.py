@@ -34,14 +34,13 @@ from matern_contact import (
     mhc_intensity,
     nn_distances_within,
     pair_retention,
-    pair_retention_quadrature,
     run_experiment,
     sample_ppp,
     thin_mhc_type2,
     void_probability_discretized,
 )
 from matern_contact.cli import main as cli_main
-from oracles import lens_area_raster, lens_area_two_circles
+from oracles import lens_area_raster, lens_area_two_circles, pair_retention_quadrature
 
 SEED = 20260808
 W100 = Window(100.0, 100.0)

@@ -24,14 +24,17 @@ from matern_contact import (
     mhc_intensity,
     mhc_retention,
     pair_retention,
-    pair_retention_quadrature,
     pair_retention_unconditional,
     retention_cmhc_to_mhc,
     retention_mhc_to_mhc,
     retention_ppp_to_mhc,
     void_probability_discretized,
 )
-from oracles import pair_survival_quadrature, rival_pair_survival_monte_carlo
+from oracles import (
+    pair_retention_quadrature,
+    pair_survival_quadrature,
+    rival_pair_survival_monte_carlo,
+)
 
 P11 = ProcessParams(1.0, 1.0)
 

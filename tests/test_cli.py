@@ -192,9 +192,21 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analytic", "--case", "nonsense"])
     assert exc.value.code == 2
-    assert main(["analytic", "--case", "ppp-ppp", "--reps", "0"]) == 2
-    assert main(["compare", "--case", "mhc-mhc", "--window", "1", "2", "3"]) == 2
-    assert main(["analytic", "--case", "ppp-ppp", "--lambda", "-1"]) == 2
+    capsys.readouterr()
+    for argv in (
+        ["analytic", "--case", "ppp-ppp", "--reps", "0"],
+        ["compare", "--case", "mhc-mhc", "--window", "1", "2", "3"],
+        ["analytic", "--case", "ppp-ppp", "--lambda", "-1"],
+        # replications that fail on their input: too few points, a window
+        # below 10 x delta, and more points than the generator allows
+        ["compare", "--case", "mhc-mhc", "--lambda", "0.001", "--window", "10",
+         "--reps", "1"],
+        ["compare", "--case", "mhc-mhc", "--window", "5", "--delta", "1", "--reps", "1"],
+        ["simulate", "--case", "ppp-ppp", "--window", "1e5", "--reps", "1"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
 def test_case_required_for_pipeline_commands():

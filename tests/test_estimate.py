@@ -25,7 +25,7 @@ from matern_contact import (
     sample_ppp,
     thin_mhc_type2,
 )
-from oracles import brute_nn_cross, brute_nn_within
+from oracles import brute_nn_cross, brute_nn_within, on_the_seam
 
 P11 = ProcessParams(1.0, 1.0)
 
@@ -69,11 +69,11 @@ class TestNearestNeighbourDistances:
         for _ in range(100):
             w = Window(float(rng.uniform(5, 20)), float(rng.uniform(5, 20)))
             n = int(rng.integers(2, 400))
-            pat = labelled_pattern(
-                w, rng.uniform(0, w.width, n), rng.uniform(0, w.height, n), [1] * n
-            )
+            x, ox = on_the_seam(rng, rng.uniform(0, w.width, n), w.width)
+            y, oy = on_the_seam(rng, rng.uniform(0, w.height, n), w.height)
+            pat = labelled_pattern(w, x, y, [1] * n)
             fast = nn_distances_within(pat, PointLabel.MHC)
-            brute = brute_nn_within(pat.x, pat.y, w.width, w.height)
+            brute = brute_nn_within(ox, oy, w.width, w.height)
             assert np.array_equal(fast, brute)
 
     def test_cross_matches_brute_force(self):
@@ -82,14 +82,14 @@ class TestNearestNeighbourDistances:
             w = Window(float(rng.uniform(5, 20)), float(rng.uniform(5, 20)))
             ns = int(rng.integers(1, 300))
             nt = int(rng.integers(1, 300))
-            src = labelled_pattern(
-                w, rng.uniform(0, w.width, ns), rng.uniform(0, w.height, ns), [0] * ns
-            )
-            tgt = labelled_pattern(
-                w, rng.uniform(0, w.width, nt), rng.uniform(0, w.height, nt), [1] * nt
-            )
+            sx, osx = on_the_seam(rng, rng.uniform(0, w.width, ns), w.width)
+            sy, osy = on_the_seam(rng, rng.uniform(0, w.height, ns), w.height)
+            tx, otx = on_the_seam(rng, rng.uniform(0, w.width, nt), w.width)
+            ty, oty = on_the_seam(rng, rng.uniform(0, w.height, nt), w.height)
+            src = labelled_pattern(w, sx, sy, [0] * ns)
+            tgt = labelled_pattern(w, tx, ty, [1] * nt)
             fast = nn_distances_cross(src, PointLabel.PARENT, tgt, PointLabel.MHC)
-            brute = brute_nn_cross(src.x, src.y, tgt.x, tgt.y, w.width, w.height)
+            brute = brute_nn_cross(osx, osy, otx, oty, w.width, w.height)
             assert np.array_equal(fast, brute)
 
     def test_insufficient_data_errors(self):

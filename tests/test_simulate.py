@@ -17,7 +17,7 @@ from matern_contact import (
     sample_ppp,
     thin_mhc_type2,
 )
-from oracles import brute_mhc_mask, brute_nn_within
+from oracles import brute_mhc_mask, brute_nn_within, on_the_seam
 
 W100 = Window(100.0, 100.0)
 W50 = Window(50.0, 50.0)
@@ -81,9 +81,12 @@ class TestSamplePpp:
 
 class TestThinning:
     def test_two_point_rule(self):
-        pat = make_pattern(Window(10, 10), [1.0, 1.0], [1.0, 1.5], [0.2, 0.7])
-        out = thin_mhc_type2(pat, 1.0)
-        assert list(out.label) == [int(PointLabel.MHC), int(PointLabel.CMHC)]
+        # the second pair sits exactly delta apart across the seam: the
+        # competition ball is closed
+        for y in ([1.0, 1.5], [0.5, 9.5]):
+            pat = make_pattern(Window(10, 10), [1.0, 1.0], y, [0.2, 0.7])
+            out = thin_mhc_type2(pat, 1.0)
+            assert list(out.label) == [int(PointLabel.MHC), int(PointLabel.CMHC)]
 
     def test_three_collinear_simultaneous_flagging(self):
         # middle point loses to the first even though the third loses to the
@@ -148,15 +151,12 @@ class TestThinning:
         for _ in range(25):
             window = Window(12.0, 15.0)
             n = int(rng.integers(2, 120))
-            pat = make_pattern(
-                window,
-                rng.uniform(0, 12, n),
-                rng.uniform(0, 15, n),
-                rng.random(n),
-            )
+            x, ox = on_the_seam(rng, rng.uniform(0, 12, n), 12.0)
+            y, oy = on_the_seam(rng, rng.uniform(0, 15, n), 15.0)
+            pat = make_pattern(window, x, y, rng.random(n))
             delta = float(rng.uniform(0.2, 1.2))
             out = thin_mhc_type2(pat, delta)
-            keep = brute_mhc_mask(pat.x, pat.y, pat.mark, 12.0, 15.0, delta)
+            keep = brute_mhc_mask(ox, oy, pat.mark, 12.0, 15.0, delta)
             assert np.array_equal(out.label == int(PointLabel.MHC), keep)
 
     def test_retained_fraction_matches_retention_probability(self):
