@@ -17,7 +17,7 @@ on the first-order hazard (see :class:`RetentionFunction`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -327,10 +327,20 @@ def _inner_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (0.5 * (lo + hi))[:, None] + half[:, None] * _INNER_X, half
 
 
+def _weighted_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row-wise sum of values[:, j] * weights[j], taken in column order. A
+    BLAS product may change its summation order with the number of rows, so
+    a row's sum would depend on what it is batched with; this one does not."""
+    total = values[:, 0] * weights[0]
+    for j in range(1, len(weights)):
+        total += values[:, j] * weights[j]
+    return total
+
+
 def _inner_sum(values: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise fine-rule integral and its error estimate."""
-    fine = half * (values[:, :_INNER_SPLIT] @ _INNER_FINE_W)
-    coarse = half * (values[:, _INNER_SPLIT:] @ _INNER_COARSE_W)
+    fine = half * _weighted_rows(values[:, :_INNER_SPLIT], _INNER_FINE_W)
+    coarse = half * _weighted_rows(values[:, _INNER_SPLIT:], _INNER_COARSE_W)
     return fine, np.abs(fine - coarse)
 
 
@@ -514,8 +524,9 @@ _EVALUATORS = {
     ContactCase.PPP_TO_MHC: _eta_ppp_to_mhc,
     ContactCase.CMHC_TO_MHC: _eta_cmhc_to_mhc,
 }
-# points per evaluation block: bounds the inner-rule scratch on long inputs
-_EVAL_BLOCK = 2048
+# points per evaluation block: bounds the inner-rule scratch when a whole
+# curve's quadrature nodes arrive in one call; no result depends on it
+_EVAL_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -614,6 +625,20 @@ class CdfCurve:
         out = np.interp(arr, self.radii, self.values, left=0.0)
         return float(out[0]) if scalar else out
 
+    def restricted(self, radii: np.ndarray) -> CdfCurve:
+        """The curve at ``radii``, a subset of its own radii."""
+        if not np.all(np.isin(radii, self.radii)):
+            raise ValueError("radii must be a subset of the curve's radii")
+        at = np.searchsorted(self.radii, radii)
+        return replace(
+            self,
+            radii=self.radii[at],
+            values=self.values[at],
+            abs_error=self.abs_error[at],
+            hazard=self.hazard[at],
+            hazard_error=self.hazard_error[at],
+        )
+
 
 def _make_curve(
     case: ContactCase,
@@ -644,25 +669,36 @@ _FINE = len(_NODES_FINE)
 _MAX_BISECTIONS = 48
 # exp(-H) underflows F's complement long before this hazard
 _MAX_HAZARD = 700.0
+# panels whose nodes go to eta in one call: every panel of a grid of up to
+# about a thousand radii, while longer grids keep their node arrays small
+_PANEL_BLOCK = 1024
 
 
-def _gauss_pair(fn, lo: float, hi: float) -> tuple[float, float, float]:
-    """Fine-rule panel value, an error estimate from a coarser rule, and the
-    fine-rule integral of the integrand's own error estimate; ``fn`` maps
-    nodes to (values, errors) and sees both rules' nodes in one call."""
+def _panel_rules(
+    fn, lo: np.ndarray, hi: np.ndarray
+) -> tuple[list[float], list[float], list[float]]:
+    """Fine-rule value, an error estimate from a coarser rule, and the
+    fine-rule integral of the integrand's own error estimate, for each panel
+    [lo[i], hi[i]]. ``fn`` maps nodes to (values, errors) and sees the nodes
+    of both rules on every panel in one array."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    values, errors = fn(mid + half * _NODES)
-    fine = half * float(_WEIGHTS_FINE @ values[:_FINE])
-    coarse = half * float(_WEIGHTS_COARSE @ values[_FINE:])
-    return fine, abs(fine - coarse), half * float(_WEIGHTS_FINE @ errors[:_FINE])
+    nodes = mid[:, None] + half[:, None] * _NODES
+    values, errors = fn(nodes.ravel())
+    values = values.reshape(nodes.shape)
+    fine = half * _weighted_rows(values[:, :_FINE], _WEIGHTS_FINE)
+    coarse = half * _weighted_rows(values[:, _FINE:], _WEIGHTS_COARSE)
+    inner = half * _weighted_rows(errors.reshape(nodes.shape)[:, :_FINE], _WEIGHTS_FINE)
+    return fine.tolist(), np.abs(fine - coarse).tolist(), inner.tolist()
 
 
 def _integrate_panel(
-    fn, lo: float, hi: float, tol: float, offset: float
+    fn, lo: float, hi: float, tol: float, offset: float, rules: tuple[float, float, float]
 ) -> tuple[float, float]:
     """Adaptively bisected panel integral of the hazard density with
-    accumulated error estimate; ``offset`` is the hazard at ``lo``.
+    accumulated error estimate; ``offset`` is the hazard at ``lo`` and
+    ``rules`` the panel's own :func:`_panel_rules` entry, evaluated with the
+    other panels of its curve.
 
     Sub-panels are taken left to right, and each one's rule error is held to
     its share of ``tol`` times exp(H) at its right end. A panel's error reaches
@@ -671,13 +707,13 @@ def _integrate_panel(
     precision where F is already near 1. Bisection is driven by the rule
     error alone: the integrand's own error shrinks with the panel as fast as
     the tolerance does, so it is added to the estimate but never bisected
-    on."""
+    on. Only a rejected panel is split; its two halves are evaluated in one
+    call, and no panel is evaluated twice."""
     total = 0.0
     total_err = 0.0
-    stack = [(lo, hi, tol, 0)]
+    stack = [(lo, hi, tol, 0, rules)]
     while stack:
-        a, b, t, depth = stack.pop()
-        value, err, inner_err = _gauss_pair(fn, a, b)
+        a, b, t, depth, (value, err, inner_err) = stack.pop()
         allowed = t * math.exp(min(offset + total + value, _MAX_HAZARD))
         if err <= allowed:
             total += value
@@ -689,8 +725,9 @@ def _integrate_panel(
                 f"(error estimate {err:.3e} > tolerance {allowed:.3e})"
             )
         m = 0.5 * (a + b)
-        stack.append((m, b, 0.5 * t, depth + 1))
-        stack.append((a, m, 0.5 * t, depth + 1))
+        left, right = zip(*_panel_rules(fn, np.array([a, m]), np.array([m, b])))
+        stack.append((m, b, 0.5 * t, depth + 1, right))
+        stack.append((a, m, 0.5 * t, depth + 1, left))
     return total, total_err
 
 
@@ -708,10 +745,18 @@ def _accumulate_hazard(
     targets: np.ndarray,
     abs_tol: float,
     offset: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
+    breakpoints: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cumulative integral of 2*pi*r*lambda_p*eta(r) from ``start`` to each
-    ascending target radius; ``offset`` is the hazard already accumulated at
-    ``start``."""
+    ascending target radius above it; ``offset`` is the hazard already
+    accumulated at ``start``. Returns the radii, the hazard there and its
+    error estimate: at the targets, or with ``breakpoints`` at every panel
+    edge, the targets and the lens breakpoints among them.
+
+    The panels run between consecutive edges. Their nodes go to eta
+    together, up to _PANEL_BLOCK panels per call; the walk then takes the
+    panels left to right and bisects only those that :func:`_integrate_panel`
+    rejects."""
     lam = eta.params.lambda_p
 
     def integrand(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -721,42 +766,47 @@ def _accumulate_hazard(
             values, errors = np.asarray(eta(r), dtype=float), np.zeros(r.shape)
         return TWO_PI * lam * r * values, TWO_PI * lam * r * errors
 
-    breakpoints = _lens_breakpoints(eta.params, start, float(targets[-1]))
-    tol_segment = abs_tol / max(1, len(targets) + len(breakpoints))
-    hazard = np.zeros(len(targets))
-    herr = np.zeros(len(targets))
+    cuts = _lens_breakpoints(eta.params, start, float(targets[-1]))
+    tol_segment = abs_tol / max(1, len(targets) + len(cuts))
+    edges = np.union1d(targets, cuts)
+    lows = np.concatenate(([start], edges[:-1]))
+    hazard = np.empty(edges.shape)
+    herr = np.empty(edges.shape)
     acc = 0.0
     acc_err = 0.0
-    prev = start
-    pending = list(breakpoints)
-    for i, target in enumerate(targets):
-        t = float(target)
-        while pending and pending[0] < t:
-            cut = pending.pop(0)
-            if cut > prev:
-                v, e = _integrate_panel(integrand, prev, cut, tol_segment, offset + acc)
-                acc += v
-                acc_err += e
-            prev = cut
-        if t > prev:
-            v, e = _integrate_panel(integrand, prev, t, tol_segment, offset + acc)
+    for first in range(0, len(edges), _PANEL_BLOCK):
+        block = slice(first, first + _PANEL_BLOCK)
+        rules = zip(*_panel_rules(integrand, lows[block], edges[block]))
+        panels = zip(lows[block].tolist(), edges[block].tolist(), rules)
+        for i, (a, b, rule) in enumerate(panels, first):
+            v, e = _integrate_panel(integrand, a, b, tol_segment, offset + acc, rule)
             acc += v
             acc_err += e
-            prev = t
-        hazard[i] = acc
-        herr[i] = acc_err
-    return hazard, herr
+            hazard[i] = acc
+            herr[i] = acc_err
+    if breakpoints:
+        return edges, hazard, herr
+    at = np.searchsorted(edges, targets)
+    return targets, hazard[at], herr[at]
 
 
 def contact_cdf(
-    eta: RetentionFunction, r_grid: FloatOrArray, abs_tol: float = 1e-9
+    eta: RetentionFunction,
+    r_grid: FloatOrArray,
+    abs_tol: float = 1e-9,
+    breakpoints: bool = False,
 ) -> CdfCurve:
     """Contact-distance CDF F(R) = 1 - exp(-integral(2*pi*r*lambda_p*eta(r)))
     accumulated over an ascending radius grid.
 
     Integration starts at the case's lower support (the hard-core distance
     when both endpoints live in the thinned process, zero otherwise), so the
-    returned curve is monotone by construction.
+    returned curve is monotone by construction. The quadrature panels run
+    between the grid radii and the lens breakpoints delta/2, delta and
+    2 delta, where eta changes form and F has kinks; the nodes of all panels
+    are evaluated in a few batched eta calls (see :func:`_accumulate_hazard`).
+    With ``breakpoints`` the curve also holds F at the breakpoints inside
+    the grid, at no extra cost; F at the grid radii is the same either way.
 
     The quadrature holds the error of F, not of the hazard, to ``abs_tol``.
     The reported ``abs_error`` adds the error estimates of the integrals
@@ -775,12 +825,22 @@ def contact_cdf(
         raise ValueError(f"abs_tol must be > 0, got {abs_tol!r}")
 
     s = eta.lower_support
-    hazard = np.zeros(grid.shape)
-    herr = np.zeros(grid.shape)
-    above = grid > s
-    if np.any(above):
-        hazard[above], herr[above] = _accumulate_hazard(eta, s, grid[above], abs_tol)
-    return _make_curve(eta.case, eta.params, grid.copy(), hazard, herr, abs_tol)
+    below = grid[grid <= s]
+    radii = grid[grid > s]
+    hazard = herr = np.zeros(0)
+    if radii.size:
+        radii, hazard, herr = _accumulate_hazard(
+            eta, s, radii, abs_tol, breakpoints=breakpoints
+        )
+    zeros = np.zeros(below.size)
+    return _make_curve(
+        eta.case,
+        eta.params,
+        np.concatenate([below, radii]),
+        np.concatenate([zeros, hazard]),
+        np.concatenate([zeros, herr]),
+        abs_tol,
+    )
 
 
 def extend_curve(curve: CdfCurve, r_max: float) -> CdfCurve:
@@ -796,7 +856,7 @@ def extend_curve(curve: CdfCurve, r_max: float) -> CdfCurve:
     n_new = max(2, int(math.ceil((r_max - last) / step)) + 1)
     extra = np.linspace(last, r_max, n_new)[1:]
     eta = RetentionFunction(curve.case, curve.params)
-    hz, he = _accumulate_hazard(eta, last, extra, curve.abs_tol, float(curve.hazard[-1]))
+    _, hz, he = _accumulate_hazard(eta, last, extra, curve.abs_tol, float(curve.hazard[-1]))
     return _make_curve(
         curve.case,
         curve.params,

@@ -12,11 +12,14 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .analytic import ProcessParams
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = [
     "CapacityError",
@@ -103,7 +106,11 @@ def _periodic_tree(x: np.ndarray, y: np.ndarray, window: Window) -> cKDTree:
 
     The tree rejects a coordinate equal to a side, and ``np.mod`` returns the
     side itself for tiny negative inputs; such values map back to 0.
+    ``scipy.spatial`` is imported here, not at module level: it is most of
+    the package's import time, and the analytic side never builds a tree.
     """
+    from scipy.spatial import cKDTree
+
     sides = (window.width, window.height)
     coords = np.mod(np.column_stack((x, y)), sides)
     coords[coords == sides] = 0.0

@@ -212,3 +212,19 @@ def rival_pair_survival_monte_carlo(
             rivals = np.minimum(rivals, other)
         survive &= own < rivals
     return float(survive.mean())
+
+
+def cumulative_quad(fn, edges) -> tuple[np.ndarray, float]:
+    """Integral of the scalar function ``fn`` from edges[0] to every later
+    edge, by scipy's adaptive QUADPACK rule on each stretch between
+    consecutive edges; returns the integrals and their summed error
+    estimate."""
+    total = 0.0
+    error = 0.0
+    out = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        value, err = integrate.quad(fn, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)
+        total += value
+        error += err
+        out.append(total)
+    return np.array(out), error

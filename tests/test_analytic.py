@@ -31,6 +31,7 @@ from matern_contact import (
     void_probability_discretized,
 )
 from oracles import (
+    cumulative_quad,
     pair_retention_quadrature,
     pair_survival_quadrature,
     rival_pair_survival_monte_carlo,
@@ -352,6 +353,29 @@ class TestContactCdf:
         with pytest.raises(QuadratureError):
             contact_cdf(NoisyEta(), np.array([0.0, 1.0]), abs_tol=1e-12)
 
+    def test_deterministic_across_calls(self):
+        p = ProcessParams(1.0, 0.5)
+        for case in ContactCase:
+            eta = RetentionFunction(case, p)
+            grid = default_r_grid(case, p, points=300)
+            first, second = contact_cdf(eta, grid), contact_cdf(eta, grid)
+            for field in ("radii", "values", "abs_error", "hazard", "hazard_error"):
+                assert getattr(first, field).tobytes() == getattr(second, field).tobytes()
+
+    def test_breakpoints_add_radii_without_moving_the_grid_values(self):
+        p = ProcessParams(0.5, 0.25)
+        eta = RetentionFunction(ContactCase.CMHC_TO_MHC, p)
+        grid = default_r_grid(ContactCase.CMHC_TO_MHC, p)
+        plain = contact_cdf(eta, grid)
+        kinked = contact_cdf(eta, grid, breakpoints=True)
+        extra = np.setdiff1d(kinked.radii, grid)
+        assert np.array_equal(extra, [0.125, 0.25, 0.5])
+        on_grid = kinked.restricted(grid)
+        for field in ("radii", "values", "abs_error", "hazard", "hazard_error"):
+            assert getattr(on_grid, field).tobytes() == getattr(plain, field).tobytes()
+        with pytest.raises(ValueError):
+            kinked.restricted(np.array([0.3]))
+
     def test_extend_curve_matches_direct_construction(self):
         eta = RetentionFunction(ContactCase.PPP_TO_MHC, P11)
         short = contact_cdf(eta, np.linspace(0.0, 2.0, 50))
@@ -369,6 +393,71 @@ class TestContactCdf:
         assert curve.evaluate(-0.5) == 0.0
         with pytest.raises(ValueError):
             curve.evaluate(3.0)
+
+
+class RecordingEta:
+    """Duck-typed eta that keeps a copy of every node array it receives."""
+
+    def __init__(self, eta: RetentionFunction):
+        self.eta = eta
+        self.case = eta.case
+        self.params = eta.params
+        self.lower_support = eta.lower_support
+        self.calls: list[np.ndarray] = []
+
+    def __call__(self, r):
+        self.calls.append(np.array(r, dtype=float))
+        return self.eta(r)
+
+
+class TestBatchedQuadrature:
+    def test_eta_does_not_depend_on_batch_size(self):
+        r = np.linspace(0.0, 3.0, 5003)
+        for case in ContactCase:
+            eta = RetentionFunction(case, ProcessParams(1.0, 0.5))
+            values, errors = eta(r, with_error=True)
+            for size in (31, 1000):
+                parts = [eta(r[i : i + size], with_error=True) for i in range(0, r.size, size)]
+                assert np.concatenate([v for v, _ in parts]).tobytes() == values.tobytes()
+                assert np.concatenate([e for _, e in parts]).tobytes() == errors.tobytes()
+
+    # a sparse removed observer's hazard is steep just below delta, so on a
+    # coarse grid with a tight tolerance the top-level panels are rejected
+    BISECTED = (
+        (0.1, 1.0, (0.3, 0.99, 1.5)),
+        (0.05, 1.0, (0.5, 0.999, 2.5)),
+        (0.1, 0.5, (0.2, 0.5, 1.0)),
+    )
+
+    @staticmethod
+    def panel_edges(delta, radii):
+        """0, the radii and the lens breakpoints below the last radius."""
+        cuts = {c for c in (0.5 * delta, delta, 2.0 * delta) if c < radii[-1]}
+        return sorted({0.0, *radii} | cuts)
+
+    def test_bisected_panels_match_an_independent_quadrature(self):
+        tol = 1e-12
+        for lam, delta, radii in self.BISECTED:
+            eta = RetentionFunction(ContactCase.CMHC_TO_MHC, ProcessParams(lam, delta))
+            curve = contact_cdf(eta, np.array(radii), tol)
+            assert np.all(curve.abs_error <= tol)
+            edges = self.panel_edges(delta, radii)
+            hazard, quad_err = cumulative_quad(
+                lambda r: 2.0 * math.pi * lam * r * eta(r), edges
+            )
+            oracle = -np.expm1(-hazard[np.isin(edges[1:], radii)])
+            assert np.max(np.abs(curve.values - oracle)) <= tol + quad_err
+
+    def test_no_panel_is_evaluated_twice(self):
+        for lam, delta, radii in self.BISECTED:
+            eta = RetentionFunction(ContactCase.CMHC_TO_MHC, ProcessParams(lam, delta))
+            recording = RecordingEta(eta)
+            contact_cdf(recording, np.array(radii), 1e-12)
+            assert all(nodes.size % 31 == 0 for nodes in recording.calls)
+            rows = np.concatenate([nodes.reshape(-1, 31) for nodes in recording.calls])
+            # more rows than top-level panels: the bisection path ran
+            assert len(rows) > len(self.panel_edges(delta, radii)) - 1
+            assert len({row.tobytes() for row in rows}) == len(rows)
 
 
 class TestDiscretizedVoidProbability:

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import matern_contact
 from matern_contact import load_pattern
 from matern_contact.cli import main
 
@@ -212,3 +217,23 @@ def test_usage_errors_exit_two(capsys):
 def test_case_required_for_pipeline_commands():
     assert main(["analytic"]) == 2
     assert main(["compare"]) == 2
+
+
+def test_analytic_command_does_not_import_the_k_d_tree():
+    # scipy.spatial is most of the start-up time, and only simulation needs it
+    script = (
+        "import sys\n"
+        "from matern_contact.cli import main\n"
+        "assert main(['analytic', '--case', 'mhc-mhc', '--points', '5']) == 0\n"
+        "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial was imported'\n"
+    )
+    src = str(Path(matern_contact.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("r,F,abs_error")

@@ -3,6 +3,7 @@ the experiment pipeline."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,6 +263,22 @@ class TestRunExperiment:
         )
         with pytest.raises(RuntimeError, match="replication 0"):
             run_experiment(config)
+
+    def test_sup_distance_sees_the_kink_at_delta(self):
+        # a removed observer's F bends sharply at delta; interpolated linearly
+        # between grid radii it read 0.055 here, against 0.021 on a dense grid
+        config = ExperimentConfig(
+            case=ContactCase.CMHC_TO_MHC,
+            params=ProcessParams(0.5, 0.25),
+            window=Window(100.0, 100.0),
+            replications=10,
+            seed=11,
+        )
+        report = run_experiment(config)
+        dense = run_experiment(replace(config, r_points=4000))
+        assert abs(report.sup_distance - dense.sup_distance) < 0.005
+        # the report itself stays on the configured grid
+        assert np.array_equal(report.analytic.radii, config.r_grid())
 
     def test_report_dict_shape(self):
         config = ExperimentConfig(
