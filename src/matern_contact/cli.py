@@ -16,12 +16,20 @@ import numpy as np
 from .analytic import (
     ContactCase,
     ProcessParams,
+    QuadratureError,
     RetentionFunction,
     contact_cdf,
     mhc_intensity,
 )
-from .estimate import ExperimentConfig, run_experiment
-from .simulate import Window, dump_pattern, sample_ppp, thin_mhc_type2
+from .estimate import ExperimentConfig, _radius_grid, run_experiment
+from .simulate import (
+    CapacityError,
+    Window,
+    WindowFloorError,
+    dump_pattern,
+    sample_ppp,
+    thin_mhc_type2,
+)
 
 __all__ = ["main"]
 
@@ -240,17 +248,29 @@ def _emit(text: str, path: Path | None) -> None:
 
 
 def _config(opts: dict, case: ContactCase, delta: float) -> ExperimentConfig:
-    return ExperimentConfig(
-        case=case,
-        params=ProcessParams(opts["lambda_p"], delta),
-        window=opts["window"],
-        replications=opts["reps"],
-        seed=opts["seed"],
-        r_min=opts["rmin"],
-        r_max=opts["rmax"],
-        r_points=opts["points"],
-        abs_tol=opts["tol"],
-    )
+    """The config for one delta; its point-cap and window-floor checks are
+    reported against the flags that set them."""
+    params = ProcessParams(opts["lambda_p"], delta)
+    window = opts["window"]
+    sides = f"{window.width:g} {window.height:g}"
+    try:
+        return ExperimentConfig(
+            case=case,
+            params=params,
+            window=window,
+            replications=opts["reps"],
+            seed=opts["seed"],
+            r_min=opts["rmin"],
+            r_max=opts["rmax"],
+            r_points=opts["points"],
+            abs_tol=opts["tol"],
+        )
+    except CapacityError as exc:
+        flags = f"--lambda {params.lambda_p:g} --window {sides}"
+        raise UsageError(f"{flags}: {exc}") from None
+    except WindowFloorError as exc:
+        flags = f"--window {sides} --delta {params.delta:g}"
+        raise UsageError(f"{flags}: {exc}") from None
 
 
 def _curve_csv(radii, values, errors) -> str:
@@ -266,10 +286,10 @@ def cmd_analytic(opts: dict) -> int:
     case = _require_case(opts)
     many = len(opts["delta"]) > 1
     for delta in opts["delta"]:
-        config = _config(opts, case, delta)
-        params = config.params
-        eta = RetentionFunction(case, params)
-        curve = contact_cdf(eta, config.r_grid(), config.abs_tol)
+        # no config: the window and the replications play no part here
+        params = ProcessParams(opts["lambda_p"], delta)
+        grid = _radius_grid(case, params, opts["rmin"], opts["rmax"], opts["points"])
+        curve = contact_cdf(RetentionFunction(case, params), grid, opts["tol"])
         if opts["format"] == "json":
             text = json.dumps(
                 {
@@ -365,7 +385,8 @@ def cmd_compare(opts: dict) -> int:
 def cmd_density(opts: dict) -> int:
     rows = ["delta analytic_intensity mc_intensity mc_stderr"]
     for delta in opts["delta"]:
-        params = ProcessParams(opts["lambda_p"], delta)
+        # density thins like mhc-mhc, so the same window checks apply
+        params = _config(opts, ContactCase.MHC_TO_MHC, delta).params
         densities = []
         for rep in range(opts["reps"]):
             pattern = thin_mhc_type2(
@@ -399,7 +420,8 @@ def main(argv: list[str] | None = None) -> int:
             "density": cmd_density,
         }[ns.command]
         return command(opts)
-    except (UsageError, ValueError, OSError, KeyError) as exc:
+    except (UsageError, ValueError, OSError, KeyError, QuadratureError) as exc:
+        # a quadrature stalls only on a tolerance below what doubles resolve
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -2,7 +2,8 @@
 Monte-Carlo comparison pipeline.
 
 Nearest-neighbour distances on the torus come from scipy's periodic k-d tree
-and equal a brute-force minimum-image scan bit for bit.
+and equal a brute-force minimum-image scan bit for bit. Queries run in the
+tree's spatial order and the distances are scattered back to input order.
 
 Nearest-neighbour samples from one realisation are spatially correlated, so
 the sup distance reported here is a descriptive statistic checked against
@@ -30,7 +31,10 @@ from .simulate import (
     MarkedPattern,
     PointLabel,
     Window,
+    _check_point_cap,
+    _check_window_floor,
     _periodic_tree,
+    _spatial_order,
     sample_ppp,
     thin_mhc_type2,
 )
@@ -95,9 +99,11 @@ def nn_distances_within(pattern: MarkedPattern, label: PointLabel) -> np.ndarray
         raise InsufficientDataError(
             f"need >= 2 points labelled {PointLabel(label).name}, have {len(idx)}"
         )
-    tree = _periodic_tree(pattern.x[idx], pattern.y[idx], pattern.window)
+    tree, order = _periodic_tree(pattern.x[idx], pattern.y[idx], pattern.window)
+    out = np.empty(len(idx))
     # the nearest hit of each point is itself, at distance 0
-    return tree.query(tree.data, k=2)[0][:, 1]
+    out[order] = tree.query(tree.data, k=[2])[0][:, 0]
+    return out
 
 
 def nn_distances_cross(
@@ -117,8 +123,13 @@ def nn_distances_cross(
         raise InsufficientDataError("source has no points with the requested label")
     if len(t_idx) == 0:
         raise InsufficientDataError("target has no points with the requested label")
-    tree = _periodic_tree(target.x[t_idx], target.y[t_idx], target.window)
-    return tree.query(np.column_stack((source.x[s_idx], source.y[s_idx])), k=1)[0]
+    tree, _ = _periodic_tree(target.x[t_idx], target.y[t_idx], target.window)
+    sx = source.x[s_idx]
+    sy = source.y[s_idx]
+    order = _spatial_order(sx, sy, source.window)
+    out = np.empty(len(s_idx))
+    out[order] = tree.query(np.column_stack((sx[order], sy[order])), k=1)[0]
+    return out
 
 
 def ks_sup_distance(emp: EmpiricalDistribution, curve: CdfCurve) -> float:
@@ -144,6 +155,26 @@ def ks_sup_distance(emp: EmpiricalDistribution, curve: CdfCurve) -> float:
     return float(np.maximum(np.abs(step_hi - f), np.abs(step_lo - f)).max())
 
 
+def _radius_grid(
+    case: ContactCase,
+    params: ProcessParams,
+    r_min: float | None,
+    r_max: float | None,
+    points: int,
+) -> np.ndarray:
+    """Report grid: ``points`` radii from ``r_min`` (default: the lower
+    support) to ``r_max`` (default: 4 mean target spacings further)."""
+    eta = RetentionFunction(case, params)
+    lo = eta.lower_support if r_min is None else float(r_min)
+    if r_max is None:
+        hi = lo + 4.0 / math.sqrt(eta.target_intensity)
+    else:
+        hi = float(r_max)
+    if hi <= lo:
+        raise ValueError(f"empty radius range [{lo!r}, {hi!r}]")
+    return np.linspace(lo, hi, points)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full recipe for one comparison experiment (one case, one delta)."""
@@ -165,17 +196,16 @@ class ExperimentConfig:
             raise ValueError(f"r_points must be >= 2, got {self.r_points}")
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise ValueError(f"abs_tol must be > 0, got {self.abs_tol!r}")
+        # the patterns every replication generates must fit, so a config
+        # that cannot run fails here and not in its first replication
+        _check_point_cap(self.params.lambda_p, self.window)
+        if self.case is not ContactCase.PPP_TO_PPP:
+            _check_window_floor(self.window, self.params.delta)
 
     def r_grid(self) -> np.ndarray:
-        eta = RetentionFunction(self.case, self.params)
-        lo = eta.lower_support if self.r_min is None else float(self.r_min)
-        if self.r_max is None:
-            hi = lo + 4.0 / math.sqrt(eta.target_intensity)
-        else:
-            hi = float(self.r_max)
-        if hi <= lo:
-            raise ValueError(f"empty radius range [{lo!r}, {hi!r}]")
-        return np.linspace(lo, hi, self.r_points)
+        return _radius_grid(
+            self.case, self.params, self.r_min, self.r_max, self.r_points
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import matern_contact
 from matern_contact import load_pattern
@@ -198,20 +202,99 @@ def test_usage_errors_exit_two(capsys):
         main(["analytic", "--case", "nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
-    for argv in (
-        ["analytic", "--case", "ppp-ppp", "--reps", "0"],
-        ["compare", "--case", "mhc-mhc", "--window", "1", "2", "3"],
-        ["analytic", "--case", "ppp-ppp", "--lambda", "-1"],
-        # replications that fail on their input: too few points, a window
-        # below 10 x delta, and more points than the generator allows
-        ["compare", "--case", "mhc-mhc", "--lambda", "0.001", "--window", "10",
-         "--reps", "1"],
-        ["compare", "--case", "mhc-mhc", "--window", "5", "--delta", "1", "--reps", "1"],
-        ["simulate", "--case", "ppp-ppp", "--window", "1e5", "--reps", "1"],
+    for argv, named in (
+        (["analytic", "--case", "ppp-ppp", "--reps", "0"], "--reps"),
+        (["compare", "--case", "mhc-mhc", "--window", "1", "2", "3"], "--window"),
+        (["analytic", "--case", "ppp-ppp", "--lambda", "-1"], "--lambda"),
+        # a tolerance no double-precision quadrature can meet
+        (["analytic", "--case", "mhc-mhc", "--points", "5", "--tol", "1e-300"],
+         "quadrature stalled"),
+        # a replication with too few points fails on its data
+        (["compare", "--case", "mhc-mhc", "--lambda", "0.001", "--window", "10",
+          "--reps", "1"], "replication 0"),
+        # a window below 10 x delta and more points than the generator allows
+        # are caught before any replication, against the flags that set them
+        (["compare", "--case", "mhc-mhc", "--window", "5", "--delta", "1",
+          "--reps", "1"], "--window 5 5 --delta 1: "),
+        (["density", "--window", "5", "--delta", "1", "--reps", "1"],
+         "--window 5 5 --delta 1: "),
+        (["simulate", "--case", "ppp-ppp", "--window", "1e5", "--reps", "1"],
+         "--lambda 1 --window 100000 100000: "),
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, argv
+        assert named in err, (argv, err)
+
+
+def test_analytic_ignores_the_simulation_window(capsys):
+    # the window floor and the point cap concern simulation only
+    argv = ["analytic", "--case", "mhc-mhc", "--delta", "1", "--points", "5"]
+    assert main(argv + ["--window", "5"]) == 0
+    small = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == small
+
+
+# flag values for the fuzz test, valid then invalid: valid ones keep patterns
+# below ~5000 points, invalid ones are zero, negative or non-finite, and 1e9
+# and 1e12 exceed the point cap on every window here
+FUZZ_FLAGS = {
+    "--lambda": (["0.5", "1", "2"], ["0", "-1", "nan", "1e9", "1e12"]),
+    "--delta": (["0", "0.25", "0.5", "1", "3"], ["-1", "nan"]),
+    "--seed": (["0", "7"], ["-3"]),
+    "--rmin": (["0", "0.5"], ["-1"]),
+    "--rmax": (["0.1", "3"], ["nan"]),
+    "--tol": (["1e-6"], ["0", "-1", "nan", "1e-300"]),
+    "--threshold": (["0", "0.05", "1"], []),
+    "--format": (["csv", "json"], []),
+}
+# always given: the sizes, so that no default of 20 replications on 100 x 100
+# runs, and the case, which every command but density needs
+FUZZ_ALWAYS = {
+    "--case": (["ppp-ppp", "mhc-mhc", "ppp-mhc", "cmhc-mhc"], []),
+    "--window": (["5", "20", "50"], ["0", "-2", "nan", "inf"]),
+    "--reps": (["1", "2"], ["0", "-1"]),
+    "--points": (["2", "50"], ["0", "1"]),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    argv = [draw(st.sampled_from(["analytic", "simulate", "compare", "density"]))]
+    for flag, (valid, invalid) in {**FUZZ_FLAGS, **FUZZ_ALWAYS}.items():
+        if flag in FUZZ_ALWAYS or draw(st.booleans()):
+            argv.append(flag)
+            count = draw(st.integers(1, 2)) if flag in ("--delta", "--window") else 1
+            for _ in range(count):
+                # one value in ten is invalid, so most runs get past the checks
+                bad = invalid and draw(st.integers(0, 9)) == 9
+                argv.append(draw(st.sampled_from(invalid if bad else valid)))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=cli_argv())
+@example(argv=["compare", "--case", "mhc-mhc", "--lambda", "1e12", "--window", "50",
+               "--reps", "2", "--points", "50"])
+@example(argv=["density", "--lambda", "1e9", "--window", "5", "--reps", "1",
+               "--points", "2"])
+def test_cli_exit_codes_hold_for_any_flag_values(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    text = err.getvalue()
+    assert code in (0, 1, 2), (argv, code, text)
+    assert "Traceback" not in text, (argv, text)
+    if code == 1:
+        assert argv[0] == "compare", (argv, text)
+    lam = argv[argv.index("--lambda") + 1] if "--lambda" in argv else "1"
+    if argv[0] != "analytic" and lam in ("1e9", "1e12") and code == 2:
+        # nothing was generated: the cap is checked when the config is built
+        assert "replication" not in text, (argv, text)
 
 
 def test_case_required_for_pipeline_commands():

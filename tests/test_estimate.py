@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from matern_contact import (
+    CapacityError,
     ContactCase,
     ExperimentConfig,
     InsufficientDataError,
@@ -17,6 +18,7 @@ from matern_contact import (
     ProcessParams,
     RetentionFunction,
     Window,
+    WindowFloorError,
     contact_cdf,
     empirical_cdf,
     ks_sup_distance,
@@ -92,6 +94,27 @@ class TestNearestNeighbourDistances:
             fast = nn_distances_cross(src, PointLabel.PARENT, tgt, PointLabel.MHC)
             brute = brute_nn_cross(osx, osy, otx, oty, w.width, w.height)
             assert np.array_equal(fast, brute)
+
+    def test_permuting_the_points_permutes_the_distances(self):
+        # the tree stores and queries points in its own spatial order; every
+        # output must still follow the input order exactly
+        rng = np.random.default_rng(3)
+        w = Window(60.0, 40.0)
+        src = sample_ppp(1.0, w, 23)
+        tgt = sample_ppp(0.3, w, 24)
+        ps = rng.permutation(src.n)
+        pt = rng.permutation(tgt.n)
+        a = labelled_pattern(w, src.x, src.y, [1] * src.n)
+        a_perm = labelled_pattern(w, src.x[ps], src.y[ps], [1] * src.n)
+        b = labelled_pattern(w, tgt.x, tgt.y, [2] * tgt.n)
+        b_perm = labelled_pattern(w, tgt.x[pt], tgt.y[pt], [2] * tgt.n)
+        within = nn_distances_within(a, PointLabel.MHC)
+        assert np.array_equal(nn_distances_within(a_perm, PointLabel.MHC), within[ps])
+        cross = nn_distances_cross(a, PointLabel.MHC, b, PointLabel.CMHC)
+        assert np.array_equal(
+            nn_distances_cross(a_perm, PointLabel.MHC, b_perm, PointLabel.CMHC),
+            cross[ps],
+        )
 
     def test_insufficient_data_errors(self):
         lone = labelled_pattern(Window(10, 10), [1.0], [1.0], [1])
@@ -210,6 +233,19 @@ class TestExperimentConfig:
             ExperimentConfig(
                 case=ContactCase.PPP_TO_PPP, params=P11, r_min=2.0, r_max=1.0
             ).r_grid()
+        # a config whose patterns cannot be generated or thinned fails when
+        # it is built, not in its first replication
+        with pytest.raises(CapacityError):
+            ExperimentConfig(
+                case=ContactCase.PPP_TO_PPP, params=P11, window=Window(1e5, 1e5)
+            )
+        small = Window(5.0, 5.0)
+        for case in (ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC,
+                     ContactCase.CMHC_TO_MHC):
+            with pytest.raises(WindowFloorError):
+                ExperimentConfig(case=case, params=P11, window=small)
+        # no thinning, no floor
+        ExperimentConfig(case=ContactCase.PPP_TO_PPP, params=P11, window=small)
 
 
 class TestRunExperiment:
@@ -256,8 +292,8 @@ class TestRunExperiment:
     def test_replication_failures_carry_the_index(self):
         config = ExperimentConfig(
             case=ContactCase.MHC_TO_MHC,
-            params=P11,
-            window=Window(5.0, 5.0),  # below the 10x delta floor
+            params=ProcessParams(0.001, 1.0),  # ~0.1 points: no NN distance
+            window=Window(10.0, 10.0),
             replications=2,
             seed=5,
         )

@@ -17,6 +17,7 @@ from matern_contact import (
     sample_ppp,
     thin_mhc_type2,
 )
+from matern_contact.simulate import _periodic_tree
 from oracles import brute_mhc_mask, brute_nn_within, on_the_seam
 
 W100 = Window(100.0, 100.0)
@@ -146,14 +147,26 @@ class TestThinning:
         out_shuffled = thin_mhc_type2(shuffled, 1.0)
         assert np.array_equal(out_shuffled.label, out.label[perm])
 
+    def test_periodic_tree_stores_the_wrapped_points_in_its_order(self):
+        rng = np.random.default_rng(5)
+        window = Window(12.0, 15.0)
+        x, ox = on_the_seam(rng, rng.uniform(0, 12, 500), 12.0)
+        y, oy = on_the_seam(rng, rng.uniform(0, 15, 500), 15.0)
+        tree, order = _periodic_tree(x, y, window)
+        assert np.array_equal(np.sort(order), np.arange(500))
+        assert np.array_equal(tree.data, np.column_stack((ox, oy))[order])
+
     def test_matches_brute_force_on_small_patterns(self):
         rng = np.random.default_rng(17)
-        for _ in range(25):
+        for k in range(25):
             window = Window(12.0, 15.0)
             n = int(rng.integers(2, 120))
             x, ox = on_the_seam(rng, rng.uniform(0, 12, n), 12.0)
             y, oy = on_the_seam(rng, rng.uniform(0, 15, n), 15.0)
-            pat = make_pattern(window, x, y, rng.random(n))
+            mark = rng.random(n)
+            if k % 2:  # four mark values: ties go to the lower index
+                mark = np.floor(mark * 4.0) / 4.0
+            pat = make_pattern(window, x, y, mark)
             delta = float(rng.uniform(0.2, 1.2))
             out = thin_mhc_type2(pat, delta)
             keep = brute_mhc_mask(ox, oy, pat.mark, 12.0, 15.0, delta)
