@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Best-of-k wall times of the simulation stages at ~1e4, 1e5 and 1e6 parents.
+"""Best-of-3 wall times of the simulation stages at ~1e4, 1e5 and 1e6 parents.
 
 Times ``sample_ppp``, ``thin_mhc_type2``, ``nn_distances_within`` (MHC to MHC)
 and ``nn_distances_cross`` (an independent Poisson observer to MHC) with
@@ -31,6 +31,10 @@ from matern_contact import (
     sample_ppp,
     thin_mhc_type2,
 )
+
+
+REPEATS = 3
+SIDES = (100.0, 316.0, 1000.0)  # ~1e4, 1e5 and 1e6 parents at lambda_p = 1
 
 
 def best_of(repeats: int, fn, *args):
@@ -69,19 +73,14 @@ def stage_row(side: float, delta: float, repeats: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--repeats", type=int, default=3, help="best of k (default 3)")
-    parser.add_argument(
-        "--sides", type=float, nargs="+", default=[100.0, 316.0, 1000.0],
-        help="torus sides at lambda_p = 1 (default 100 316 1000)",
-    )
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args()
 
     stage_row(20.0, 1.0, 1)  # imports scipy.spatial before anything is timed
     rows = []
-    for side in args.sides:
+    for side in SIDES:
         for delta in (0.5, 1.0):
-            row = stage_row(side, delta, args.repeats)
+            row = stage_row(side, delta, REPEATS)
             rows.append(row)
             print(
                 f"parents {row['parents']:>8}  delta {delta:g}  "
@@ -92,7 +91,7 @@ def main() -> None:
             )
     record = {
         "label": args.label,
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "machine": {
             "platform": platform.platform(),
             "machine": platform.machine(),

@@ -868,15 +868,24 @@ def extend_curve(curve: CdfCurve, r_max: float) -> CdfCurve:
 
 
 def default_r_grid(
-    case: ContactCase, params: ProcessParams, points: int = 200, span: float = 4.0
+    case: ContactCase,
+    params: ProcessParams,
+    points: int = 200,
+    span: float = 4.0,
+    r_min: float | None = None,
+    r_max: float | None = None,
 ) -> np.ndarray:
-    """Uniform radius grid from the lower support out to ``span`` mean target
-    spacings, covering the visually interesting range of the CDF."""
+    """Uniform radius grid from ``r_min`` (default: the lower support) to
+    ``r_max`` (default: ``span`` mean target spacings further), covering the
+    visually interesting range of the CDF."""
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
     eta = RetentionFunction(case, params)
-    s = eta.lower_support
-    return np.linspace(s, s + span / math.sqrt(eta.target_intensity), points)
+    lo = eta.lower_support if r_min is None else float(r_min)
+    hi = lo + span / math.sqrt(eta.target_intensity) if r_max is None else float(r_max)
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ValueError(f"radius range [{lo!r}, {hi!r}] must be finite and non-empty")
+    return np.linspace(lo, hi, points)
 
 
 def void_probability_discretized(

@@ -19,13 +19,16 @@ from .analytic import (
     QuadratureError,
     RetentionFunction,
     contact_cdf,
+    default_r_grid,
     mhc_intensity,
 )
-from .estimate import ExperimentConfig, _radius_grid, run_experiment
+from .estimate import ExperimentConfig, run_experiment
 from .simulate import (
     CapacityError,
     Window,
     WindowFloorError,
+    _check_point_cap,
+    _check_window_floor,
     dump_pattern,
     sample_ppp,
     thin_mhc_type2,
@@ -247,30 +250,41 @@ def _emit(text: str, path: Path | None) -> None:
         path.write_text(text)
 
 
-def _config(opts: dict, case: ContactCase, delta: float) -> ExperimentConfig:
-    """The config for one delta; its point-cap and window-floor checks are
-    reported against the flags that set them."""
-    params = ProcessParams(opts["lambda_p"], delta)
+def _check_sizes(opts: dict, delta: float, thins: bool) -> None:
+    """The point cap and, when the patterns are thinned, the window floor for
+    one delta, reported against the flags that set them."""
     window = opts["window"]
     sides = f"{window.width:g} {window.height:g}"
     try:
-        return ExperimentConfig(
-            case=case,
-            params=params,
-            window=window,
-            replications=opts["reps"],
-            seed=opts["seed"],
-            r_min=opts["rmin"],
-            r_max=opts["rmax"],
-            r_points=opts["points"],
-            abs_tol=opts["tol"],
-        )
+        _check_point_cap(opts["lambda_p"], window)
+        if thins:
+            _check_window_floor(window, delta)
     except CapacityError as exc:
-        flags = f"--lambda {params.lambda_p:g} --window {sides}"
+        flags = f"--lambda {opts['lambda_p']:g} --window {sides}"
         raise UsageError(f"{flags}: {exc}") from None
     except WindowFloorError as exc:
-        flags = f"--window {sides} --delta {params.delta:g}"
-        raise UsageError(f"{flags}: {exc}") from None
+        raise UsageError(f"--window {sides} --delta {delta:g}: {exc}") from None
+
+
+def _configs(opts: dict, case: ContactCase) -> list[ExperimentConfig]:
+    """One config per delta, all checked before the first one runs."""
+    configs = []
+    for delta in opts["delta"]:
+        _check_sizes(opts, delta, thins=case is not ContactCase.PPP_TO_PPP)
+        configs.append(
+            ExperimentConfig(
+                case=case,
+                params=ProcessParams(opts["lambda_p"], delta),
+                window=opts["window"],
+                replications=opts["reps"],
+                seed=opts["seed"],
+                r_min=opts["rmin"],
+                r_max=opts["rmax"],
+                r_points=opts["points"],
+                abs_tol=opts["tol"],
+            )
+        )
+    return configs
 
 
 def _curve_csv(radii, values, errors) -> str:
@@ -288,7 +302,9 @@ def cmd_analytic(opts: dict) -> int:
     for delta in opts["delta"]:
         # no config: the window and the replications play no part here
         params = ProcessParams(opts["lambda_p"], delta)
-        grid = _radius_grid(case, params, opts["rmin"], opts["rmax"], opts["points"])
+        grid = default_r_grid(
+            case, params, opts["points"], r_min=opts["rmin"], r_max=opts["rmax"]
+        )
         curve = contact_cdf(RetentionFunction(case, params), grid, opts["tol"])
         if opts["format"] == "json":
             text = json.dumps(
@@ -324,9 +340,10 @@ def _make_sink(opts: dict, case: ContactCase, params: ProcessParams):
 
 def cmd_simulate(opts: dict) -> int:
     case = _require_case(opts)
-    many = len(opts["delta"]) > 1
-    for delta in opts["delta"]:
-        config = _config(opts, case, delta)
+    configs = _configs(opts, case)
+    many = len(configs) > 1
+    for config in configs:
+        delta = config.params.delta
         sink = _make_sink(opts, case, config.params)
         report = run_experiment(config, on_pattern=sink)
         radii = report.analytic.radii
@@ -363,8 +380,8 @@ def cmd_compare(opts: dict) -> int:
         threshold = CASE_THRESHOLDS[case]
     entries = []
     failed = False
-    for delta in opts["delta"]:
-        config = _config(opts, case, delta)
+    for config in _configs(opts, case):
+        delta = config.params.delta
         sink = _make_sink(opts, case, config.params)
         report = run_experiment(config, on_pattern=sink)
         entry = report.to_dict()
@@ -383,10 +400,11 @@ def cmd_compare(opts: dict) -> int:
 
 
 def cmd_density(opts: dict) -> int:
+    for delta in opts["delta"]:
+        _check_sizes(opts, delta, thins=True)
     rows = ["delta analytic_intensity mc_intensity mc_stderr"]
     for delta in opts["delta"]:
-        # density thins like mhc-mhc, so the same window checks apply
-        params = _config(opts, ContactCase.MHC_TO_MHC, delta).params
+        params = ProcessParams(opts["lambda_p"], delta)
         densities = []
         for rep in range(opts["reps"]):
             pattern = thin_mhc_type2(

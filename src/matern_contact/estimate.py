@@ -25,6 +25,7 @@ from .analytic import (
     ProcessParams,
     RetentionFunction,
     contact_cdf,
+    default_r_grid,
     extend_curve,
 )
 from .simulate import (
@@ -155,26 +156,6 @@ def ks_sup_distance(emp: EmpiricalDistribution, curve: CdfCurve) -> float:
     return float(np.maximum(np.abs(step_hi - f), np.abs(step_lo - f)).max())
 
 
-def _radius_grid(
-    case: ContactCase,
-    params: ProcessParams,
-    r_min: float | None,
-    r_max: float | None,
-    points: int,
-) -> np.ndarray:
-    """Report grid: ``points`` radii from ``r_min`` (default: the lower
-    support) to ``r_max`` (default: 4 mean target spacings further)."""
-    eta = RetentionFunction(case, params)
-    lo = eta.lower_support if r_min is None else float(r_min)
-    if r_max is None:
-        hi = lo + 4.0 / math.sqrt(eta.target_intensity)
-    else:
-        hi = float(r_max)
-    if hi <= lo:
-        raise ValueError(f"empty radius range [{lo!r}, {hi!r}]")
-    return np.linspace(lo, hi, points)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full recipe for one comparison experiment (one case, one delta)."""
@@ -203,8 +184,8 @@ class ExperimentConfig:
             _check_window_floor(self.window, self.params.delta)
 
     def r_grid(self) -> np.ndarray:
-        return _radius_grid(
-            self.case, self.params, self.r_min, self.r_max, self.r_points
+        return default_r_grid(
+            self.case, self.params, self.r_points, r_min=self.r_min, r_max=self.r_max
         )
 
     def to_dict(self) -> dict:

@@ -506,6 +506,15 @@ def test_default_r_grid_span():
     assert grid[-1] == pytest.approx(1.0 + 4.0 / math.sqrt(mhc_intensity(P11)))
     with pytest.raises(ValueError):
         default_r_grid(ContactCase.PPP_TO_PPP, P11, points=1)
+    shifted = default_r_grid(ContactCase.MHC_TO_MHC, P11, points=200, r_min=2.0)
+    assert shifted[-1] - shifted[0] == pytest.approx(grid[-1] - grid[0])
+    assert np.array_equal(
+        default_r_grid(ContactCase.MHC_TO_MHC, P11, points=3, r_min=0.5, r_max=1.5),
+        [0.5, 1.0, 1.5],
+    )
+    for r_min, r_max in ((2.0, 2.0), (1.0, float("inf")), (float("nan"), None)):
+        with pytest.raises(ValueError, match="finite and non-empty"):
+            default_r_grid(ContactCase.MHC_TO_MHC, P11, r_min=r_min, r_max=r_max)
 
 
 def test_curve_dataclass_round_trip_fields():

@@ -227,6 +227,23 @@ def test_usage_errors_exit_two(capsys):
         assert named in err, (argv, err)
 
 
+def test_a_sweep_checks_every_delta_before_the_first_runs(capsys, tmp_path):
+    # only the second delta is below the window floor (20 < 10 x 3)
+    sweep = ["--delta", "0.5", "3", "--window", "20", "--reps", "1"]
+    for argv in (
+        ["compare", "--case", "mhc-mhc"],
+        ["simulate", "--case", "ppp-mhc"],
+        ["density"],
+    ):
+        out = tmp_path / argv[0]
+        assert main(argv + sweep + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        # the error is all there is: no delta ran and nothing was written
+        assert err.startswith("error: --window 20 20 --delta 3: "), err
+        assert err.count("\n") == 1, err
+        assert not list(tmp_path.glob(f"{argv[0]}*")), argv
+
+
 def test_analytic_ignores_the_simulation_window(capsys):
     # the window floor and the point cap concern simulation only
     argv = ["analytic", "--case", "mhc-mhc", "--delta", "1", "--points", "5"]
