@@ -1,46 +1,33 @@
 """Contact-distance distributions for Matern type-II hard-core point
-processes: closed-form CDFs, seeded simulation, and comparison tooling."""
+processes: closed-form CDFs, seeded simulation, and comparison tooling.
+
+The package exports what the README example, reading back the command line's
+pattern dumps and handling its errors need, and the simulation stages a
+benchmark times one by one. The building blocks live in the submodules
+``geometry``, ``analytic``, ``simulate`` and ``estimate``."""
 
 from .analytic import (
-    CdfCurve,
     ContactCase,
     ProcessParams,
     QuadratureError,
-    ResolutionError,
     RetentionFunction,
-    cmhc_pair_retention,
     contact_cdf,
     default_r_grid,
-    expm1_ratio,
-    extend_curve,
-    mhc_intensity,
-    mhc_retention,
-    pair_retention,
-    pair_retention_unconditional,
-    retention_cmhc_to_mhc,
-    retention_mhc_to_mhc,
-    retention_ppp_to_mhc,
-    void_probability_discretized,
 )
 from .estimate import (
-    ComparisonReport,
-    EmpiricalDistribution,
     ExperimentConfig,
     InsufficientDataError,
-    empirical_cdf,
-    ks_sup_distance,
     nn_distances_cross,
     nn_distances_within,
     run_experiment,
 )
-from .geometry import DomainError, lens_asymmetric, lens_symmetric
+from .geometry import DomainError
 from .simulate import (
     CapacityError,
     MarkedPattern,
     PointLabel,
     Window,
     WindowFloorError,
-    dump_pattern,
     load_pattern,
     sample_ppp,
     thin_mhc_type2,
@@ -50,43 +37,23 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "CdfCurve",
-    "ComparisonReport",
     "ContactCase",
     "DomainError",
-    "EmpiricalDistribution",
     "ExperimentConfig",
     "InsufficientDataError",
     "MarkedPattern",
     "PointLabel",
     "ProcessParams",
     "QuadratureError",
-    "ResolutionError",
     "RetentionFunction",
     "Window",
     "WindowFloorError",
-    "cmhc_pair_retention",
     "contact_cdf",
     "default_r_grid",
-    "dump_pattern",
-    "empirical_cdf",
-    "expm1_ratio",
-    "extend_curve",
-    "ks_sup_distance",
-    "lens_asymmetric",
-    "lens_symmetric",
     "load_pattern",
-    "mhc_intensity",
-    "mhc_retention",
     "nn_distances_cross",
     "nn_distances_within",
-    "pair_retention",
-    "pair_retention_unconditional",
-    "retention_cmhc_to_mhc",
-    "retention_mhc_to_mhc",
-    "retention_ppp_to_mhc",
     "run_experiment",
     "sample_ppp",
     "thin_mhc_type2",
-    "void_probability_discretized",
 ]

@@ -31,7 +31,6 @@ __all__ = [
     "ContactCase",
     "ProcessParams",
     "QuadratureError",
-    "ResolutionError",
     "RetentionFunction",
     "cmhc_pair_retention",
     "contact_cdf",
@@ -42,10 +41,8 @@ __all__ = [
     "mhc_retention",
     "pair_retention",
     "pair_retention_unconditional",
-    "retention_cmhc_to_mhc",
     "retention_mhc_to_mhc",
     "retention_ppp_to_mhc",
-    "void_probability_discretized",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -57,10 +54,6 @@ _SERIES_CUTOFF = 1e-12
 
 class QuadratureError(ArithmeticError):
     """Numerical integration failed to reach the requested tolerance."""
-
-
-class ResolutionError(ValueError):
-    """Annulus discretisation too coarse for the requested radius."""
 
 
 @dataclass(frozen=True)
@@ -188,15 +181,6 @@ def retention_ppp_to_mhc(r: FloatOrArray, params: ProcessParams) -> FloatOrArray
     out = expm1_ratio(params.lambda_p * (params.ball_area - l2))
     out = np.atleast_1d(out)
     return float(out[0]) if scalar else out
-
-
-def retention_cmhc_to_mhc(r: FloatOrArray, params: ProcessParams) -> FloatOrArray:
-    """First-order profile for a removed (complementary) observer: the
-    independent-observer profile :func:`retention_ppp_to_mhc`, which ignores
-    that a removed point has a lower-mark parent within ``delta``. Kept as the
-    first-order reference only; :class:`RetentionFunction` builds the
-    removed-observer profile from the removal event itself."""
-    return retention_ppp_to_mhc(r, params)
 
 
 def _ones_like(r: FloatOrArray) -> FloatOrArray:
@@ -886,35 +870,3 @@ def default_r_grid(
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError(f"radius range [{lo!r}, {hi!r}] must be finite and non-empty")
     return np.linspace(lo, hi, points)
-
-
-def void_probability_discretized(
-    eta: RetentionFunction, radius: float, n_annuli: int
-) -> float:
-    """First-order annulus-product approximation of the void probability
-    1 - F(radius): the product over ``n_annuli`` annuli of
-    (1 - 2*pi*r_n*lambda_p*eta(r_n)*dr) with r_n the left endpoint of each
-    annulus. Converges to exp(-I(radius)) as the annulus count grows.
-
-    Raises:
-        ResolutionError: if any factor is negative before clamping (the
-            discretisation is too coarse for this radius and intensity).
-    """
-    if n_annuli < 2:
-        raise ValueError(f"n_annuli must be >= 2, got {n_annuli}")
-    radius = float(radius)
-    s = eta.lower_support
-    if radius < s:
-        raise ValueError(f"radius {radius!r} below lower support {s!r}")
-    if radius == s:
-        return 1.0
-    dr = (radius - s) / n_annuli
-    r = s + dr * np.arange(n_annuli)
-    factors = 1.0 - TWO_PI * eta.params.lambda_p * r * np.asarray(eta(r), float) * dr
-    if np.any(factors < 0.0):
-        raise ResolutionError(
-            f"annulus factor below zero at n_annuli={n_annuli}, radius={radius}; "
-            "increase the annulus count"
-        )
-    np.clip(factors, 0.0, 1.0, out=factors)
-    return float(np.prod(factors))

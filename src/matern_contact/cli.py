@@ -25,10 +25,7 @@ from .analytic import (
 from .estimate import ExperimentConfig, run_experiment
 from .simulate import (
     CapacityError,
-    Window,
     WindowFloorError,
-    _check_point_cap,
-    _check_window_floor,
     dump_pattern,
     sample_ppp,
     thin_mhc_type2,
@@ -36,23 +33,13 @@ from .simulate import (
 
 __all__ = ["main"]
 
-DEFAULTS = {
-    "lambda_p": 1.0,
-    "delta": [1.0],
-    "window": [100.0, 100.0],
-    "reps": 20,
-    "seed": 1,
-    "points": 200,
-    "tol": 1e-9,
-    "format": "csv",
-}
-
-# Default sup-distance gates, set just above the measured systematic error of
-# the analytic approximations at lambda_p = 1, delta ~ 1 (pooled over >= 20
-# replications of a 100x100 torus), so they act as regression gates for the
-# implementation rather than statements about the approximation itself. The
-# removed-point observer case degrades sharply at small delta; sweeps there
-# need an explicit --threshold.
+# Default sup-distance gates. The sup distances measured at lambda_p = 1 and
+# delta = 0.5 and 1 (20 replications of a 100x100 torus, see the README) are
+# 0.002 for ppp-ppp and at most 0.007 for mhc-mhc, 0.007 for ppp-mhc and 0.017
+# for cmhc-mhc, and over lambda_p in {0.5, 1, 2} and delta in {0.25, ..., 1.25}
+# at most 0.011, 0.013 and 0.021. The gates sit 3 to 9 times above these: they
+# leave room for the noise of smaller runs and act as regression gates for the
+# implementation, not as statements about the approximation.
 CASE_THRESHOLDS = {
     ContactCase.PPP_TO_PPP: 0.01,
     ContactCase.MHC_TO_MHC: 0.035,
@@ -73,7 +60,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--lambda",
-        dest="lambda_p",
         type=float,
         help="parent intensity (default 1.0)",
     )
@@ -113,8 +99,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         type=float,
         help=(
             "sup-distance gate for compare (defaults per case: ppp-ppp 0.01, "
-            "mhc-mhc 0.035, ppp-mhc 0.055, cmhc-mhc 0.15; the last degrades "
-            "for delta well below 1)"
+            "mhc-mhc 0.035, ppp-mhc 0.055, cmhc-mhc 0.15)"
         ),
     )
     parser.add_argument(
@@ -149,89 +134,99 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _real(v) -> bool:
+    # compared exactly, so nan, inf and an int too large for a float all fail
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    return number and abs(v) <= sys.float_info.max
+
+
+def _positive(v) -> bool:
+    return _real(v) and v > 0
+
+
+def _integer(least: int):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+CASES = [c.value for c in ContactCase]
+
+# flag -> key of the config mapping (ExperimentConfig.to_dict's keys, with the
+# r_grid block spread out), what its value must be, and the test of that
+CONFIG_FLAGS = {
+    "--case": ("case", f"one of {', '.join(CASES)}", lambda v: v in CASES + [None]),
+    "--lambda": ("lambda_p", "a finite number > 0", _positive),
+    "--delta": (
+        "delta",
+        "finite numbers >= 0",
+        lambda v: isinstance(v, list) and v != [] and all(_real(d) and d >= 0 for d in v),
+    ),
+    "--window": (
+        "window",
+        "one or two finite sides > 0",
+        lambda v: isinstance(v, list) and len(v) in (1, 2) and all(map(_positive, v)),
+    ),
+    "--reps": ("replications", "an integer >= 1", _integer(1)),
+    "--seed": ("seed", "an integer >= 0", _integer(0)),
+    "--rmin": ("r_grid.min", "a finite number", lambda v: v is None or _real(v)),
+    "--rmax": ("r_grid.max", "a finite number", lambda v: v is None or _real(v)),
+    "--points": ("r_grid.points", "an integer >= 2", _integer(2)),
+    "--tol": ("abs_tol", "a finite number > 0", _positive),
+    "--threshold": ("threshold", "a finite number", lambda v: v is None or _real(v)),
+}
+
+
+def _flat(data: dict) -> dict:
+    """The mapping with its r_grid block spread out into dotted keys."""
+    flat = dict(data)
+    grid = flat.pop("r_grid", {})
+    if not isinstance(grid, dict):
+        raise UsageError(f"config key 'r_grid' must be an object, got {grid!r}")
+    flat.update((f"r_grid.{key}", value) for key, value in grid.items())
+    return flat
+
+
 def _load_config_file(path: Path) -> dict:
+    """A config file's mapping; a compare report gives its first config with
+    the delta of every report."""
     data = json.loads(Path(path).read_text())
-    if "reports" in data:
-        reports = data["reports"]
-        if not reports:
-            raise UsageError(f"{path}: report file has no reports")
-        merged = dict(reports[0]["config"])
-        merged["delta"] = [r["config"]["delta"] for r in reports]
-        if "threshold" not in merged:
-            thresholds = [r["config"].get("threshold") for r in reports]
-            merged["threshold"] = thresholds[0]
-        return merged
-    return data
+    if isinstance(data, dict) and "reports" in data:
+        try:
+            configs = [report["config"] for report in data["reports"]]
+            data = {**configs[0], "delta": [config["delta"] for config in configs]}
+        except (TypeError, KeyError, IndexError):
+            raise UsageError(f"{path}: a report needs a config in each entry") from None
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: a config file holds a JSON object, got {data!r}")
+    return _flat(data)
 
 
 def _resolve(ns: argparse.Namespace) -> dict:
-    """flag > config file > built-in default."""
-    opts: dict = {}
-    file_opts: dict = {}
+    """flag > config file > ExperimentConfig's default; lambda_p = delta = 1,
+    no case and the case's own threshold are the command line's defaults."""
+    default = ExperimentConfig(ContactCase.PPP_TO_PPP, ProcessParams(1.0, 1.0))
+    data = {**_flat(default.to_dict()), "case": None, "threshold": None}
     if ns.config is not None:
-        raw = _load_config_file(ns.config)
-        grid = raw.pop("r_grid", {})
-        file_opts = {
-            "case": raw.get("case"),
-            "lambda_p": raw.get("lambda_p"),
-            "delta": raw.get("delta"),
-            "window": raw.get("window"),
-            "reps": raw.get("replications"),
-            "seed": raw.get("seed"),
-            "rmin": grid.get("min"),
-            "rmax": grid.get("max"),
-            "points": grid.get("points"),
-            "tol": raw.get("abs_tol"),
-            "threshold": raw.get("threshold"),
-        }
-    for key in (
-        "case",
-        "lambda_p",
-        "delta",
-        "window",
-        "reps",
-        "seed",
-        "rmin",
-        "rmax",
-        "points",
-        "tol",
-        "out",
-        "format",
-        "threshold",
-        "dump_patterns",
-    ):
-        value = getattr(ns, key, None)
-        if value is None:
-            value = file_opts.get(key)
-        if value is None:
-            value = DEFAULTS.get(key)
-        opts[key] = value
-
-    if opts["delta"] is not None and np.ndim(opts["delta"]) == 0:
-        opts["delta"] = [float(opts["delta"])]
-    window = opts["window"]
-    if len(window) == 1:
-        window = [window[0], window[0]]
-    if len(window) != 2:
-        raise UsageError("--window takes one or two sides")
-    opts["window"] = Window(window[0], window[1])
-    if opts["reps"] < 1:
-        raise UsageError("--reps must be >= 1")
-    if opts["points"] < 2:
-        raise UsageError("--points must be >= 2")
-    if opts["tol"] <= 0:
-        raise UsageError("--tol must be > 0")
-    if any(d < 0 for d in opts["delta"]):
-        raise UsageError("--delta must be >= 0")
-    if opts["lambda_p"] <= 0:
-        raise UsageError("--lambda must be > 0")
-    return opts
+        data.update(_load_config_file(ns.config))
+    for flag, (key, _, _) in CONFIG_FLAGS.items():
+        if getattr(ns, flag[2:]) is not None:
+            data[key] = getattr(ns, flag[2:])
+    unknown = sorted(set(data) - {key for key, _, _ in CONFIG_FLAGS.values()})
+    if unknown:
+        raise UsageError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
+    if _real(data["delta"]):
+        data["delta"] = [data["delta"]]
+    for flag, (key, what, test) in CONFIG_FLAGS.items():
+        if not test(data[key]):
+            value = data[key]
+            raise UsageError(f"{flag} (config key {key!r}) must be {what}, got {value!r}")
+    data["window"] = [data["window"][0], data["window"][-1]]  # one side: a square
+    return data
 
 
-def _require_case(opts: dict) -> ContactCase:
-    if opts["case"] is None:
+def _require_case(data: dict) -> ContactCase:
+    if data["case"] is None:
         raise UsageError("--case is required for this command")
-    return ContactCase(opts["case"])
+    return ContactCase(data["case"])
 
 
 def _out_path(base: Path | None, delta: float, many: bool) -> Path | None:
@@ -250,40 +245,20 @@ def _emit(text: str, path: Path | None) -> None:
         path.write_text(text)
 
 
-def _check_sizes(opts: dict, delta: float, thins: bool) -> None:
-    """The point cap and, when the patterns are thinned, the window floor for
-    one delta, reported against the flags that set them."""
-    window = opts["window"]
-    sides = f"{window.width:g} {window.height:g}"
-    try:
-        _check_point_cap(opts["lambda_p"], window)
-        if thins:
-            _check_window_floor(window, delta)
-    except CapacityError as exc:
-        flags = f"--lambda {opts['lambda_p']:g} --window {sides}"
-        raise UsageError(f"{flags}: {exc}") from None
-    except WindowFloorError as exc:
-        raise UsageError(f"--window {sides} --delta {delta:g}: {exc}") from None
-
-
-def _configs(opts: dict, case: ContactCase) -> list[ExperimentConfig]:
+def _configs(data: dict, case: ContactCase) -> list[ExperimentConfig]:
     """One config per delta, all checked before the first one runs."""
+    grid = {key: data[f"r_grid.{key}"] for key in ("min", "max", "points")}
+    sides = " ".join(f"{side:g}" for side in data["window"])
     configs = []
-    for delta in opts["delta"]:
-        _check_sizes(opts, delta, thins=case is not ContactCase.PPP_TO_PPP)
-        configs.append(
-            ExperimentConfig(
-                case=case,
-                params=ProcessParams(opts["lambda_p"], delta),
-                window=opts["window"],
-                replications=opts["reps"],
-                seed=opts["seed"],
-                r_min=opts["rmin"],
-                r_max=opts["rmax"],
-                r_points=opts["points"],
-                abs_tol=opts["tol"],
-            )
-        )
+    for delta in data["delta"]:
+        mapping = {**data, "case": case.value, "delta": delta, "r_grid": grid}
+        try:
+            configs.append(ExperimentConfig.from_dict(mapping))
+        except CapacityError as exc:
+            flags = f"--lambda {data['lambda_p']:g} --window {sides}"
+            raise UsageError(f"{flags}: {exc}") from None
+        except WindowFloorError as exc:
+            raise UsageError(f"--window {sides} --delta {delta:g}: {exc}") from None
     return configs
 
 
@@ -296,17 +271,21 @@ def _curve_csv(radii, values, errors) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_analytic(opts: dict) -> int:
-    case = _require_case(opts)
-    many = len(opts["delta"]) > 1
-    for delta in opts["delta"]:
+def cmd_analytic(data: dict, ns: argparse.Namespace) -> int:
+    case = _require_case(data)
+    many = len(data["delta"]) > 1
+    for delta in data["delta"]:
         # no config: the window and the replications play no part here
-        params = ProcessParams(opts["lambda_p"], delta)
+        params = ProcessParams(data["lambda_p"], delta)
         grid = default_r_grid(
-            case, params, opts["points"], r_min=opts["rmin"], r_max=opts["rmax"]
+            case,
+            params,
+            data["r_grid.points"],
+            r_min=data["r_grid.min"],
+            r_max=data["r_grid.max"],
         )
-        curve = contact_cdf(RetentionFunction(case, params), grid, opts["tol"])
-        if opts["format"] == "json":
+        curve = contact_cdf(RetentionFunction(case, params), grid, data["abs_tol"])
+        if ns.format == "json":
             text = json.dumps(
                 {
                     "case": case.value,
@@ -321,12 +300,11 @@ def cmd_analytic(opts: dict) -> int:
             )
         else:
             text = _curve_csv(curve.radii, curve.values, curve.abs_error)
-        _emit(text, _out_path(opts["out"], delta, many))
+        _emit(text, _out_path(ns.out, delta, many))
     return 0
 
 
-def _make_sink(opts: dict, case: ContactCase, params: ProcessParams):
-    dump_dir: Path | None = opts["dump_patterns"]
+def _make_sink(dump_dir: Path | None, case: ContactCase, params: ProcessParams):
     if dump_dir is None:
         return None
     dump_dir.mkdir(parents=True, exist_ok=True)
@@ -338,18 +316,18 @@ def _make_sink(opts: dict, case: ContactCase, params: ProcessParams):
     return sink
 
 
-def cmd_simulate(opts: dict) -> int:
-    case = _require_case(opts)
-    configs = _configs(opts, case)
+def cmd_simulate(data: dict, ns: argparse.Namespace) -> int:
+    case = _require_case(data)
+    configs = _configs(data, case)
     many = len(configs) > 1
     for config in configs:
         delta = config.params.delta
-        sink = _make_sink(opts, case, config.params)
+        sink = _make_sink(ns.dump_patterns, case, config.params)
         report = run_experiment(config, on_pattern=sink)
         radii = report.analytic.radii
         f_hat = report.empirical.cdf(radii)
         n = report.empirical.n
-        if opts["format"] == "json":
+        if ns.format == "json":
             text = json.dumps(
                 {
                     "config": config.to_dict(),
@@ -364,7 +342,7 @@ def cmd_simulate(opts: dict) -> int:
             lines = ["r,F_hat,n"]
             lines += [f"{float(r)!r},{float(v)!r},{n}" for r, v in zip(radii, f_hat)]
             text = "\n".join(lines) + "\n"
-        _emit(text, _out_path(opts["out"], delta, many))
+        _emit(text, _out_path(ns.out, delta, many))
         print(
             f"simulate {case.value} delta={delta:g}: {n} pooled distances "
             f"({report.runtime_seconds:.2f} s)",
@@ -373,16 +351,16 @@ def cmd_simulate(opts: dict) -> int:
     return 0
 
 
-def cmd_compare(opts: dict) -> int:
-    case = _require_case(opts)
-    threshold = opts["threshold"]
+def cmd_compare(data: dict, ns: argparse.Namespace) -> int:
+    case = _require_case(data)
+    threshold = data["threshold"]
     if threshold is None:
         threshold = CASE_THRESHOLDS[case]
     entries = []
     failed = False
-    for config in _configs(opts, case):
+    for config in _configs(data, case):
         delta = config.params.delta
-        sink = _make_sink(opts, case, config.params)
+        sink = _make_sink(ns.dump_patterns, case, config.params)
         report = run_experiment(config, on_pattern=sink)
         entry = report.to_dict()
         entry["config"]["threshold"] = threshold
@@ -395,23 +373,23 @@ def cmd_compare(opts: dict) -> int:
             f"({report.runtime_seconds:.2f} s)",
             file=sys.stderr,
         )
-    _emit(json.dumps({"reports": entries}, sort_keys=True, indent=2), opts["out"])
+    _emit(json.dumps({"reports": entries}, sort_keys=True, indent=2), ns.out)
     return 1 if failed else 0
 
 
-def cmd_density(opts: dict) -> int:
-    for delta in opts["delta"]:
-        _check_sizes(opts, delta, thins=True)
+def cmd_density(data: dict, ns: argparse.Namespace) -> int:
+    # density thins as mhc-mhc does, so the same window floor applies
+    configs = _configs(data, ContactCase.MHC_TO_MHC)
     rows = ["delta analytic_intensity mc_intensity mc_stderr"]
-    for delta in opts["delta"]:
-        params = ProcessParams(opts["lambda_p"], delta)
+    for config in configs:
+        params, window = config.params, config.window
         densities = []
-        for rep in range(opts["reps"]):
+        for rep in range(config.replications):
             pattern = thin_mhc_type2(
-                sample_ppp(params.lambda_p, opts["window"], (opts["seed"], rep, 0)),
+                sample_ppp(params.lambda_p, window, (config.seed, rep, 0)),
                 params.delta,
             )
-            densities.append(pattern.count(1) / opts["window"].area)
+            densities.append(pattern.count(1) / window.area)
         densities_arr = np.asarray(densities)
         se = (
             float(densities_arr.std(ddof=1) / np.sqrt(len(densities_arr)))
@@ -419,10 +397,10 @@ def cmd_density(opts: dict) -> int:
             else float("nan")
         )
         rows.append(
-            f"{delta:g} {mhc_intensity(params):.6f} "
+            f"{params.delta:g} {mhc_intensity(params):.6f} "
             f"{float(densities_arr.mean()):.6f} {se:.6f}"
         )
-    _emit("\n".join(rows) + "\n", opts["out"])
+    _emit("\n".join(rows) + "\n", ns.out)
     return 0
 
 
@@ -430,14 +408,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        opts = _resolve(ns)
+        data = _resolve(ns)
         command = {
             "analytic": cmd_analytic,
             "simulate": cmd_simulate,
             "compare": cmd_compare,
             "density": cmd_density,
         }[ns.command]
-        return command(opts)
+        return command(data, ns)
     except (UsageError, ValueError, OSError, KeyError, QuadratureError) as exc:
         # a quadrature stalls only on a tolerance below what doubles resolve
         print(f"error: {exc}", file=sys.stderr)

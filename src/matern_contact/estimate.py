@@ -202,18 +202,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        grid = data.get("r_grid", {})
-        window = data.get("window", [100.0, 100.0])
+        """The config whose :meth:`to_dict` is ``data``; other keys are
+        ignored."""
+        grid = data["r_grid"]
         return cls(
             case=ContactCase(data["case"]),
             params=ProcessParams(data["lambda_p"], data["delta"]),
-            window=Window(window[0], window[1]),
-            replications=int(data.get("replications", 20)),
-            seed=int(data.get("seed", 1)),
-            r_min=grid.get("min"),
-            r_max=grid.get("max"),
-            r_points=int(grid.get("points", 200)),
-            abs_tol=float(data.get("abs_tol", 1e-9)),
+            window=Window(*data["window"]),
+            replications=data["replications"],
+            seed=data["seed"],
+            r_min=grid["min"],
+            r_max=grid["max"],
+            r_points=grid["points"],
+            abs_tol=data["abs_tol"],
         )
 
 
@@ -261,12 +262,11 @@ class ComparisonReport:
     empirical: EmpiricalDistribution
     sup_distance: float
     runtime_seconds: float
-    seed_scheme: str = SEED_SCHEME
 
     def to_dict(self) -> dict:
         return {
             "config": self.config.to_dict(),
-            "seed_scheme": self.seed_scheme,
+            "seed_scheme": SEED_SCHEME,
             "sup_distance": self.sup_distance,
             "empirical": {
                 "pooled_samples": self.empirical.n,

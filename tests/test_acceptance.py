@@ -29,18 +29,20 @@ from matern_contact import (
     Window,
     contact_cdf,
     default_r_grid,
-    lens_asymmetric,
-    lens_symmetric,
-    mhc_intensity,
     nn_distances_within,
-    pair_retention,
     run_experiment,
     sample_ppp,
     thin_mhc_type2,
+)
+from matern_contact.analytic import mhc_intensity, pair_retention
+from matern_contact.cli import main as cli_main
+from matern_contact.geometry import lens_asymmetric, lens_symmetric
+from oracles import (
+    lens_area_raster,
+    lens_area_two_circles,
+    pair_retention_quadrature,
     void_probability_discretized,
 )
-from matern_contact.cli import main as cli_main
-from oracles import lens_area_raster, lens_area_two_circles, pair_retention_quadrature
 
 SEED = 20260808
 W100 = Window(100.0, 100.0)

@@ -8,33 +8,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from matern_contact import (
+from matern_contact.analytic import (
     CdfCurve,
     ContactCase,
     ProcessParams,
     QuadratureError,
-    ResolutionError,
     RetentionFunction,
     cmhc_pair_retention,
     contact_cdf,
     default_r_grid,
     expm1_ratio,
     extend_curve,
-    lens_asymmetric,
     mhc_intensity,
     mhc_retention,
     pair_retention,
     pair_retention_unconditional,
-    retention_cmhc_to_mhc,
     retention_mhc_to_mhc,
     retention_ppp_to_mhc,
-    void_probability_discretized,
 )
+from matern_contact.geometry import lens_asymmetric
 from oracles import (
+    ResolutionError,
     cumulative_quad,
     pair_retention_quadrature,
     pair_survival_quadrature,
     rival_pair_survival_monte_carlo,
+    void_probability_discretized,
 )
 
 P11 = ProcessParams(1.0, 1.0)
@@ -181,10 +180,6 @@ class TestRetentionProfiles:
         assert retention_ppp_to_mhc(0.7, p) == 1.0
         assert retention_mhc_to_mhc(0.7, p) == 1.0
 
-    def test_cmhc_equals_ppp(self):
-        for r in (1e-6, 0.3, 1.0, 4.0):
-            assert retention_cmhc_to_mhc(r, P11) == retention_ppp_to_mhc(r, P11)
-
     def test_lower_support_and_target_intensity(self):
         eta = RetentionFunction(ContactCase.MHC_TO_MHC, P11)
         assert eta.lower_support == 1.0
@@ -208,7 +203,7 @@ class TestRetentionProfiles:
         # only held to being a finite, non-negative hazard profile
         p = ProcessParams(lam, delta)
         r = ratio * delta
-        for profile in (retention_mhc_to_mhc, retention_ppp_to_mhc, retention_cmhc_to_mhc):
+        for profile in (retention_mhc_to_mhc, retention_ppp_to_mhc):
             assert -1e-12 <= profile(r, p) <= 1.0 + 1e-12
         for case in ContactCase:
             value, error = RetentionFunction(case, p)(r, with_error=True)

@@ -227,6 +227,31 @@ def test_usage_errors_exit_two(capsys):
         assert named in err, (argv, err)
 
 
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        ({"window": 50}, "'window'"),
+        ({"replications": "2"}, "'replications'"),
+        ({"r_grid": {"points": 2.5}}, "'r_grid.points'"),
+        ({"abs_tol": "x"}, "'abs_tol'"),
+        ({"seed": 1.5}, "'seed'"),
+        ({"replication": 1}, "'replication'"),
+        ([1, 2], "JSON object"),
+        ("config", "JSON object"),
+    ],
+)
+def test_malformed_config_files_exit_two(tmp_path, capsys, content, named):
+    small = {"case": "mhc-mhc", "window": [20, 20], "replications": 1, "seed": 1}
+    if isinstance(content, dict):
+        content = {**small, **content}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(content))
+    assert main(["simulate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    assert named in err, err
+
+
 def test_a_sweep_checks_every_delta_before_the_first_runs(capsys, tmp_path):
     # only the second delta is below the window floor (20 < 10 x 3)
     sweep = ["--delta", "0.5", "3", "--window", "20", "--reps", "1"]

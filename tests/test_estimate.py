@@ -20,14 +20,13 @@ from matern_contact import (
     Window,
     WindowFloorError,
     contact_cdf,
-    empirical_cdf,
-    ks_sup_distance,
     nn_distances_cross,
     nn_distances_within,
     run_experiment,
     sample_ppp,
     thin_mhc_type2,
 )
+from matern_contact.estimate import empirical_cdf, ks_sup_distance
 from oracles import brute_nn_cross, brute_nn_within, on_the_seam
 
 P11 = ProcessParams(1.0, 1.0)
@@ -187,7 +186,7 @@ class TestKsSupDistance:
         assert ks_sup_distance(empirical_cdf(samples), curve) < 0.006
 
     def test_extends_curve_when_samples_overrun(self):
-        from matern_contact import extend_curve
+        from matern_contact.analytic import extend_curve
 
         eta = RetentionFunction(ContactCase.PPP_TO_PPP, P11)
         curve = contact_cdf(eta, np.linspace(0.0, 1.0, 100))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matern_contact import DomainError, lens_asymmetric, lens_symmetric
+from matern_contact import DomainError
+from matern_contact.geometry import lens_asymmetric, lens_symmetric
 from oracles import lens_area_raster, lens_area_two_circles
 
 FULL_OVERLAP = 2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0  # unit disks, unit separation

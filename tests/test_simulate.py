@@ -11,13 +11,12 @@ from matern_contact import (
     PointLabel,
     ProcessParams,
     Window,
-    dump_pattern,
     load_pattern,
-    mhc_retention,
     sample_ppp,
     thin_mhc_type2,
 )
-from matern_contact.simulate import _periodic_tree
+from matern_contact.analytic import mhc_retention
+from matern_contact.simulate import _periodic_tree, dump_pattern
 from oracles import brute_mhc_mask, brute_nn_within, on_the_seam
 
 W100 = Window(100.0, 100.0)
