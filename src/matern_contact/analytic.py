@@ -560,15 +560,13 @@ class RetentionFunction:
             values, errors = np.ones(flat.shape), np.zeros(flat.shape)
         else:
             evaluate = _EVALUATORS[self.case]
-            if flat.size <= _EVAL_BLOCK:
-                values, errors = evaluate(flat, self.params)
-            else:
-                blocks = [
-                    evaluate(flat[i : i + _EVAL_BLOCK], self.params)
-                    for i in range(0, flat.size, _EVAL_BLOCK)
-                ]
-                values = np.concatenate([v for v, _ in blocks])
-                errors = np.concatenate([e for _, e in blocks])
+            # one block at least, so that an empty input gives empty arrays
+            blocks = [
+                evaluate(flat[i : i + _EVAL_BLOCK], self.params)
+                for i in range(0, max(flat.size, 1), _EVAL_BLOCK)
+            ]
+            values = np.concatenate([v for v, _ in blocks])
+            errors = np.concatenate([e for _, e in blocks])
         if scalar:
             values, errors = float(values[0]), float(errors[0])
         else:
@@ -580,18 +578,26 @@ class RetentionFunction:
 class CdfCurve:
     """Sampled analytic contact-distance CDF with quadrature error estimates.
 
-    ``hazard`` holds the accumulated integral I(R) with F = 1 - exp(-I);
-    ``abs_error`` is the propagated error estimate on F itself.
+    ``hazard`` holds the accumulated integral I(R) at each radius and
+    ``hazard_error`` its error estimate. The CDF ``values``,
+    F = 1 - exp(-I), and ``abs_error``, the error estimate propagated to F,
+    exp(-I) * hazard_error, are computed from them on access.
     """
 
     case: ContactCase
     params: ProcessParams
     radii: np.ndarray
-    values: np.ndarray
-    abs_error: np.ndarray
     hazard: np.ndarray
     hazard_error: np.ndarray
     abs_tol: float
+
+    @property
+    def values(self) -> np.ndarray:
+        return -np.expm1(-self.hazard)
+
+    @property
+    def abs_error(self) -> np.ndarray:
+        return np.exp(-self.hazard) * self.hazard_error
 
     @property
     def lower_support(self) -> float:
@@ -617,33 +623,9 @@ class CdfCurve:
         return replace(
             self,
             radii=self.radii[at],
-            values=self.values[at],
-            abs_error=self.abs_error[at],
             hazard=self.hazard[at],
             hazard_error=self.hazard_error[at],
         )
-
-
-def _make_curve(
-    case: ContactCase,
-    params: ProcessParams,
-    radii: np.ndarray,
-    hazard: np.ndarray,
-    hazard_error: np.ndarray,
-    abs_tol: float,
-) -> CdfCurve:
-    values = -np.expm1(-hazard)
-    abs_error = np.exp(-hazard) * hazard_error
-    return CdfCurve(
-        case=case,
-        params=params,
-        radii=radii,
-        values=values,
-        abs_error=abs_error,
-        hazard=hazard,
-        hazard_error=hazard_error,
-        abs_tol=abs_tol,
-    )
 
 
 _NODES_COARSE, _WEIGHTS_COARSE = leggauss(10)
@@ -717,8 +699,6 @@ def _integrate_panel(
 
 def _lens_breakpoints(params: ProcessParams, lo: float, hi: float) -> list[float]:
     """Radii where the lens areas switch branch; panels must not straddle them."""
-    if params.delta == 0.0:
-        return []
     d = params.delta
     return sorted(c for c in (0.5 * d, d, 2.0 * d) if lo < c < hi)
 
@@ -817,7 +797,7 @@ def contact_cdf(
             eta, s, radii, abs_tol, breakpoints=breakpoints
         )
     zeros = np.zeros(below.size)
-    return _make_curve(
+    return CdfCurve(
         eta.case,
         eta.params,
         np.concatenate([below, radii]),
@@ -841,7 +821,7 @@ def extend_curve(curve: CdfCurve, r_max: float) -> CdfCurve:
     extra = np.linspace(last, r_max, n_new)[1:]
     eta = RetentionFunction(curve.case, curve.params)
     _, hz, he = _accumulate_hazard(eta, last, extra, curve.abs_tol, float(curve.hazard[-1]))
-    return _make_curve(
+    return CdfCurve(
         curve.case,
         curve.params,
         np.concatenate([curve.radii, extra]),
@@ -855,18 +835,17 @@ def default_r_grid(
     case: ContactCase,
     params: ProcessParams,
     points: int = 200,
-    span: float = 4.0,
     r_min: float | None = None,
     r_max: float | None = None,
 ) -> np.ndarray:
     """Uniform radius grid from ``r_min`` (default: the lower support) to
-    ``r_max`` (default: ``span`` mean target spacings further), covering the
+    ``r_max`` (default: 4 mean target spacings further), covering the
     visually interesting range of the CDF."""
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
     eta = RetentionFunction(case, params)
     lo = eta.lower_support if r_min is None else float(r_min)
-    hi = lo + span / math.sqrt(eta.target_intensity) if r_max is None else float(r_max)
+    hi = lo + 4.0 / math.sqrt(eta.target_intensity) if r_max is None else float(r_max)
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ValueError(f"radius range [{lo!r}, {hi!r}] must be finite and non-empty")
     return np.linspace(lo, hi, points)

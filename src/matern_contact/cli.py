@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from .analytic import (
     default_r_grid,
     mhc_intensity,
 )
-from .estimate import ExperimentConfig, run_experiment
+from .estimate import ExperimentConfig, pooled_distances, run_experiment
 from .simulate import (
     CapacityError,
     WindowFloorError,
@@ -229,6 +230,20 @@ def _require_case(data: dict) -> ContactCase:
     return ContactCase(data["case"])
 
 
+def _check_file_names(data: dict, ns: argparse.Namespace) -> None:
+    """Per-delta files carry the delta as ``{delta:g}``, so deltas that print
+    alike would overwrite each other's files: refuse them before any run."""
+    per_delta_out = ns.out is not None and ns.command in ("analytic", "simulate")
+    dumps = ns.dump_patterns is not None and ns.command in ("simulate", "compare")
+    tags = [f"{delta:g}" for delta in data["delta"]]
+    clashing = [delta for delta, tag in zip(data["delta"], tags) if tags.count(tag) > 1]
+    if clashing and (per_delta_out or dumps):
+        raise UsageError(
+            f"--delta {' '.join(map(repr, clashing))}: these deltas print alike "
+            "in the per-delta file names and would overwrite each other's files"
+        )
+
+
 def _out_path(base: Path | None, delta: float, many: bool) -> Path | None:
     if base is None or not many:
         return base
@@ -323,10 +338,11 @@ def cmd_simulate(data: dict, ns: argparse.Namespace) -> int:
     for config in configs:
         delta = config.params.delta
         sink = _make_sink(ns.dump_patterns, case, config.params)
-        report = run_experiment(config, on_pattern=sink)
-        radii = report.analytic.radii
-        f_hat = report.empirical.cdf(radii)
-        n = report.empirical.n
+        start = time.perf_counter()
+        empirical = pooled_distances(config, on_pattern=sink)
+        radii = config.r_grid()
+        f_hat = empirical.cdf(radii)
+        n = empirical.n
         if ns.format == "json":
             text = json.dumps(
                 {
@@ -345,7 +361,7 @@ def cmd_simulate(data: dict, ns: argparse.Namespace) -> int:
         _emit(text, _out_path(ns.out, delta, many))
         print(
             f"simulate {case.value} delta={delta:g}: {n} pooled distances "
-            f"({report.runtime_seconds:.2f} s)",
+            f"({time.perf_counter() - start:.2f} s)",
             file=sys.stderr,
         )
     return 0
@@ -409,6 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         data = _resolve(ns)
+        _check_file_names(data, ns)
         command = {
             "analytic": cmd_analytic,
             "simulate": cmd_simulate,

@@ -50,6 +50,7 @@ __all__ = [
     "ks_sup_distance",
     "nn_distances_cross",
     "nn_distances_within",
+    "pooled_distances",
     "run_experiment",
 ]
 
@@ -149,11 +150,8 @@ def ks_sup_distance(emp: EmpiricalDistribution, curve: CdfCurve) -> float:
         )
     if float(x[-1]) > float(curve.radii[-1]):
         curve = extend_curve(curve, float(x[-1]))
-    f = np.interp(x, curve.radii, curve.values, left=0.0)
-    n = emp.n
-    step_hi = np.searchsorted(x, x, side="right") / n
-    step_lo = np.searchsorted(x, x, side="left") / n
-    return float(np.maximum(np.abs(step_hi - f), np.abs(step_lo - f)).max())
+    f = curve.evaluate(x)
+    return float(np.maximum(np.abs(emp.cdf(x) - f), np.abs(emp.cdf_left(x) - f)).max())
 
 
 @dataclass(frozen=True)
@@ -224,29 +222,22 @@ PatternSink = Callable[[int, str, MarkedPattern], None]
 def _replication_distances(
     config: ExperimentConfig, rep: int
 ) -> tuple[np.ndarray, list[tuple[str, MarkedPattern]]]:
-    case = config.case
-    params = config.params
-    window = config.window
+    case, params = config.case, config.params
+
+    def parents(index: int) -> MarkedPattern:
+        return sample_ppp(params.lambda_p, config.window, (config.seed, rep, index))
+
     if case is ContactCase.PPP_TO_PPP:
-        pat = sample_ppp(params.lambda_p, window, (config.seed, rep, 0))
+        pat = parents(0)
         return nn_distances_within(pat, PointLabel.PARENT), [("pattern", pat)]
-    if case is ContactCase.MHC_TO_MHC:
-        pat = thin_mhc_type2(
-            sample_ppp(params.lambda_p, window, (config.seed, rep, 0)), params.delta
-        )
-        return nn_distances_within(pat, PointLabel.MHC), [("pattern", pat)]
     if case is ContactCase.PPP_TO_MHC:
-        source = sample_ppp(params.lambda_p, window, (config.seed, rep, 0))
-        target = thin_mhc_type2(
-            sample_ppp(params.lambda_p, window, (config.seed, rep, 1)), params.delta
-        )
-        distances = nn_distances_cross(
-            source, PointLabel.PARENT, target, PointLabel.MHC
-        )
+        source = parents(0)
+        target = thin_mhc_type2(parents(1), params.delta)
+        distances = nn_distances_cross(source, PointLabel.PARENT, target, PointLabel.MHC)
         return distances, [("source", source), ("target", target)]
-    pat = thin_mhc_type2(
-        sample_ppp(params.lambda_p, window, (config.seed, rep, 0)), params.delta
-    )
+    pat = thin_mhc_type2(parents(0), params.delta)
+    if case is ContactCase.MHC_TO_MHC:
+        return nn_distances_within(pat, PointLabel.MHC), [("pattern", pat)]
     distances = nn_distances_cross(pat, PointLabel.CMHC, pat, PointLabel.MHC)
     return distances, [("pattern", pat)]
 
@@ -283,16 +274,15 @@ class ComparisonReport:
         }
 
 
-def run_experiment(
+def pooled_distances(
     config: ExperimentConfig, on_pattern: PatternSink | None = None
-) -> ComparisonReport:
-    """Generate the patterns each case calls for, pool nearest-neighbour
-    distances across replications, and compare against the analytic curve.
+) -> EmpiricalDistribution:
+    """Generate the patterns each case calls for and pool their
+    nearest-neighbour distances across replications.
 
     ``on_pattern`` receives every generated pattern (replication index, role,
     pattern) — used for optional pattern dumps.
     """
-    start = time.perf_counter()
     chunks: list[np.ndarray] = []
     for rep in range(config.replications):
         try:
@@ -303,7 +293,16 @@ def run_experiment(
             for role, pattern in patterns:
                 on_pattern(rep, role, pattern)
         chunks.append(distances)
-    emp = empirical_cdf(np.concatenate(chunks))
+    return empirical_cdf(np.concatenate(chunks))
+
+
+def run_experiment(
+    config: ExperimentConfig, on_pattern: PatternSink | None = None
+) -> ComparisonReport:
+    """Pool nearest-neighbour distances as :func:`pooled_distances` does and
+    compare them against the analytic curve."""
+    start = time.perf_counter()
+    emp = pooled_distances(config, on_pattern)
     eta = RetentionFunction(config.case, config.params)
     grid = config.r_grid()
     # F at the lens breakpoints as well: interpolating across a kink of F

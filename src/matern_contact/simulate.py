@@ -9,7 +9,7 @@ search in :mod:`.estimate`; both match a brute-force minimum-image scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -183,6 +183,8 @@ def thin_mhc_type2(pattern: MarkedPattern, delta: float) -> MarkedPattern:
     pattern before any removal, so chains of dominance do not propagate.
 
     Mark ties (measure zero with 64-bit uniforms) are broken by point index.
+    The result shares the input's coordinate and mark arrays; only its labels
+    are new.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta >= 0.0):
@@ -202,14 +204,7 @@ def thin_mhc_type2(pattern: MarkedPattern, delta: float) -> MarkedPattern:
         mj = pattern.mark[j]
         loser = np.where((mj > mi) | ((mj == mi) & (j > i)), j, i)
         label[loser] = int(PointLabel.CMHC)
-    return MarkedPattern(
-        pattern.window,
-        pattern.x.copy(),
-        pattern.y.copy(),
-        pattern.mark.copy(),
-        label,
-        pattern.seed,
-    )
+    return replace(pattern, label=label)
 
 
 def _format_seed(seed: SeedLike) -> str:

@@ -179,6 +179,35 @@ def brute_nn_cross(
     return np.sqrt((dx * dx + dy * dy).min(axis=1))
 
 
+def _linear(radii, values, x: float) -> float:
+    """The piecewise-linear curve through (radii, values) at ``x``, 0 below
+    radii[0]."""
+    if x < radii[0]:
+        return 0.0
+    for k in range(1, len(radii)):
+        if x <= radii[k]:
+            t = (x - radii[k - 1]) / (radii[k] - radii[k - 1])
+            return values[k - 1] + t * (values[k] - values[k - 1])
+    raise ValueError(f"{x!r} beyond the last radius {radii[-1]!r}")
+
+
+def brute_sup_distance(samples, radii, values) -> float:
+    """Sup distance between the step CDF of ``samples`` and the
+    piecewise-linear curve through (radii, values), taken at every sample
+    against both the count of samples <= x and the count of samples < x."""
+    xs = [float(v) for v in samples]
+    radii = [float(r) for r in radii]
+    values = [float(v) for v in values]
+    n = len(xs)
+    worst = 0.0
+    for x in xs:
+        at_most = sum(1 for v in xs if v <= x)
+        below = sum(1 for v in xs if v < x)
+        f = _linear(radii, values, x)
+        worst = max(worst, abs(at_most / n - f), abs(below / n - f))
+    return worst
+
+
 def brute_mhc_mask(
     x: np.ndarray,
     y: np.ndarray,

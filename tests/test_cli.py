@@ -269,6 +269,48 @@ def test_a_sweep_checks_every_delta_before_the_first_runs(capsys, tmp_path):
         assert not list(tmp_path.glob(f"{argv[0]}*")), argv
 
 
+def test_deltas_that_share_a_file_name_exit_two(capsys, tmp_path):
+    small = ["--points", "5", "--window", "20", "--reps", "1"]
+    dump = ["--dump-patterns", str(tmp_path / "dumps")]
+    for argv, named in (
+        # {:g} prints both as 1: the second curve would overwrite the first
+        (["analytic", "--case", "mhc-mhc", "--delta", "1.0000001", "1.0000002",
+          "--out", str(tmp_path / "a.csv")], "--delta 1.0000001 1.0000002: "),
+        (["analytic", "--case", "mhc-mhc", "--delta", "0.5", "0.5",
+          "--out", str(tmp_path / "a.csv")], "--delta 0.5 0.5: "),
+        (["simulate", "--case", "mhc-mhc", "--delta", "0.5", "1", "0.5",
+          "--out", str(tmp_path / "s.csv")], "--delta 0.5 0.5: "),
+        (["simulate", "--case", "mhc-mhc", "--delta", "0.5", "0.5", *dump],
+         "--delta 0.5 0.5: "),
+        (["compare", "--case", "mhc-mhc", "--delta", "0.5", "0.5", *dump],
+         "--delta 0.5 0.5: "),
+    ):
+        assert main(argv + small) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
+        assert not list(tmp_path.iterdir()), argv
+    # stdout and compare's single report hold every delta
+    for argv in (
+        ["analytic", "--case", "mhc-mhc", "--delta", "0.5", "0.5"],
+        ["simulate", "--case", "mhc-mhc", "--delta", "0.5", "0.5"],
+        ["compare", "--case", "mhc-mhc", "--delta", "0.5", "0.5", "--threshold", "1",
+         "--out", str(tmp_path / "c.json")],
+    ):
+        assert main(argv + small) == 0, argv
+    capsys.readouterr()
+
+
+def test_simulate_runs_no_quadrature(capsys):
+    # both fail in the analytic curve, which simulate does not write
+    for argv in (
+        ["--case", "mhc-mhc", "--delta", "0.5", "--window", "20", "--tol", "1e-300"],
+        ["--case", "ppp-mhc", "--delta", "0.5", "--window", "30", "--rmin", "0.5"],
+    ):
+        assert main(["simulate", "--reps", "1", "--points", "5"] + argv) == 0, argv
+        out = capsys.readouterr().out
+        assert out.startswith("r,F_hat,n\n") and out.count("\n") == 6, out
+
+
 def test_analytic_ignores_the_simulation_window(capsys):
     # the window floor and the point cap concern simulation only
     argv = ["analytic", "--case", "mhc-mhc", "--delta", "1", "--points", "5"]

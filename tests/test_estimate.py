@@ -26,8 +26,9 @@ from matern_contact import (
     sample_ppp,
     thin_mhc_type2,
 )
+from matern_contact.analytic import default_r_grid, extend_curve
 from matern_contact.estimate import empirical_cdf, ks_sup_distance
-from oracles import brute_nn_cross, brute_nn_within, on_the_seam
+from oracles import brute_nn_cross, brute_nn_within, brute_sup_distance, on_the_seam
 
 P11 = ProcessParams(1.0, 1.0)
 
@@ -204,6 +205,46 @@ class TestKsSupDistance:
         )
         with pytest.raises(ValueError):
             ks_sup_distance(empirical_cdf([0.5, 1.5]), curve)
+
+
+def _mutual_nn_distances():
+    # two mutual nearest-neighbour pairs give two tied pairs of distances
+    x, y = [1.0, 1.5, 5.0, 5.0, 8.0], [1.0, 1.0, 5.0, 6.0, 8.0]
+    pattern = labelled_pattern(Window(10.0, 10.0), x, y, [0] * 5)
+    return nn_distances_within(pattern, PointLabel.PARENT)
+
+
+def _thinned_nn_distances():
+    pattern = thin_mhc_type2(sample_ppp(1.0, Window(20.0, 20.0), 7), 0.5)
+    return nn_distances_within(pattern, PointLabel.MHC)
+
+
+P_HALF = ProcessParams(1.0, 0.5)
+PPP_PPP = RetentionFunction(ContactCase.PPP_TO_PPP, P11)
+MHC_MHC = RetentionFunction(ContactCase.MHC_TO_MHC, P_HALF)
+
+
+@pytest.mark.parametrize(
+    "eta, grid, samples",
+    [
+        (PPP_PPP, np.linspace(0.0, 4.0, 41), [1.0, 1.0, 1.0, 2.0, 2.0, 3.0]),
+        # the lone point's distance overruns the grid
+        (PPP_PPP, np.linspace(0.0, 2.0, 21), _mutual_nn_distances()),
+        (PPP_PPP, np.linspace(0.0, 0.4, 9), np.sqrt(np.linspace(0.01, 1.5, 60))),
+        # the curve starts at delta; a sample below it and one on it
+        (MHC_MHC, default_r_grid(ContactCase.MHC_TO_MHC, P_HALF, 50), [0.2, 0.5, 0.5, 0.7]),
+        (MHC_MHC, default_r_grid(ContactCase.MHC_TO_MHC, P_HALF, 50), _thinned_nn_distances()),
+    ],
+    ids=["ties", "mutual-nn-beyond-grid", "beyond-grid", "mhc-at-support", "mhc-thinned"],
+)
+def test_sup_distance_matches_the_brute_force_oracle(eta, grid, samples):
+    curve = contact_cdf(eta, grid)
+    assert float(curve.radii[0]) == curve.lower_support
+    full = extend_curve(curve, float(np.max(samples)))
+    # ppp-ppp has the closed form F = 1 - exp(-pi r**2) at the nodes
+    nodes = full.values if eta is MHC_MHC else -np.expm1(-math.pi * full.radii**2)
+    expected = brute_sup_distance(samples, full.radii, nodes)
+    assert ks_sup_distance(empirical_cdf(samples), curve) == pytest.approx(expected, abs=1e-8)
 
 
 class TestExperimentConfig:

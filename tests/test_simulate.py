@@ -146,6 +146,18 @@ class TestThinning:
         out_shuffled = thin_mhc_type2(shuffled, 1.0)
         assert np.array_equal(out_shuffled.label, out.label[perm])
 
+    def test_leaves_its_input_unchanged(self):
+        parents = sample_ppp(1.0, W50, 5)
+        x, y, mark = parents.x.copy(), parents.y.copy(), parents.mark.copy()
+        out = thin_mhc_type2(parents, 1.0)
+        assert out.count(PointLabel.CMHC) > 0
+        assert np.all(parents.label == PointLabel.PARENT)
+        for before, parent_array, out_array in (
+            (x, parents.x, out.x), (y, parents.y, out.y), (mark, parents.mark, out.mark)
+        ):
+            assert np.array_equal(parent_array, before)
+            assert np.array_equal(out_array, before)
+
     def test_periodic_tree_stores_the_wrapped_points_in_its_order(self):
         rng = np.random.default_rng(5)
         window = Window(12.0, 15.0)
