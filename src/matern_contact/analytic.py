@@ -807,19 +807,33 @@ def contact_cdf(
     )
 
 
-def extend_curve(curve: CdfCurve, r_max: float) -> CdfCurve:
-    """Continue a curve's accumulated integral out to ``r_max`` (no-op when the
-    curve already spans it)."""
+def _spaced(lo: float, hi: float, step: float | None) -> np.ndarray:
+    """Radii from ``lo`` to ``hi``, both included, at most ``step`` apart;
+    eight steps when there is no step to keep."""
+    step = (hi - lo) / 8.0 if step is None else step
+    return np.linspace(lo, hi, max(2, int(math.ceil((hi - lo) / step)) + 1))
+
+
+def extend_curve(curve: CdfCurve, r_max: float, r_min: float | None = None) -> CdfCurve:
+    """Continue a curve's accumulated integral out to ``r_max`` and, when
+    ``r_min`` lies below its first radius, down to its lower support, where
+    F is 0 (no-op when the curve already spans both). New radii keep the
+    curve's median step; a curve extended down is recomputed from its lower
+    support, lens breakpoints included."""
+    steps = np.diff(curve.radii)
+    positive = steps[steps > 0.0]
+    step = float(np.median(positive)) if positive.size else None
+    eta = RetentionFunction(curve.case, curve.params)
+    first = float(curve.radii[0])
+    if r_min is not None and float(r_min) < first and first > eta.lower_support:
+        below = _spaced(eta.lower_support, first, step)[:-1]
+        radii = np.concatenate([below, curve.radii])
+        curve = contact_cdf(eta, radii, curve.abs_tol, breakpoints=True)
     r_max = float(r_max)
     last = float(curve.radii[-1])
     if r_max <= last:
         return curve
-    steps = np.diff(curve.radii)
-    positive = steps[steps > 0.0]
-    step = float(np.median(positive)) if positive.size else (r_max - last) / 8.0
-    n_new = max(2, int(math.ceil((r_max - last) / step)) + 1)
-    extra = np.linspace(last, r_max, n_new)[1:]
-    eta = RetentionFunction(curve.case, curve.params)
+    extra = _spaced(last, r_max, step)[1:]
     _, hz, he = _accumulate_hazard(eta, last, extra, curve.abs_tol, float(curve.hazard[-1]))
     return CdfCurve(
         curve.case,

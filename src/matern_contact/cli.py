@@ -145,6 +145,10 @@ def _positive(v) -> bool:
     return _real(v) and v > 0
 
 
+def _non_negative(v) -> bool:
+    return _real(v) and v >= 0
+
+
 def _integer(least: int):
     return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least
 
@@ -159,7 +163,7 @@ CONFIG_FLAGS = {
     "--delta": (
         "delta",
         "finite numbers >= 0",
-        lambda v: isinstance(v, list) and v != [] and all(_real(d) and d >= 0 for d in v),
+        lambda v: isinstance(v, list) and v != [] and all(map(_non_negative, v)),
     ),
     "--window": (
         "window",
@@ -168,8 +172,8 @@ CONFIG_FLAGS = {
     ),
     "--reps": ("replications", "an integer >= 1", _integer(1)),
     "--seed": ("seed", "an integer >= 0", _integer(0)),
-    "--rmin": ("r_grid.min", "a finite number", lambda v: v is None or _real(v)),
-    "--rmax": ("r_grid.max", "a finite number", lambda v: v is None or _real(v)),
+    "--rmin": ("r_grid.min", "a finite number >= 0", lambda v: v is None or _non_negative(v)),
+    "--rmax": ("r_grid.max", "a finite number >= 0", lambda v: v is None or _non_negative(v)),
     "--points": ("r_grid.points", "an integer >= 2", _integer(2)),
     "--tol": ("abs_tol", "a finite number > 0", _positive),
     "--threshold": ("threshold", "a finite number", lambda v: v is None or _real(v)),

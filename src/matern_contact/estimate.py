@@ -2,8 +2,8 @@
 Monte-Carlo comparison pipeline.
 
 Nearest-neighbour distances on the torus come from scipy's periodic k-d tree
-and equal a brute-force minimum-image scan bit for bit. Queries run in the
-tree's spatial order and the distances are scattered back to input order.
+and equal a brute-force minimum-image scan bit for bit. They come out in the
+order the pattern stores its points, which ``sample_ppp`` makes spatial.
 
 Nearest-neighbour samples from one realisation are spatially correlated, so
 the sup distance reported here is a descriptive statistic checked against
@@ -35,7 +35,6 @@ from .simulate import (
     _check_point_cap,
     _check_window_floor,
     _periodic_tree,
-    _spatial_order,
     sample_ppp,
     thin_mhc_type2,
 )
@@ -101,11 +100,9 @@ def nn_distances_within(pattern: MarkedPattern, label: PointLabel) -> np.ndarray
         raise InsufficientDataError(
             f"need >= 2 points labelled {PointLabel(label).name}, have {len(idx)}"
         )
-    tree, order = _periodic_tree(pattern.x[idx], pattern.y[idx], pattern.window)
-    out = np.empty(len(idx))
+    tree = _periodic_tree(pattern.x[idx], pattern.y[idx], pattern.window)
     # the nearest hit of each point is itself, at distance 0
-    out[order] = tree.query(tree.data, k=[2])[0][:, 0]
-    return out
+    return tree.query(tree.data, k=[2])[0][:, 0]
 
 
 def nn_distances_cross(
@@ -125,31 +122,22 @@ def nn_distances_cross(
         raise InsufficientDataError("source has no points with the requested label")
     if len(t_idx) == 0:
         raise InsufficientDataError("target has no points with the requested label")
-    tree, _ = _periodic_tree(target.x[t_idx], target.y[t_idx], target.window)
-    sx = source.x[s_idx]
-    sy = source.y[s_idx]
-    order = _spatial_order(sx, sy, source.window)
-    out = np.empty(len(s_idx))
-    out[order] = tree.query(np.column_stack((sx[order], sy[order])), k=1)[0]
-    return out
+    tree = _periodic_tree(target.x[t_idx], target.y[t_idx], target.window)
+    return tree.query(np.column_stack((source.x[s_idx], source.y[s_idx])), k=1)[0]
 
 
 def ks_sup_distance(emp: EmpiricalDistribution, curve: CdfCurve) -> float:
     """Two-sided sup distance between the step CDF and an analytic curve,
     evaluated at every sample point (both the jump top and its left limit).
 
-    The analytic curve is extended when samples overrun its grid; a curve that
-    starts above its own lower support cannot pin F = 0 below its grid, so
-    samples underrunning such a curve raise a range error.
+    The analytic curve is extended wherever the samples leave its grid: out
+    past the largest sample, and down to its lower support when a sample lies
+    below a curve that starts above that support.
     """
     x = emp.samples
-    if float(x[0]) < float(curve.radii[0]) and float(curve.radii[0]) > curve.lower_support:
-        raise ValueError(
-            f"analytic curve starts at {float(curve.radii[0])!r}, above sample "
-            f"minimum {float(x[0])!r}"
-        )
-    if float(x[-1]) > float(curve.radii[-1]):
-        curve = extend_curve(curve, float(x[-1]))
+    lo, hi = float(x[0]), float(x[-1])
+    if lo < float(curve.radii[0]) or hi > float(curve.radii[-1]):
+        curve = extend_curve(curve, hi, lo)
     f = curve.evaluate(x)
     return float(np.maximum(np.abs(emp.cdf(x) - f), np.abs(emp.cdf_left(x) - f)).max())
 

@@ -127,21 +127,18 @@ def _spatial_order(x: np.ndarray, y: np.ndarray, window: Window) -> np.ndarray:
     """Permutation that visits the points in row strips about one mean
     spacing high, left to right within each strip.
 
-    Neighbours in the plane then sit close together in memory, which keeps
-    both the k-d tree's leaves and a stream of queries in cache. The order
-    never changes a result: every distance is computed from the same
-    coordinate values whatever order they come in.
+    :func:`sample_ppp` stores every pattern in this order, so neighbours in
+    the plane sit close together in memory and k-d tree leaves and query
+    streams stay in cache. The order never changes a result: every distance
+    is computed from the same coordinate values whatever order they come in.
     """
     spacing = math.sqrt(window.area / max(len(x), 1))
     return np.argsort(np.floor(y / spacing) * window.width + x)
 
 
-def _periodic_tree(
-    x: np.ndarray, y: np.ndarray, window: Window
-) -> tuple[cKDTree, np.ndarray]:
+def _periodic_tree(x: np.ndarray, y: np.ndarray, window: Window) -> cKDTree:
     """Periodic k-d tree over the points, wrapped into [0, W) x [0, H) and
-    stored in spatial order; returns the tree and that order, so that row
-    ``k`` of ``tree.data`` is input point ``order[k]``.
+    stored in their given order: row ``k`` of ``tree.data`` is point ``k``.
 
     The tree rejects a coordinate equal to a side, and ``np.mod`` returns the
     side itself for tiny negative inputs; such values map back to 0. Sliding
@@ -155,14 +152,13 @@ def _periodic_tree(
     sides = (window.width, window.height)
     coords = np.mod(np.column_stack((x, y)), sides)
     coords[coords == sides] = 0.0
-    order = _spatial_order(coords[:, 0], coords[:, 1], window)
-    coords = coords[order]  # frees the unsorted copy before the build
-    return cKDTree(coords, boxsize=sides, balanced_tree=False), order
+    return cKDTree(coords, boxsize=sides, balanced_tree=False)
 
 
 def sample_ppp(lam: float, window: Window, seed: SeedLike) -> MarkedPattern:
     """Homogeneous Poisson pattern of intensity ``lam`` with i.i.d. uniform
-    marks; an identical seed reproduces the pattern bit for bit."""
+    marks, stored in row-strip spatial order, which thinned patterns, their
+    subsets and dumps keep; an identical seed reproduces it bit for bit."""
     lam = float(lam)
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"intensity must be finite and > 0, got {lam!r}")
@@ -172,8 +168,9 @@ def sample_ppp(lam: float, window: Window, seed: SeedLike) -> MarkedPattern:
     x = rng.uniform(0.0, window.width, n)
     y = rng.uniform(0.0, window.height, n)
     mark = rng.random(n)
+    order = _spatial_order(x, y, window)
     label = np.full(n, int(PointLabel.PARENT), dtype=np.uint8)
-    return MarkedPattern(window, x, y, mark, label, seed)
+    return MarkedPattern(window, x[order], y[order], mark[order], label, seed)
 
 
 def thin_mhc_type2(pattern: MarkedPattern, delta: float) -> MarkedPattern:
@@ -198,8 +195,8 @@ def thin_mhc_type2(pattern: MarkedPattern, delta: float) -> MarkedPattern:
         _check_window_floor(window, delta)
         # unordered pairs within the closed ball; each pair removes the point
         # with the larger mark, or with the larger index on a tie
-        tree, order = _periodic_tree(pattern.x, pattern.y, window)
-        i, j = order[tree.query_pairs(delta, output_type="ndarray")].T
+        tree = _periodic_tree(pattern.x, pattern.y, window)
+        i, j = tree.query_pairs(delta, output_type="ndarray").T
         mi = pattern.mark[i]
         mj = pattern.mark[j]
         loser = np.where((mj > mi) | ((mj == mi) & (j > i)), j, i)

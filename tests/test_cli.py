@@ -220,6 +220,9 @@ def test_usage_errors_exit_two(capsys):
          "--window 5 5 --delta 1: "),
         (["simulate", "--case", "ppp-ppp", "--window", "1e5", "--reps", "1"],
          "--lambda 1 --window 100000 100000: "),
+        # a negative radius would otherwise be written as a report row
+        (["simulate", "--case", "ppp-ppp", "--rmin", "-1", "--points", "3",
+          "--window", "20", "--reps", "1"], "--rmin"),
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -309,6 +312,21 @@ def test_simulate_runs_no_quadrature(capsys):
         assert main(["simulate", "--reps", "1", "--points", "5"] + argv) == 0, argv
         out = capsys.readouterr().out
         assert out.startswith("r,F_hat,n\n") and out.count("\n") == 6, out
+
+
+@pytest.mark.parametrize(
+    "case, delta, rmin",
+    [("mhc-mhc", "0.5", "0.7"), ("ppp-mhc", "1", "0.5"), ("cmhc-mhc", "1", "0.3")],
+)
+def test_compare_with_rmin_above_the_smallest_distance(capsys, case, delta, rmin):
+    # --rmin picks the report's radii; the sup distance still covers every sample
+    argv = ["compare", "--case", case, "--delta", delta, "--rmin", rmin,
+            "--window", "30", "--reps", "1", "--points", "5"]
+    assert main(argv) in (0, 1)
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["empirical"]["min"] < float(rmin)
+    assert report["analytic"]["radii"][0] == float(rmin)
+    assert len(report["analytic"]["radii"]) == 5
 
 
 def test_analytic_ignores_the_simulation_window(capsys):

@@ -96,8 +96,9 @@ class TestNearestNeighbourDistances:
             assert np.array_equal(fast, brute)
 
     def test_permuting_the_points_permutes_the_distances(self):
-        # the tree stores and queries points in its own spatial order; every
-        # output must still follow the input order exactly
+        # generated patterns come in spatial order, but any other order, as
+        # in a loaded or hand-built pattern, must give the same distances in
+        # its own order
         rng = np.random.default_rng(3)
         w = Window(60.0, 40.0)
         src = sample_ppp(1.0, w, 23)
@@ -199,12 +200,14 @@ class TestKsSupDistance:
             ks_sup_distance(emp, direct), abs=1e-9
         )
 
-    def test_range_error_when_curve_starts_above_samples(self):
+    def test_extends_curve_down_when_samples_underrun(self):
+        # a curve that starts above its lower support is continued down to
+        # it: the sup sits at the sample 0.5, below the curve's first radius
         curve = contact_cdf(
             RetentionFunction(ContactCase.PPP_TO_PPP, P11), np.linspace(1.0, 2.0, 50)
         )
-        with pytest.raises(ValueError):
-            ks_sup_distance(empirical_cdf([0.5, 1.5]), curve)
+        d = ks_sup_distance(empirical_cdf([0.5, 1.5]), curve)
+        assert d == pytest.approx(-math.expm1(-math.pi * 0.25), abs=1e-3)
 
 
 def _mutual_nn_distances():
@@ -234,13 +237,26 @@ MHC_MHC = RetentionFunction(ContactCase.MHC_TO_MHC, P_HALF)
         # the curve starts at delta; a sample below it and one on it
         (MHC_MHC, default_r_grid(ContactCase.MHC_TO_MHC, P_HALF, 50), [0.2, 0.5, 0.5, 0.7]),
         (MHC_MHC, default_r_grid(ContactCase.MHC_TO_MHC, P_HALF, 50), _thinned_nn_distances()),
+        # the grid starts above delta and the samples below it
+        (
+            MHC_MHC,
+            default_r_grid(ContactCase.MHC_TO_MHC, P_HALF, 50, r_min=0.7),
+            _thinned_nn_distances(),
+        ),
     ],
-    ids=["ties", "mutual-nn-beyond-grid", "beyond-grid", "mhc-at-support", "mhc-thinned"],
+    ids=[
+        "ties",
+        "mutual-nn-beyond-grid",
+        "beyond-grid",
+        "mhc-at-support",
+        "mhc-thinned",
+        "mhc-below-grid",
+    ],
 )
 def test_sup_distance_matches_the_brute_force_oracle(eta, grid, samples):
     curve = contact_cdf(eta, grid)
-    assert float(curve.radii[0]) == curve.lower_support
-    full = extend_curve(curve, float(np.max(samples)))
+    full = extend_curve(curve, float(np.max(samples)), float(np.min(samples)))
+    assert float(full.radii[0]) == full.lower_support
     # ppp-ppp has the closed form F = 1 - exp(-pi r**2) at the nodes
     nodes = full.values if eta is MHC_MHC else -np.expm1(-math.pi * full.radii**2)
     expected = brute_sup_distance(samples, full.radii, nodes)
