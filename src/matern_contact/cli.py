@@ -1,6 +1,13 @@
 """Command-line driver: analytic curves, simulation, comparison reports, and
 intensity checks.
 
+Every command-line decision has one home. ``CONFIG_FLAGS`` declares each
+config flag: its config key, its check, its help text and its parser
+options. The defaults that help shows come from ``ExperimentConfig`` and
+``CASE_THRESHOLDS``. ``COMMANDS`` holds each subcommand's handler and help.
+The patterns of a replication come from ``estimate.replication_patterns``
+for every command that simulates.
+
 Exit codes: 0 ok, 1 comparison threshold exceeded, 2 usage error.
 """
 
@@ -23,14 +30,8 @@ from .analytic import (
     default_r_grid,
     mhc_intensity,
 )
-from .estimate import ExperimentConfig, pooled_distances, run_experiment
-from .simulate import (
-    CapacityError,
-    WindowFloorError,
-    dump_pattern,
-    sample_ppp,
-    thin_mhc_type2,
-)
+from .estimate import ExperimentConfig, pooled_distances, replication_patterns, run_experiment
+from .simulate import CapacityError, PointLabel, WindowFloorError, dump_pattern
 
 __all__ = ["main"]
 
@@ -53,88 +54,6 @@ class UsageError(Exception):
     pass
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--case",
-        choices=[c.value for c in ContactCase],
-        help="source->target pair",
-    )
-    parser.add_argument(
-        "--lambda",
-        type=float,
-        help="parent intensity (default 1.0)",
-    )
-    parser.add_argument(
-        "--delta",
-        type=float,
-        nargs="+",
-        help="hard-core distance(s); several values run a sweep (default 1.0)",
-    )
-    parser.add_argument(
-        "--window",
-        type=float,
-        nargs="+",
-        metavar="SIDE",
-        help="window sides W [H] (default 100 100)",
-    )
-    parser.add_argument("--reps", type=int, help="replications (default 20)")
-    parser.add_argument("--seed", type=int, help="base RNG seed (default 1)")
-    parser.add_argument(
-        "--rmin", type=float, help="radius grid start (default: lower support)"
-    )
-    parser.add_argument(
-        "--rmax",
-        type=float,
-        help="radius grid end (default: lower support + 4 mean target spacings)",
-    )
-    parser.add_argument("--points", type=int, help="radius grid size (default 200)")
-    parser.add_argument(
-        "--tol", type=float, help="quadrature absolute tolerance (default 1e-9)"
-    )
-    parser.add_argument("--out", type=Path, help="output path (default: stdout)")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), help="curve output format (default csv)"
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        help=(
-            "sup-distance gate for compare (defaults per case: ppp-ppp 0.01, "
-            "mhc-mhc 0.035, ppp-mhc 0.055, cmhc-mhc 0.15)"
-        ),
-    )
-    parser.add_argument(
-        "--dump-patterns",
-        dest="dump_patterns",
-        type=Path,
-        help="directory for per-replication pattern dumps",
-    )
-    parser.add_argument(
-        "--config",
-        type=Path,
-        help="JSON config file (or a compare report); explicit flags override it",
-    )
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="matern-contact",
-        description=(
-            "Contact-distance distributions for Matern type-II hard-core "
-            "point processes: analytic curves, simulation, and comparison."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("analytic", "write analytic CDF curve(s), one per delta"),
-        ("simulate", "run seeded experiments and write empirical CDF(s)"),
-        ("compare", "full analytic-vs-simulation pipeline with threshold gate"),
-        ("density", "print closed-form thinned intensity next to its MC estimate"),
-    ):
-        _add_common(sub.add_parser(name, help=text))
-    return parser
-
-
 def _real(v) -> bool:
     # compared exactly, so nan, inf and an int too large for a float all fail
     number = isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -154,29 +73,47 @@ def _integer(least: int):
 
 
 CASES = [c.value for c in ContactCase]
+GATES = ", ".join(f"{case.value} {gate:g}" for case, gate in CASE_THRESHOLDS.items())
+FLOAT = {"type": float}
+INT = {"type": int}
 
 # flag -> key of the config mapping (ExperimentConfig.to_dict's keys, with the
-# r_grid block spread out), what its value must be, and the test of that
+# r_grid block spread out), help text, parser options, what the value must be
+# and the test of that; the help text gains the key's default where it has one
 CONFIG_FLAGS = {
-    "--case": ("case", f"one of {', '.join(CASES)}", lambda v: v in CASES + [None]),
-    "--lambda": ("lambda_p", "a finite number > 0", _positive),
+    "--case": (
+        "case", "source->target pair", {"choices": CASES},
+        f"one of {', '.join(CASES)}", lambda v: v in CASES + [None],
+    ),
+    "--lambda": ("lambda_p", "parent intensity", FLOAT, "a finite number > 0", _positive),
     "--delta": (
-        "delta",
+        "delta", "hard-core distance(s); several values run a sweep", {**FLOAT, "nargs": "+"},
         "finite numbers >= 0",
         lambda v: isinstance(v, list) and v != [] and all(map(_non_negative, v)),
     ),
     "--window": (
-        "window",
+        "window", "window sides W [H]", {**FLOAT, "nargs": "+", "metavar": "SIDE"},
         "one or two finite sides > 0",
         lambda v: isinstance(v, list) and len(v) in (1, 2) and all(map(_positive, v)),
     ),
-    "--reps": ("replications", "an integer >= 1", _integer(1)),
-    "--seed": ("seed", "an integer >= 0", _integer(0)),
-    "--rmin": ("r_grid.min", "a finite number >= 0", lambda v: v is None or _non_negative(v)),
-    "--rmax": ("r_grid.max", "a finite number >= 0", lambda v: v is None or _non_negative(v)),
-    "--points": ("r_grid.points", "an integer >= 2", _integer(2)),
-    "--tol": ("abs_tol", "a finite number > 0", _positive),
-    "--threshold": ("threshold", "a finite number", lambda v: v is None or _real(v)),
+    "--reps": ("replications", "replications", INT, "an integer >= 1", _integer(1)),
+    "--seed": ("seed", "base RNG seed", INT, "an integer >= 0", _integer(0)),
+    "--rmin": (
+        "r_grid.min", "radius grid start (default: lower support)", FLOAT,
+        "a finite number >= 0", lambda v: v is None or _non_negative(v),
+    ),
+    "--rmax": (
+        "r_grid.max", "radius grid end (default: lower support + 4 mean target spacings)",
+        FLOAT, "a finite number >= 0", lambda v: v is None or _non_negative(v),
+    ),
+    "--points": ("r_grid.points", "radius grid size", INT, "an integer >= 2", _integer(2)),
+    "--tol": (
+        "abs_tol", "quadrature absolute tolerance", FLOAT, "a finite number > 0", _positive
+    ),
+    "--threshold": (
+        "threshold", f"sup-distance gate for compare (defaults per case: {GATES})", FLOAT,
+        "a finite number", lambda v: v is None or _real(v),
+    ),
 }
 
 
@@ -188,6 +125,14 @@ def _flat(data: dict) -> dict:
         raise UsageError(f"config key 'r_grid' must be an object, got {grid!r}")
     flat.update((f"r_grid.{key}", value) for key, value in grid.items())
     return flat
+
+
+def _defaults() -> dict:
+    """The config mapping no flag or file has set: ExperimentConfig's
+    defaults with lambda_p = delta = 1, no case and the case's own
+    threshold."""
+    default = ExperimentConfig(ContactCase.PPP_TO_PPP, ProcessParams(1.0, 1.0))
+    return {**_flat(default.to_dict()), "case": None, "threshold": None}
 
 
 def _load_config_file(path: Path) -> dict:
@@ -206,21 +151,19 @@ def _load_config_file(path: Path) -> dict:
 
 
 def _resolve(ns: argparse.Namespace) -> dict:
-    """flag > config file > ExperimentConfig's default; lambda_p = delta = 1,
-    no case and the case's own threshold are the command line's defaults."""
-    default = ExperimentConfig(ContactCase.PPP_TO_PPP, ProcessParams(1.0, 1.0))
-    data = {**_flat(default.to_dict()), "case": None, "threshold": None}
+    """flag > config file > :func:`_defaults`."""
+    data = _defaults()
     if ns.config is not None:
         data.update(_load_config_file(ns.config))
-    for flag, (key, _, _) in CONFIG_FLAGS.items():
+    for flag, (key, *_) in CONFIG_FLAGS.items():
         if getattr(ns, flag[2:]) is not None:
             data[key] = getattr(ns, flag[2:])
-    unknown = sorted(set(data) - {key for key, _, _ in CONFIG_FLAGS.values()})
+    unknown = sorted(set(data) - {key for key, *_ in CONFIG_FLAGS.values()})
     if unknown:
         raise UsageError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
     if _real(data["delta"]):
         data["delta"] = [data["delta"]]
-    for flag, (key, what, test) in CONFIG_FLAGS.items():
+    for flag, (key, _, _, what, test) in CONFIG_FLAGS.items():
         if not test(data[key]):
             value = data[key]
             raise UsageError(f"{flag} (config key {key!r}) must be {what}, got {value!r}")
@@ -234,14 +177,13 @@ def _require_case(data: dict) -> ContactCase:
     return ContactCase(data["case"])
 
 
-def _check_file_names(data: dict, ns: argparse.Namespace) -> None:
+def _check_file_names(data: dict, *paths: Path | None) -> None:
     """Per-delta files carry the delta as ``{delta:g}``, so deltas that print
-    alike would overwrite each other's files: refuse them before any run."""
-    per_delta_out = ns.out is not None and ns.command in ("analytic", "simulate")
-    dumps = ns.dump_patterns is not None and ns.command in ("simulate", "compare")
+    alike would overwrite each other's files in ``paths``, the per-delta
+    outputs a command was given: refuse them before any run."""
     tags = [f"{delta:g}" for delta in data["delta"]]
     clashing = [delta for delta, tag in zip(data["delta"], tags) if tags.count(tag) > 1]
-    if clashing and (per_delta_out or dumps):
+    if clashing and any(path is not None for path in paths):
         raise UsageError(
             f"--delta {' '.join(map(repr, clashing))}: these deltas print alike "
             "in the per-delta file names and would overwrite each other's files"
@@ -264,8 +206,21 @@ def _emit(text: str, path: Path | None) -> None:
         path.write_text(text)
 
 
+def _grid(data: dict, case: ContactCase, params: ProcessParams) -> np.ndarray:
+    """The report radii of one delta, or a usage error that names their flags."""
+    points, r_min, r_max = (data[f"r_grid.{key}"] for key in ("points", "min", "max"))
+    try:
+        return default_r_grid(case, params, points, r_min=r_min, r_max=r_max)
+    except ValueError as exc:
+        raise UsageError(
+            f"--rmin/--rmax with --delta {params.delta:g}: {exc} "
+            "(--rmin defaults to the lower support)"
+        ) from None
+
+
 def _configs(data: dict, case: ContactCase) -> list[ExperimentConfig]:
-    """One config per delta, all checked before the first one runs."""
+    """One config per delta, each with its radius grid checked, all before
+    the first one runs."""
     grid = {key: data[f"r_grid.{key}"] for key in ("min", "max", "points")}
     sides = " ".join(f"{side:g}" for side in data["window"])
     configs = []
@@ -278,48 +233,29 @@ def _configs(data: dict, case: ContactCase) -> list[ExperimentConfig]:
             raise UsageError(f"{flags}: {exc}") from None
         except WindowFloorError as exc:
             raise UsageError(f"--window {sides} --delta {delta:g}: {exc}") from None
+        _grid(data, case, configs[-1].params)
     return configs
 
 
-def _curve_csv(radii, values, errors) -> str:
-    lines = ["r,F,abs_error"]
-    lines += [
-        f"{float(r)!r},{float(v)!r},{float(e)!r}"
-        for r, v, e in zip(radii, values, errors)
-    ]
-    return "\n".join(lines) + "\n"
+def _csv(header: str, *columns: list) -> str:
+    rows = [header] + [",".join(map(repr, row)) for row in zip(*columns)]
+    return "\n".join(rows) + "\n"
 
 
 def cmd_analytic(data: dict, ns: argparse.Namespace) -> int:
+    _check_file_names(data, ns.out)
     case = _require_case(data)
-    many = len(data["delta"]) > 1
-    for delta in data["delta"]:
-        # no config: the window and the replications play no part here
-        params = ProcessParams(data["lambda_p"], delta)
-        grid = default_r_grid(
-            case,
-            params,
-            data["r_grid.points"],
-            r_min=data["r_grid.min"],
-            r_max=data["r_grid.max"],
-        )
-        curve = contact_cdf(RetentionFunction(case, params), grid, data["abs_tol"])
+    # no config: the window and the replications play no part here
+    params = [ProcessParams(data["lambda_p"], delta) for delta in data["delta"]]
+    grids = [_grid(data, case, p) for p in params]
+    for p, grid in zip(params, grids):
+        curve = contact_cdf(RetentionFunction(case, p), grid, data["abs_tol"]).to_dict()
         if ns.format == "json":
-            text = json.dumps(
-                {
-                    "case": case.value,
-                    "lambda_p": params.lambda_p,
-                    "delta": params.delta,
-                    "radii": [float(v) for v in curve.radii],
-                    "F": [float(v) for v in curve.values],
-                    "abs_error": [float(v) for v in curve.abs_error],
-                },
-                sort_keys=True,
-                indent=2,
-            )
+            head = {"case": case.value, "lambda_p": p.lambda_p, "delta": p.delta}
+            text = json.dumps({**head, **curve}, sort_keys=True, indent=2)
         else:
-            text = _curve_csv(curve.radii, curve.values, curve.abs_error)
-        _emit(text, _out_path(ns.out, delta, many))
+            text = _csv("r,F,abs_error", curve["radii"], curve["F"], curve["abs_error"])
+        _emit(text, _out_path(ns.out, p.delta, len(params) > 1))
     return 0
 
 
@@ -336,6 +272,7 @@ def _make_sink(dump_dir: Path | None, case: ContactCase, params: ProcessParams):
 
 
 def cmd_simulate(data: dict, ns: argparse.Namespace) -> int:
+    _check_file_names(data, ns.out, ns.dump_patterns)
     case = _require_case(data)
     configs = _configs(data, case)
     many = len(configs) > 1
@@ -345,23 +282,12 @@ def cmd_simulate(data: dict, ns: argparse.Namespace) -> int:
         start = time.perf_counter()
         empirical = pooled_distances(config, on_pattern=sink)
         radii = config.r_grid()
-        f_hat = empirical.cdf(radii)
-        n = empirical.n
+        f_hat, n = empirical.cdf(radii).tolist(), empirical.n
         if ns.format == "json":
-            text = json.dumps(
-                {
-                    "config": config.to_dict(),
-                    "radii": [float(v) for v in radii],
-                    "F_hat": [float(v) for v in f_hat],
-                    "pooled_samples": n,
-                },
-                sort_keys=True,
-                indent=2,
-            )
+            table = {"config": config.to_dict(), "radii": radii.tolist(), "F_hat": f_hat}
+            text = json.dumps({**table, "pooled_samples": n}, sort_keys=True, indent=2)
         else:
-            lines = ["r,F_hat,n"]
-            lines += [f"{float(r)!r},{float(v)!r},{n}" for r, v in zip(radii, f_hat)]
-            text = "\n".join(lines) + "\n"
+            text = _csv("r,F_hat,n", radii.tolist(), f_hat, [n] * len(f_hat))
         _emit(text, _out_path(ns.out, delta, many))
         print(
             f"simulate {case.value} delta={delta:g}: {n} pooled distances "
@@ -372,6 +298,7 @@ def cmd_simulate(data: dict, ns: argparse.Namespace) -> int:
 
 
 def cmd_compare(data: dict, ns: argparse.Namespace) -> int:
+    _check_file_names(data, ns.dump_patterns)
     case = _require_case(data)
     threshold = data["threshold"]
     if threshold is None:
@@ -381,6 +308,7 @@ def cmd_compare(data: dict, ns: argparse.Namespace) -> int:
     for config in _configs(data, case):
         delta = config.params.delta
         sink = _make_sink(ns.dump_patterns, case, config.params)
+        start = time.perf_counter()
         report = run_experiment(config, on_pattern=sink)
         entry = report.to_dict()
         entry["config"]["threshold"] = threshold
@@ -390,7 +318,7 @@ def cmd_compare(data: dict, ns: argparse.Namespace) -> int:
         print(
             f"compare {case.value} delta={delta:g}: sup_distance="
             f"{report.sup_distance:.5f} threshold={threshold:g} "
-            f"({report.runtime_seconds:.2f} s)",
+            f"({time.perf_counter() - start:.2f} s)",
             file=sys.stderr,
         )
     _emit(json.dumps({"reports": entries}, sort_keys=True, indent=2), ns.out)
@@ -398,18 +326,17 @@ def cmd_compare(data: dict, ns: argparse.Namespace) -> int:
 
 
 def cmd_density(data: dict, ns: argparse.Namespace) -> int:
-    # density thins as mhc-mhc does, so the same window floor applies
-    configs = _configs(data, ContactCase.MHC_TO_MHC)
+    # density counts the MHC points of mhc-mhc's patterns, so the same window
+    # floor applies; it writes no radii, so --rmin and --rmax play no part
+    radii_unset = {"r_grid.min": None, "r_grid.max": None}
+    configs = _configs({**data, **radii_unset}, ContactCase.MHC_TO_MHC)
     rows = ["delta analytic_intensity mc_intensity mc_stderr"]
     for config in configs:
         params, window = config.params, config.window
         densities = []
         for rep in range(config.replications):
-            pattern = thin_mhc_type2(
-                sample_ppp(params.lambda_p, window, (config.seed, rep, 0)),
-                params.delta,
-            )
-            densities.append(pattern.count(1) / window.area)
+            pattern = replication_patterns(config, rep)["pattern"]
+            densities.append(pattern.count(PointLabel.MHC) / window.area)
         densities_arr = np.asarray(densities)
         se = (
             float(densities_arr.std(ddof=1) / np.sqrt(len(densities_arr)))
@@ -424,27 +351,58 @@ def cmd_density(data: dict, ns: argparse.Namespace) -> int:
     return 0
 
 
+# subcommand -> handler and help text
+COMMANDS = {
+    "analytic": (cmd_analytic, "write analytic CDF curve(s), one per delta"),
+    "simulate": (cmd_simulate, "run seeded experiments and write empirical CDF(s)"),
+    "compare": (cmd_compare, "full analytic-vs-simulation pipeline with threshold gate"),
+    "density": (cmd_density, "print closed-form thinned intensity next to its MC estimate"),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="matern-contact",
+        description=(
+            "Contact-distance distributions for Matern type-II hard-core "
+            "point processes: analytic curves, simulation, and comparison."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    defaults = _defaults()
+    for name, (_, summary) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, (key, text, options, *_) in CONFIG_FLAGS.items():
+            if defaults[key] is not None:
+                shown = " ".join(f"{v:g}" for v in np.atleast_1d(defaults[key]))
+                text = f"{text} (default {shown})"
+            command.add_argument(flag, help=text, **options)
+        command.add_argument("--out", type=Path, help="output path (default: stdout)")
+        command.add_argument(
+            "--format",
+            choices=("csv", "json"),
+            default="csv",
+            help="curve output format (default %(default)s)",
+        )
+        command.add_argument(
+            "--dump-patterns", type=Path, help="directory for per-replication pattern dumps"
+        )
+        command.add_argument(
+            "--config",
+            type=Path,
+            help="JSON config file (or a compare report); explicit flags override it",
+        )
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
         data = _resolve(ns)
-        _check_file_names(data, ns)
-        command = {
-            "analytic": cmd_analytic,
-            "simulate": cmd_simulate,
-            "compare": cmd_compare,
-            "density": cmd_density,
-        }[ns.command]
-        return command(data, ns)
+        return COMMANDS[ns.command][0](data, ns)
     except (UsageError, ValueError, OSError, KeyError, QuadratureError) as exc:
-        # a quadrature stalls only on a tolerance below what doubles resolve
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        # a replication that failed on bad input is a usage error as well
-        if not isinstance(exc.__cause__, ValueError):
-            raise
+        # a quadrature stalls only on a tolerance below what doubles resolve,
+        # and a replication with too few points raises InsufficientDataError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,12 @@ Nearest-neighbour distances on the torus come from scipy's periodic k-d tree
 and equal a brute-force minimum-image scan bit for bit. They come out in the
 order the pattern stores its points, which ``sample_ppp`` makes spatial.
 
+:func:`replication_patterns` is the one recipe for the patterns of a
+replication: the seeds of ``SEED_SCHEME`` and the thinning each case calls
+for. :func:`pooled_distances` and the command line's ``density`` both use it.
+Wall-clock times stay out of everything here, so that reports of the same
+config and seed are byte-identical.
+
 Nearest-neighbour samples from one realisation are spatially correlated, so
 the sup distance reported here is a descriptive statistic checked against
 fixed thresholds, never a formal hypothesis test.
@@ -13,8 +19,7 @@ fixed thresholds, never a formal hypothesis test.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,6 +55,7 @@ __all__ = [
     "nn_distances_cross",
     "nn_distances_within",
     "pooled_distances",
+    "replication_patterns",
     "run_experiment",
 ]
 
@@ -207,40 +213,49 @@ class ExperimentConfig:
 PatternSink = Callable[[int, str, MarkedPattern], None]
 
 
-def _replication_distances(
-    config: ExperimentConfig, rep: int
-) -> tuple[np.ndarray, list[tuple[str, MarkedPattern]]]:
+def replication_patterns(config: ExperimentConfig, rep: int) -> dict[str, MarkedPattern]:
+    """The patterns replication ``rep`` of ``config`` generates, by role.
+
+    Parent pattern ``i`` of the replication is drawn from
+    ``SeedSequence((config.seed, rep, i))``, as ``SEED_SCHEME`` states.
+    ppp-ppp uses one unthinned pattern, ppp-mhc an unthinned source (i = 0)
+    and a thinned target (i = 1), drawn in that order, and mhc-mhc and
+    cmhc-mhc one thinned pattern (i = 0).
+    """
     case, params = config.case, config.params
 
     def parents(index: int) -> MarkedPattern:
         return sample_ppp(params.lambda_p, config.window, (config.seed, rep, index))
 
     if case is ContactCase.PPP_TO_PPP:
-        pat = parents(0)
-        return nn_distances_within(pat, PointLabel.PARENT), [("pattern", pat)]
+        return {"pattern": parents(0)}
     if case is ContactCase.PPP_TO_MHC:
-        source = parents(0)
-        target = thin_mhc_type2(parents(1), params.delta)
-        distances = nn_distances_cross(source, PointLabel.PARENT, target, PointLabel.MHC)
-        return distances, [("source", source), ("target", target)]
-    pat = thin_mhc_type2(parents(0), params.delta)
+        return {"source": parents(0), "target": thin_mhc_type2(parents(1), params.delta)}
+    return {"pattern": thin_mhc_type2(parents(0), params.delta)}
+
+
+def _case_distances(case: ContactCase, patterns: dict[str, MarkedPattern]) -> np.ndarray:
+    """The nearest-neighbour distances of one replication's patterns."""
+    if case is ContactCase.PPP_TO_MHC:
+        source, target = patterns["source"], patterns["target"]
+        return nn_distances_cross(source, PointLabel.PARENT, target, PointLabel.MHC)
+    pat = patterns["pattern"]
+    if case is ContactCase.PPP_TO_PPP:
+        return nn_distances_within(pat, PointLabel.PARENT)
     if case is ContactCase.MHC_TO_MHC:
-        return nn_distances_within(pat, PointLabel.MHC), [("pattern", pat)]
-    distances = nn_distances_cross(pat, PointLabel.CMHC, pat, PointLabel.MHC)
-    return distances, [("pattern", pat)]
+        return nn_distances_within(pat, PointLabel.MHC)
+    return nn_distances_cross(pat, PointLabel.CMHC, pat, PointLabel.MHC)
 
 
 @dataclass
 class ComparisonReport:
     """Analytic curve, pooled empirical distances, and their sup distance for
-    one experiment. ``runtime_seconds`` is informational and excluded from the
-    serialised form so identical (config, seed) runs serialise identically."""
+    one experiment."""
 
     config: ExperimentConfig
     analytic: CdfCurve
     empirical: EmpiricalDistribution
     sup_distance: float
-    runtime_seconds: float
 
     def to_dict(self) -> dict:
         return {
@@ -254,11 +269,7 @@ class ComparisonReport:
                 "max": float(self.empirical.samples[-1]),
                 "F_hat": [float(v) for v in self.empirical.cdf(self.analytic.radii)],
             },
-            "analytic": {
-                "radii": [float(v) for v in self.analytic.radii],
-                "F": [float(v) for v in self.analytic.values],
-                "abs_error": [float(v) for v in self.analytic.abs_error],
-            },
+            "analytic": self.analytic.to_dict(),
         }
 
 
@@ -269,18 +280,19 @@ def pooled_distances(
     nearest-neighbour distances across replications.
 
     ``on_pattern`` receives every generated pattern (replication index, role,
-    pattern) — used for optional pattern dumps.
+    pattern) — used for optional pattern dumps. A replication with too few
+    points raises :class:`InsufficientDataError` naming its index.
     """
     chunks: list[np.ndarray] = []
     for rep in range(config.replications):
+        patterns = replication_patterns(config, rep)
         try:
-            distances, patterns = _replication_distances(config, rep)
-        except Exception as exc:
-            raise RuntimeError(f"replication {rep} failed: {exc}") from exc
+            chunks.append(_case_distances(config.case, patterns))
+        except InsufficientDataError as exc:
+            raise InsufficientDataError(f"replication {rep} failed: {exc}") from exc
         if on_pattern is not None:
-            for role, pattern in patterns:
+            for role, pattern in patterns.items():
                 on_pattern(rep, role, pattern)
-        chunks.append(distances)
     return empirical_cdf(np.concatenate(chunks))
 
 
@@ -289,7 +301,6 @@ def run_experiment(
 ) -> ComparisonReport:
     """Pool nearest-neighbour distances as :func:`pooled_distances` does and
     compare them against the analytic curve."""
-    start = time.perf_counter()
     emp = pooled_distances(config, on_pattern)
     eta = RetentionFunction(config.case, config.params)
     grid = config.r_grid()
@@ -302,5 +313,4 @@ def run_experiment(
         analytic=curve.restricted(grid),
         empirical=emp,
         sup_distance=sup,
-        runtime_seconds=time.perf_counter() - start,
     )

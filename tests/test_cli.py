@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import matern_contact
-from matern_contact import load_pattern
-from matern_contact.cli import main
+from matern_contact import (
+    ContactCase, ExperimentConfig, PointLabel, ProcessParams, load_pattern
+)
+from matern_contact.cli import CASE_THRESHOLDS, COMMANDS, CONFIG_FLAGS, main
 
 
 def read_csv(path):
@@ -184,6 +187,47 @@ def test_compare_flag_overrides_config_file(tmp_path):
     assert json.loads(out.read_text())["reports"][0]["config"]["seed"] == 9
 
 
+def test_density_counts_the_patterns_that_compare_dumps(capsys, tmp_path):
+    # both commands draw each replication's pattern by the one seed scheme
+    flags = ["--delta", "0.5", "--window", "30", "--reps", "2", "--seed", "6"]
+    assert main(["density", *flags]) == 0
+    mc = capsys.readouterr().out.splitlines()[1].split()[2]
+    dumps = tmp_path / "dumps"
+    argv = ["compare", "--case", "mhc-mhc", *flags, "--dump-patterns", str(dumps)]
+    assert main(argv + ["--threshold", "1", "--out", str(tmp_path / "r.json")]) == 0
+    patterns = [load_pattern(path)[0] for path in sorted(dumps.glob("*.txt"))]
+    assert len(patterns) == 2
+    densities = [p.count(PointLabel.MHC) / p.window.area for p in patterns]
+    assert f"{float(np.mean(densities)):.6f}" == mc
+
+
+def test_help_lists_every_config_flag_with_its_default(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "500")  # no help text is wrapped
+    default = ExperimentConfig(ContactCase.PPP_TO_PPP, ProcessParams(1.0, 1.0))
+    shown = {
+        "--lambda": "(default 1)",
+        "--delta": "(default 1)",
+        "--window": f"(default {default.window.width:g} {default.window.height:g})",
+        "--reps": f"(default {default.replications})",
+        "--seed": f"(default {default.seed})",
+        "--points": f"(default {default.r_points})",
+        "--tol": f"(default {default.abs_tol:g})",
+        "--threshold": ", ".join(
+            f"{case.value} {gate:g}" for case, gate in CASE_THRESHOLDS.items()
+        ),
+    }
+    for command in COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        # one entry per option: its flag, its metavar and its help text
+        entries = re.split(r"\n  (?=-)", capsys.readouterr().out)[1:]
+        help_of = {entry.split()[0]: " ".join(entry.split()) for entry in entries}
+        for flag in CONFIG_FLAGS:
+            assert flag in help_of, (command, flag)
+            assert shown.get(flag, "") in help_of[flag], (command, flag, help_of[flag])
+
+
 def test_density_prints_analytic_and_mc_side_by_side(capsys):
     code = main(
         ["density", "--lambda", "1", "--delta", "1", "--window", "30",
@@ -223,6 +267,12 @@ def test_usage_errors_exit_two(capsys):
         # a negative radius would otherwise be written as a report row
         (["simulate", "--case", "ppp-ppp", "--rmin", "-1", "--points", "3",
           "--window", "20", "--reps", "1"], "--rmin"),
+        # --rmax below the lower support, where --rmin starts by default
+        (["analytic", "--case", "mhc-mhc", "--rmax", "0.5", "--points", "3"], "--rmax"),
+        (["compare", "--case", "mhc-mhc", "--delta", "0.25", "1", "--rmax", "0.5",
+          "--points", "3", "--window", "30", "--reps", "1"], "--rmax"),
+        (["simulate", "--case", "mhc-mhc", "--rmax", "0.5", "--points", "3",
+          "--window", "30", "--reps", "1"], "--rmax"),
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -270,6 +320,22 @@ def test_a_sweep_checks_every_delta_before_the_first_runs(capsys, tmp_path):
         assert err.startswith("error: --window 20 20 --delta 3: "), err
         assert err.count("\n") == 1, err
         assert not list(tmp_path.glob(f"{argv[0]}*")), argv
+
+
+def test_an_empty_radius_range_stops_every_delta_before_the_first_runs(capsys, tmp_path):
+    # only the second delta's lower support lies above --rmax
+    sweep = ["--case", "mhc-mhc", "--delta", "0.25", "1", "--rmax", "0.5",
+             "--points", "3", "--window", "30", "--reps", "1"]
+    for command in ("analytic", "simulate", "compare"):
+        out, dumps = tmp_path / f"{command}.out", tmp_path / f"{command}_dumps"
+        argv = [command, *sweep, "--out", str(out), "--dump-patterns", str(dumps)]
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        # the error is all there is: no delta ran and nothing was written
+        assert err.startswith("error: --rmin/--rmax with --delta 1: "), err
+        assert "--rmin defaults to the lower support" in err, err
+        assert err.count("\n") == 1, err
+        assert not list(tmp_path.iterdir()), argv
 
 
 def test_deltas_that_share_a_file_name_exit_two(capsys, tmp_path):

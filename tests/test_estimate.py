@@ -27,7 +27,7 @@ from matern_contact import (
     thin_mhc_type2,
 )
 from matern_contact.analytic import default_r_grid, extend_curve
-from matern_contact.estimate import empirical_cdf, ks_sup_distance
+from matern_contact.estimate import empirical_cdf, ks_sup_distance, replication_patterns
 from oracles import brute_nn_cross, brute_nn_within, brute_sup_distance, on_the_seam
 
 P11 = ProcessParams(1.0, 1.0)
@@ -353,8 +353,26 @@ class TestRunExperiment:
             replications=2,
             seed=5,
         )
-        with pytest.raises(RuntimeError, match="replication 0"):
+        with pytest.raises(InsufficientDataError, match="replication 0"):
             run_experiment(config)
+
+    @pytest.mark.parametrize("case", list(ContactCase))
+    def test_replication_patterns_follow_the_seed_scheme(self, case):
+        config = ExperimentConfig(case, P11, Window(30.0, 30.0), replications=3, seed=8)
+        patterns = replication_patterns(config, 2)
+        if case is ContactCase.PPP_TO_MHC:
+            assert list(patterns) == ["source", "target"]
+            expected = [sample_ppp(1.0, config.window, (8, 2, 0)),
+                        thin_mhc_type2(sample_ppp(1.0, config.window, (8, 2, 1)), 1.0)]
+        else:
+            assert list(patterns) == ["pattern"]
+            parents = sample_ppp(1.0, config.window, (8, 2, 0))
+            thinned = case is not ContactCase.PPP_TO_PPP
+            expected = [thin_mhc_type2(parents, 1.0) if thinned else parents]
+        for got, want in zip(patterns.values(), expected):
+            assert got.seed == want.seed
+            for column in ("x", "y", "mark", "label"):
+                assert np.array_equal(getattr(got, column), getattr(want, column))
 
     def test_sup_distance_sees_the_kink_at_delta(self):
         # a removed observer's F bends sharply at delta; interpolated linearly
