@@ -6,12 +6,18 @@ carries the smallest mark inside its competition region, so survival
 probabilities are uniform-mark averages of exp(-intensity * exposed area),
 with the exposed areas supplied by :mod:`.geometry`.
 
-The ``retention_*`` profiles are first-order: they condition on a void of
-*parent* points. :class:`RetentionFunction`, which feeds :func:`contact_cdf`,
-corrects them to the hazard ratio of the Mecke/Hanisch identity,
+The first-order profiles (:func:`pair_retention` over :func:`mhc_retention`,
+and :func:`retention_ppp_to_mhc`) condition on a void of *parent* points.
+:class:`RetentionFunction`, which feeds :func:`contact_cdf`, corrects them to
+the hazard ratio of the Mecke/Hanisch identity,
 lambda_p * eta(r) = lambda_t * g(r) * P^{o,x}(void) / P^{o}(void), with the
 pair correlation g in closed form and the void ratio from a one-step closure
 on the first-order hazard (see :class:`RetentionFunction`).
+
+The kernels below :class:`RetentionFunction` are array-only building blocks
+for delta > 0: they take node arrays of any shape and return arrays of the
+same shape. :class:`RetentionFunction` is the one place that takes scalars and
+handles delta = 0, where every case is a plain Poisson process.
 """
 
 from __future__ import annotations
@@ -32,17 +38,10 @@ __all__ = [
     "ProcessParams",
     "QuadratureError",
     "RetentionFunction",
-    "cmhc_pair_retention",
     "contact_cdf",
     "default_r_grid",
-    "expm1_ratio",
     "extend_curve",
     "mhc_intensity",
-    "mhc_retention",
-    "pair_retention",
-    "pair_retention_unconditional",
-    "retention_mhc_to_mhc",
-    "retention_ppp_to_mhc",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -64,7 +63,9 @@ class QuadratureError(ArithmeticError):
 class ProcessParams:
     """Parent Poisson intensity and hard-core distance.
 
-    ``delta = 0`` degenerates to a plain Poisson process (no thinning).
+    ``delta = 0`` degenerates to a plain Poisson process (no thinning). A
+    ``delta > 0`` must leave pi * delta**2 and lambda_p * pi * delta**2
+    finite normal doubles, which every closed form divides by.
     """
 
     lambda_p: float
@@ -77,6 +78,14 @@ class ProcessParams:
             raise ValueError(f"lambda_p must be finite and > 0, got {self.lambda_p!r}")
         if not (math.isfinite(delta) and delta >= 0.0):
             raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
+        # multiplied, not squared: a float power raises OverflowError
+        ball = math.pi * delta * delta
+        normal = [np.finfo(float).tiny <= x < math.inf for x in (ball, lam * ball)]
+        if delta > 0.0 and not all(normal):
+            raise ValueError(
+                f"delta = {self.delta!r} with lambda_p = {self.lambda_p!r}: pi*delta**2 "
+                "and lambda_p*pi*delta**2 must be finite normal doubles"
+            )
         object.__setattr__(self, "lambda_p", lam)
         object.__setattr__(self, "delta", delta)
 
@@ -112,8 +121,6 @@ def expm1_ratio(x: FloatOrArray) -> FloatOrArray:
 def mhc_retention(params: ProcessParams) -> float:
     """Probability that a parent point survives the type-II thinning,
     (1 - exp(-lambda_p * pi * delta**2)) / (lambda_p * pi * delta**2)."""
-    if params.delta == 0.0:
-        return 1.0
     return float(expm1_ratio(params.lambda_p * params.ball_area))
 
 
@@ -129,13 +136,13 @@ def _pair_retention_active(r: np.ndarray, params: ProcessParams) -> np.ndarray:
     ball = params.ball_area
     l1 = lens_symmetric(r, params.delta)
     l2 = lens_asymmetric(r, params.delta)
-    if __debug__:
-        # all four denominators are provably positive on r > delta
-        floor = 1e-14 * ball * ball
-        assert np.all((ball - l2) * ball > floor)
-        assert np.all((ball - l2) * (2.0 * ball - l2) > floor)
-        assert np.all((ball - l1) * ball > floor)
-        assert np.all((ball + l1 - l2) * ball > floor)
+    # on r > delta, l1 <= l2 < ball, so this bounds all four denominators
+    # below; the lens areas cancel at r >> delta and can break it
+    if not np.all(ball - l2 > 1e-14 * ball):
+        raise ValueError(
+            f"lens areas lost their precision at radii up to {float(np.max(r))!r} "
+            f"(lambda_p = {lam!r}, delta = {params.delta!r})"
+        )
     a = lam * ball  # reference-point exposure
     b = lam * (ball - l2)  # candidate exposure when its mark is the lower one
     c = lam * (ball + l1 - l2)  # candidate exposure when its mark is the higher one
@@ -145,76 +152,43 @@ def _pair_retention_active(r: np.ndarray, params: ProcessParams) -> np.ndarray:
     return low + high
 
 
-def pair_retention(r: FloatOrArray, params: ProcessParams) -> FloatOrArray:
+def pair_retention(r: np.ndarray, params: ProcessParams) -> np.ndarray:
     """Probability that a candidate point at distance ``r`` and the reference
     point both survive thinning, given the annulus between the hard-core disk
-    and the candidate is void of parent points. Exactly 0 for r <= delta."""
-    scalar = np.ndim(r) == 0
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if params.delta == 0.0:
-        out = (r_arr > 0.0).astype(float)
-    else:
-        out = np.zeros(r_arr.shape)
-        active = r_arr > params.delta
-        if np.any(active):  # speed guard
-            out[active] = _pair_retention_active(r_arr[active], params)
-    return float(out[0]) if scalar else out
+    and the candidate is void of parent points. Exactly 0 for r <= delta;
+    over :func:`mhc_retention`, the first-order mhc-mhc profile."""
+    out = np.zeros(r.shape)
+    active = r > params.delta
+    if np.any(active):  # speed guard
+        out[active] = _pair_retention_active(r[active], params)
+    return out
 
 
-def retention_mhc_to_mhc(r: FloatOrArray, params: ProcessParams) -> FloatOrArray:
-    """Conditional retention probability of a candidate at distance ``r`` when
-    the reference point itself belongs to the thinned process. Zero on the
-    hard-core range r <= delta."""
-    if params.delta == 0.0:
-        return _ones_like(r)
-    return pair_retention(r, params) / mhc_retention(params)
+def _void_lens(r: np.ndarray, delta: float) -> np.ndarray:
+    """lens_asymmetric(r, delta), and 0 at r = 0, where it is undefined."""
+    l2 = np.zeros(r.shape)
+    pos = r > 0.0
+    if np.any(pos):  # speed guard
+        l2[pos] = lens_asymmetric(r[pos], delta)
+    return l2
 
 
-def retention_ppp_to_mhc(r: FloatOrArray, params: ProcessParams) -> FloatOrArray:
+def retention_ppp_to_mhc(r: np.ndarray, params: ProcessParams) -> np.ndarray:
     """Conditional retention probability of a candidate at distance ``r`` from
     an independent observer whose ball of radius ``r`` is void of parent
     points. Tends to the unconditional retention probability as r -> 0."""
-    if params.delta == 0.0:
-        return _ones_like(r)
-    scalar = np.ndim(r) == 0
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    l2 = np.zeros(r_arr.shape)
-    pos = r_arr > 0.0
-    if np.any(pos):  # speed guard
-        l2[pos] = lens_asymmetric(r_arr[pos], params.delta)
-    out = expm1_ratio(params.lambda_p * (params.ball_area - l2))
-    out = np.atleast_1d(out)
-    return float(out[0]) if scalar else out
-
-
-def _ones_like(r: FloatOrArray) -> FloatOrArray:
-    if np.ndim(r) == 0:
-        return 1.0
-    return np.ones(np.shape(r))
+    return expm1_ratio(params.lambda_p * (params.ball_area - _void_lens(r, params.delta)))
 
 
 def _pair_free(l1: np.ndarray, params: ProcessParams) -> np.ndarray:
-    """k(r) above the hard-core distance, from the shared lens area ``l1``."""
+    """Matern II two-point retention k(r) for r > delta, from the shared lens
+    area ``l1`` = lens_symmetric(r, delta): the probability that two parent
+    points at distance r both survive thinning, with no void conditioning.
+    k(r) is 0 for r <= delta and mhc_retention**2 once the competition disks
+    separate (r > 2 * delta, l1 = 0)."""
     a = params.lambda_p * params.ball_area
     b = params.lambda_p * (params.ball_area - l1)
     return 2.0 * (expm1_ratio(a) - expm1_ratio(a + b)) / b
-
-
-def pair_retention_unconditional(r: FloatOrArray, params: ProcessParams) -> FloatOrArray:
-    """Matern II two-point retention k(r): probability that two parent points
-    at distance ``r`` both survive thinning, with no void conditioning.
-    Exactly 0 for r <= delta and mhc_retention**2 once the competition disks
-    separate (r > 2 * delta)."""
-    scalar = np.ndim(r) == 0
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if params.delta == 0.0:
-        out = (r_arr > 0.0).astype(float)
-    else:
-        out = np.zeros(r_arr.shape)
-        active = r_arr > params.delta
-        if np.any(active):  # speed guard
-            out[active] = _pair_free(lens_symmetric(r_arr[active], params.delta), params)
-    return float(out[0]) if scalar else out
 
 
 # Taylor coefficients of E(c) = (1 - exp(-c)) / c and of the rival-mark
@@ -251,20 +225,18 @@ def _homogeneous_sums(a: float, z: np.ndarray) -> list[np.ndarray]:
     return h
 
 
-def cmhc_pair_retention(s: FloatOrArray, params: ProcessParams) -> FloatOrArray:
+def cmhc_pair_retention(s: np.ndarray, params: ProcessParams) -> np.ndarray:
     """Probability that two parent points at distance ``s``, both within
     ``delta`` of a third parent o, survive thinning while o competes with
     each: 2 * (W(a) - W(a + b)) / b with W the rival-mark average
     (c - 1 + exp(-c)) / c**2, a = lambda_p * pi * delta**2 and
     b = lambda_p * (pi * delta**2 - lens_symmetric(s, delta)). Exactly 0 for
     s <= delta, where the two points compete with each other."""
-    scalar = np.ndim(s) == 0
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.zeros(s_arr.shape)
-    active = s_arr > params.delta
-    if params.delta > 0.0 and np.any(active):  # speed guard
+    out = np.zeros(s.shape)
+    active = s > params.delta
+    if np.any(active):  # speed guard
         a = params.lambda_p * params.ball_area
-        b = params.lambda_p * (params.ball_area - lens_symmetric(s_arr[active], params.delta))
+        b = params.lambda_p * (params.ball_area - lens_symmetric(s[active], params.delta))
         z = a + b
         value = 2.0 * (_below_rival(a) - _below_rival(z)) / b
         small = z <= 1.0
@@ -273,7 +245,7 @@ def cmhc_pair_retention(s: FloatOrArray, params: ProcessParams) -> FloatOrArray:
             h = _homogeneous_sums(a, z[small])
             value[small] = -2.0 * sum(_W_SERIES[k] * h[k - 1] for k in range(1, len(h)))
         out[active] = value
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _removed_pair_correlation(u: np.ndarray, params: ProcessParams) -> np.ndarray:
@@ -301,20 +273,6 @@ def _removed_pair_correlation(u: np.ndarray, params: ProcessParams) -> np.ndarra
     return g
 
 
-# Inner rule for the integrals inside eta: a fine Gauss rule and a coarse one
-# whose difference estimates the fine rule's error, evaluated on one array.
-_INNER_FINE_X, _INNER_FINE_W = leggauss(12)
-_INNER_COARSE_X, _INNER_COARSE_W = leggauss(8)
-_INNER_X = np.concatenate([_INNER_FINE_X, _INNER_COARSE_X])
-_INNER_SPLIT = len(_INNER_FINE_X)
-
-
-def _inner_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fine and coarse nodes, one row per interval, and the half-widths."""
-    half = 0.5 * (hi - lo)
-    return (0.5 * (lo + hi))[:, None] + half[:, None] * _INNER_X, half
-
-
 def _weighted_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Row-wise sum of values[:, j] * weights[j], taken in column order. A
     BLAS product may change its summation order with the number of rows, so
@@ -325,16 +283,39 @@ def _weighted_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return total
 
 
-def _inner_sum(values: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise fine-rule integral and its error estimate."""
-    fine = half * _weighted_rows(values[:, :_INNER_SPLIT], _INNER_FINE_W)
-    coarse = half * _weighted_rows(values[:, _INNER_SPLIT:], _INNER_COARSE_W)
-    return fine, np.abs(fine - coarse)
+class _RulePair:
+    """A fine Gauss-Legendre rule and a coarse one whose difference estimates
+    the fine rule's error, with the nodes of both in one array, fine first."""
+
+    def __init__(self, fine: int, coarse: int):
+        fine_x, self.fine_w = leggauss(fine)
+        coarse_x, self.coarse_w = leggauss(coarse)
+        self.x = np.concatenate([fine_x, coarse_x])
+
+    def nodes(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes of both rules, one row per interval, and the half-widths."""
+        half = 0.5 * (hi - lo)
+        return (0.5 * (lo + hi))[:, None] + half[:, None] * self.x, half
+
+    def fine(self, values: np.ndarray, half: np.ndarray) -> np.ndarray:
+        """Row-wise fine-rule integral; reads only the fine columns."""
+        return half * _weighted_rows(values[:, : len(self.fine_w)], self.fine_w)
+
+    def integral(self, values: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row-wise fine-rule integral and its error estimate."""
+        fine = self.fine(values, half)
+        coarse = half * _weighted_rows(values[:, len(self.fine_w) :], self.coarse_w)
+        return fine, np.abs(fine - coarse)
+
+
+# the integrals inside eta, and the hazard panels of contact_cdf
+_INNER = _RulePair(12, 8)
+_PANEL = _RulePair(21, 10)
 
 
 def _inner_gauss(fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    nodes, half = _inner_nodes(lo, hi)
-    return _inner_sum(fn(nodes), half)
+    nodes, half = _INNER.nodes(lo, hi)
+    return _INNER.integral(fn(nodes), half)
 
 
 def _split_integral(
@@ -377,11 +358,7 @@ def _eta_ppp_to_mhc(r: np.ndarray, params: ProcessParams) -> tuple[np.ndarray, n
     the first-order hazard H0 over the part of the ball that the candidate's
     own disk does not already keep free of survivors (area pi * r_e**2)."""
     lam, d = params.lambda_p, params.delta
-    l2 = np.zeros(r.shape)
-    pos = r > 0.0
-    if np.any(pos):  # speed guard
-        l2[pos] = lens_asymmetric(r[pos], d)
-    r_e = np.sqrt(np.maximum(r * r - l2 / math.pi, 0.0))
+    r_e = np.sqrt(np.maximum(r * r - _void_lens(r, d) / math.pi, 0.0))
 
     def density(u):
         return TWO_PI * lam * u * retention_ppp_to_mhc(u, params)
@@ -407,7 +384,7 @@ def _eta_mhc_to_mhc(r: np.ndarray, params: ProcessParams) -> tuple[np.ndarray, n
     r_e = np.sqrt(np.maximum(ra * ra - (l2 - l1) / math.pi, d * d))
 
     def density(u):
-        return TWO_PI * lam * u * retention_mhc_to_mhc(u, params)
+        return TWO_PI * lam * u * (pair_retention(u, params) / mhc_retention(params))
 
     dh, dh_err = _split_integral(density, r_e, ra, 2.0 * d, False)
     eta[active] = _pair_free(l1, params) / mhc_retention(params) * np.exp(dh)
@@ -438,16 +415,16 @@ def _removed_contact(
     if np.any(pairs):  # speed guard
         rp = rho[pairs]
         # s = 2 rho - v**2 smooths the lens edge at s = 2 rho
-        v, half = _inner_nodes(np.zeros(rp.shape), np.sqrt(2.0 * rp - d))
+        v, half = _INNER.nodes(np.zeros(rp.shape), np.sqrt(2.0 * rp - d))
         s = 2.0 * rp[:, None] - v * v
         # 1 - p = a * W(a) keeps its precision at small a
         a = lam * params.ball_area
         scale = lam * lam / (a * _below_rival(a))
         weight = scale * 2.0 * v * TWO_PI * s * cmhc_pair_retention(s, params)
-        m2, m2_err = _inner_sum(weight * lens_symmetric(s, rp[:, None]), half)
+        m2, m2_err = _INNER.integral(weight * lens_symmetric(s, rp[:, None]), half)
         # d/drho lens_symmetric(s, rho) = 4 rho arccos(s / (2 rho))
         arc = np.arccos(np.minimum(s / (2.0 * rp[:, None]), 1.0))
-        dm2, dm2_err = _inner_sum(weight * 4.0 * rp[:, None] * arc, half)
+        dm2, dm2_err = _INNER.integral(weight * 4.0 * rp[:, None] * arc, half)
         void[pairs] += 0.5 * m2
         fp[pairs] -= 0.5 * dm2
         void_err[pairs] = 0.5 * m2_err
@@ -538,8 +515,9 @@ class RetentionFunction:
     :func:`_removed_contact`). eta is a hazard ratio, not a probability, and
     exceeds 1 where the source attracts targets (removed observers).
 
-    ``eta(r)`` is a plain callable on arrays; ``eta(r, with_error=True)``
-    also returns an error estimate for the inner integrals it evaluates.
+    ``eta(r)`` takes a scalar or an array of any shape and is 1 for ppp-ppp
+    and at delta = 0; ``eta(r, with_error=True)`` also returns an error
+    estimate for the inner integrals it evaluates.
     """
 
     case: ContactCase
@@ -605,10 +583,6 @@ class CdfCurve:
     def abs_error(self) -> np.ndarray:
         return np.exp(-self.hazard) * self.hazard_error
 
-    @property
-    def lower_support(self) -> float:
-        return RetentionFunction(self.case, self.params).lower_support
-
     def evaluate(self, x: FloatOrArray) -> FloatOrArray:
         """Monotone (linear) interpolation of F on the curve's grid; 0 below it."""
         scalar = np.ndim(x) == 0
@@ -642,10 +616,6 @@ class CdfCurve:
         )
 
 
-_NODES_COARSE, _WEIGHTS_COARSE = leggauss(10)
-_NODES_FINE, _WEIGHTS_FINE = leggauss(21)
-_NODES = np.concatenate([_NODES_FINE, _NODES_COARSE])
-_FINE = len(_NODES_FINE)
 _MAX_BISECTIONS = 48
 # exp(-H) underflows F's complement long before this hazard
 _MAX_HAZARD = 700.0
@@ -661,15 +631,11 @@ def _panel_rules(
     fine-rule integral of the integrand's own error estimate, for each panel
     [lo[i], hi[i]]. ``fn`` maps nodes to (values, errors) and sees the nodes
     of both rules on every panel in one array."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _NODES
+    nodes, half = _PANEL.nodes(lo, hi)
     values, errors = fn(nodes.ravel())
-    values = values.reshape(nodes.shape)
-    fine = half * _weighted_rows(values[:, :_FINE], _WEIGHTS_FINE)
-    coarse = half * _weighted_rows(values[:, _FINE:], _WEIGHTS_COARSE)
-    inner = half * _weighted_rows(errors.reshape(nodes.shape)[:, :_FINE], _WEIGHTS_FINE)
-    return fine.tolist(), np.abs(fine - coarse).tolist(), inner.tolist()
+    fine, err = _PANEL.integral(values.reshape(nodes.shape), half)
+    inner = _PANEL.fine(errors.reshape(nodes.shape), half)
+    return fine.tolist(), err.tolist(), inner.tolist()
 
 
 def _integrate_panel(
@@ -738,10 +704,7 @@ def _accumulate_hazard(
     lam = eta.params.lambda_p
 
     def integrand(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(eta, RetentionFunction):
-            values, errors = eta(r, with_error=True)
-        else:
-            values, errors = np.asarray(eta(r), dtype=float), np.zeros(r.shape)
+        values, errors = eta(r, with_error=True)
         return TWO_PI * lam * r * values, TWO_PI * lam * r * errors
 
     cuts = _lens_breakpoints(eta.params, start, float(targets[-1]))

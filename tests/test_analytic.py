@@ -14,6 +14,7 @@ from matern_contact.analytic import (
     ProcessParams,
     QuadratureError,
     RetentionFunction,
+    _pair_free,
     cmhc_pair_retention,
     contact_cdf,
     default_r_grid,
@@ -22,11 +23,9 @@ from matern_contact.analytic import (
     mhc_intensity,
     mhc_retention,
     pair_retention,
-    pair_retention_unconditional,
-    retention_mhc_to_mhc,
     retention_ppp_to_mhc,
 )
-from matern_contact.geometry import lens_asymmetric
+from matern_contact.geometry import lens_asymmetric, lens_symmetric
 from oracles import (
     ResolutionError,
     cumulative_quad,
@@ -117,15 +116,14 @@ class TestIntensityAndRetention:
 
 class TestPairRetention:
     def test_zero_on_hard_core_range(self):
-        assert pair_retention(0.5, P11) == 0.0
-        assert pair_retention(1.0, P11) == 0.0
+        assert np.array_equal(pair_retention(np.array([0.5, 1.0]), P11), [0.0, 0.0])
 
     def test_matches_quadrature_on_subset(self):
         for r_ratio in (1.01, 1.5, 3.0):
             for delta in (0.5, 1.0):
                 for lam in (1.0, 4.0):
                     p = ProcessParams(lam, delta)
-                    closed = pair_retention(r_ratio * delta, p)
+                    closed = pair_retention(np.array([r_ratio * delta]), p)[0]
                     numeric = pair_retention_quadrature(r_ratio * delta, p)
                     assert abs(closed - numeric) < 1e-8
 
@@ -136,37 +134,35 @@ class TestPairRetention:
         p = ProcessParams(lam, delta)
         ball = math.pi * delta**2
         limit = expm1_ratio(lam * ball) * expm1_ratio(lam * ball / 2.0)
-        assert pair_retention(1e4, p) == pytest.approx(limit, abs=1e-4)
-        assert abs(pair_retention(1e5, p) - limit) < abs(
-            pair_retention(1e3, p) - limit
-        )
+        near, far, farther = pair_retention(np.array([1e3, 1e4, 1e5]), p)
+        assert far == pytest.approx(limit, abs=1e-4)
+        assert abs(farther - limit) < abs(near - limit)
 
     def test_quadrature_tolerance_gate(self):
         with pytest.raises(QuadratureError):
             pair_retention_quadrature(1.5, P11, abs_tol=1e-30)
 
-    def test_vectorized_matches_scalar(self):
-        r = np.array([0.5, 1.0, 1.2, 2.0, 5.0])
-        vec = pair_retention(r, P11)
-        for i, ri in enumerate(r):
-            assert vec[i] == pair_retention(float(ri), P11)
-
 
 class TestRetentionProfiles:
     def test_mhc_zero_below_delta_and_ratio_above(self):
-        assert retention_mhc_to_mhc(0.9, P11) == 0.0
-        expected = pair_retention(1.2, P11) / mhc_retention(P11)
-        assert retention_mhc_to_mhc(1.2, P11) == pytest.approx(expected, rel=1e-14)
+        # zero on the hard-core range; just above delta the void ratio is 1,
+        # so eta is the pair-correlation ratio k(r) / p there
+        r = np.array([0.9, 1.0, 1.0 + 1e-12])
+        assert np.array_equal((pair_retention(r, P11) / mhc_retention(P11))[:2], [0.0, 0.0])
+        eta = RetentionFunction(ContactCase.MHC_TO_MHC, P11)(r)
+        assert np.array_equal(eta[:2], [0.0, 0.0])
+        ratio = _pair_free(lens_symmetric(r[2:], 1.0), P11)[0] / mhc_retention(P11)
+        assert eta[2] == pytest.approx(ratio, rel=1e-9)
 
     def test_ppp_small_r_limit_is_retention(self):
-        assert retention_ppp_to_mhc(1e-12, P11) == pytest.approx(
+        assert retention_ppp_to_mhc(np.array([1e-12]), P11)[0] == pytest.approx(
             mhc_retention(P11), rel=1e-9
         )
 
     def test_ppp_unit_value_against_oracle(self):
         l2 = lens_asymmetric(1.0, 1.0)
         oracle = mark_integral_oracle(math.pi - l2)
-        value = retention_ppp_to_mhc(1.0, P11)
+        value = retention_ppp_to_mhc(np.array([1.0]), P11)[0]
         assert value == pytest.approx(oracle, rel=1e-12)
         assert value == pytest.approx(ETA_PPP_MHC_AT_UNIT, rel=1e-12)
 
@@ -176,9 +172,22 @@ class TestRetentionProfiles:
         assert np.all(retention_ppp_to_mhc(r, P11) >= rho - 1e-12)
 
     def test_zero_delta_degenerates_to_one(self):
+        # delta = 0 is a plain Poisson process in every case; eta returns
+        # ones before any kernel runs
         p = ProcessParams(2.0, 0.0)
-        assert retention_ppp_to_mhc(0.7, p) == 1.0
-        assert retention_mhc_to_mhc(0.7, p) == 1.0
+        r = np.linspace(0.0, 3.0, 12).reshape(3, 4)
+        reference = contact_cdf(
+            RetentionFunction(ContactCase.PPP_TO_PPP, p),
+            default_r_grid(ContactCase.PPP_TO_PPP, p),
+        )
+        for case in ContactCase:
+            eta = RetentionFunction(case, p)
+            values, errors = eta(r, with_error=True)
+            assert values.shape == r.shape and np.all(values == 1.0) and np.all(errors == 0.0)
+            assert eta(0.7) == 1.0 and isinstance(eta(0.7), float)
+            curve = contact_cdf(eta, default_r_grid(case, p))
+            for field in ("radii", "values", "abs_error", "hazard", "hazard_error"):
+                assert getattr(curve, field).tobytes() == getattr(reference, field).tobytes()
 
     def test_lower_support_and_target_intensity(self):
         eta = RetentionFunction(ContactCase.MHC_TO_MHC, P11)
@@ -202,11 +211,11 @@ class TestRetentionProfiles:
         # where the source attracts targets (removed observers), so it is
         # only held to being a finite, non-negative hazard profile
         p = ProcessParams(lam, delta)
-        r = ratio * delta
-        for profile in (retention_mhc_to_mhc, retention_ppp_to_mhc):
-            assert -1e-12 <= profile(r, p) <= 1.0 + 1e-12
+        r = np.array([ratio * delta])
+        for profile in (pair_retention(r, p) / mhc_retention(p), retention_ppp_to_mhc(r, p)):
+            assert -1e-12 <= profile[0] <= 1.0 + 1e-12
         for case in ContactCase:
-            value, error = RetentionFunction(case, p)(r, with_error=True)
+            value, error = RetentionFunction(case, p)(ratio * delta, with_error=True)
             assert math.isfinite(value) and value >= 0.0
             assert math.isfinite(error) and 0.0 <= error <= 1e-9 * max(1.0, value)
 
@@ -221,16 +230,17 @@ class TestPairCorrelationTerms:
             for delta in (0.25, 1.0, 2.0):
                 for lam in (0.5, 1.0, 4.0):
                     r = ratio * delta
-                    closed = pair_retention_unconditional(r, ProcessParams(lam, delta))
+                    l1 = lens_symmetric(np.array([r]), delta)
+                    closed = _pair_free(l1, ProcessParams(lam, delta))[0]
                     worst = max(worst, abs(closed - pair_survival_quadrature(r, lam, delta)))
         assert worst < 1e-9
 
     def test_unconditional_pair_retention_limits(self):
+        # k = p**2 once the competition disks separate and share no lens
         p = ProcessParams(1.5, 0.8)
-        assert pair_retention_unconditional(0.8, p) == 0.0
-        assert pair_retention_unconditional(1.7, p) == pytest.approx(
-            mhc_retention(p) ** 2, rel=1e-14
-        )
+        l1 = lens_symmetric(np.array([1.7]), 0.8)
+        assert l1[0] == 0.0
+        assert _pair_free(l1, p)[0] == pytest.approx(mhc_retention(p) ** 2, rel=1e-14)
 
     def test_rival_pair_retention_against_monte_carlo(self):
         rng = np.random.default_rng(20260808)
@@ -238,10 +248,10 @@ class TestPairCorrelationTerms:
             p = ProcessParams(lam, delta)
             trials = 100_000
             estimate = rival_pair_survival_monte_carlo(s, lam, delta, trials, rng)
-            closed = cmhc_pair_retention(s, p)
+            closed = cmhc_pair_retention(np.array([s]), p)[0]
             stderr = math.sqrt(closed * (1.0 - closed) / trials)
             assert abs(estimate - closed) < 4.0 * stderr
-        assert cmhc_pair_retention(0.9, P11) == 0.0
+        assert cmhc_pair_retention(np.array([0.9]), P11)[0] == 0.0
 
     def test_removed_observer_is_exact_below_half_delta(self):
         # at most one survivor fits in a disk of radius delta/2, and every
@@ -341,9 +351,10 @@ class TestContactCdf:
             params = P11
             lower_support = 0.0
 
-            def __call__(self, r):
+            def __call__(self, r, with_error=False):
                 rng = np.random.default_rng(len(np.atleast_1d(r)))
-                return rng.random(np.shape(r))
+                values = rng.random(np.shape(r))
+                return (values, np.zeros(np.shape(r))) if with_error else values
 
         with pytest.raises(QuadratureError):
             contact_cdf(NoisyEta(), np.array([0.0, 1.0]), abs_tol=1e-12)
@@ -400,9 +411,9 @@ class RecordingEta:
         self.lower_support = eta.lower_support
         self.calls: list[np.ndarray] = []
 
-    def __call__(self, r):
+    def __call__(self, r, with_error=False):
         self.calls.append(np.array(r, dtype=float))
-        return self.eta(r)
+        return self.eta(r, with_error=with_error)
 
 
 class TestBatchedQuadrature:
@@ -516,5 +527,4 @@ def test_curve_dataclass_round_trip_fields():
     grid = np.linspace(0.0, 1.0, 10)
     curve = contact_cdf(RetentionFunction(ContactCase.PPP_TO_PPP, P11), grid)
     assert isinstance(curve, CdfCurve)
-    assert curve.lower_support == 0.0
     assert curve.radii.shape == curve.values.shape == curve.abs_error.shape

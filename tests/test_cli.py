@@ -395,6 +395,31 @@ def test_compare_with_rmin_above_the_smallest_distance(capsys, case, delta, rmin
     assert len(report["analytic"]["radii"]) == 5
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the closed forms' denominator check overflowed at huge delta and
+        # underflowed at tiny delta
+        ["analytic", "--case", "mhc-mhc", "--points", "3", "--delta", "1e100"],
+        ["analytic", "--case", "mhc-mhc", "--points", "3", "--delta", "1e-160"],
+        # the lens areas cancel at r >> delta
+        ["analytic", "--case", "mhc-mhc", "--points", "3", "--lambda", "1e-300",
+         "--delta", "1"],
+        # pi * delta**2 overflows, or underflows to 0
+        ["analytic", "--case", "mhc-mhc", "--points", "3", "--delta", "1e154"],
+        ["analytic", "--case", "mhc-mhc", "--points", "3", "--delta", "1e155"],
+        ["analytic", "--case", "cmhc-mhc", "--delta", "1e-300", "--points", "3"],
+        ["compare", "--case", "mhc-mhc", "--delta", "1e-160", "--window", "20",
+         "--reps", "1", "--points", "3"],
+    ],
+)
+def test_extreme_lambda_and_delta_exit_without_a_traceback(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2) and "Traceback" not in err, (argv, code, err)
+    assert code == 0 or err.startswith("error: "), (argv, err)
+
+
 def test_analytic_ignores_the_simulation_window(capsys):
     # the window floor and the point cap concern simulation only
     argv = ["analytic", "--case", "mhc-mhc", "--delta", "1", "--points", "5"]

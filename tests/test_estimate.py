@@ -256,7 +256,7 @@ MHC_MHC = RetentionFunction(ContactCase.MHC_TO_MHC, P_HALF)
 def test_sup_distance_matches_the_brute_force_oracle(eta, grid, samples):
     curve = contact_cdf(eta, grid)
     full = extend_curve(curve, float(np.max(samples)), float(np.min(samples)))
-    assert float(full.radii[0]) == full.lower_support
+    assert float(full.radii[0]) == eta.lower_support
     # ppp-ppp has the closed form F = 1 - exp(-pi r**2) at the nodes
     nodes = full.values if eta is MHC_MHC else -np.expm1(-math.pi * full.radii**2)
     expected = brute_sup_distance(samples, full.radii, nodes)

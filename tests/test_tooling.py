@@ -1,5 +1,6 @@
 """Tests that the repository's tooling still fits the package."""
 
+import ast
 import types
 from pathlib import Path
 
@@ -19,3 +20,16 @@ def test_every_traced_binding_is_an_attribute_of_its_owner():
     assert bindings
     for owner, attr, name in bindings:
         assert attr in owner.__dict__, (owner, attr, name)
+
+
+def test_source_has_no_assert_statements():
+    # python -O strips asserts, and an AssertionError would reach the command
+    # line as a traceback; a check in the package raises an error the CLI reports
+    package = Path(matern_contact.cli.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
