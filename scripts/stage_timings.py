@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Best-of-3 wall times of the simulation stages at ~1e4, 1e5 and 1e6 parents.
+"""Wall and CPU times of the simulation stages at ~1e4, 1e5 and 1e6 parents.
 
 Times ``sample_ppp``, ``thin_mhc_type2``, ``nn_distances_within`` (MHC to MHC)
-and ``nn_distances_cross`` (an independent Poisson observer to MHC) with
-``time.perf_counter`` at lambda_p = 1 on square tori of side 100, 316 and
-1000, for delta 0.5 and 1. Every stage runs on the same seeded patterns on
-every commit, so two files from the same machine compare stage by stage.
+and ``nn_distances_cross`` (an independent Poisson observer to MHC) at
+lambda_p = 1 on square tori of side 100, 316 and 1000, for delta 0.5 and 1.
+Each stage records ``time.perf_counter`` and ``time.process_time``; CPU above
+wall means the stage ran on more than one core. For each of ``SEEDS`` a stage
+takes the best of ``REPEATS`` calls, and a row holds the median over the seeds,
+since single runs spread widely. Every stage runs on the same seeded patterns
+on every commit, so two files from the same machine compare stage by stage.
 Writes ``BENCH_<label>.json`` and prints one line per row:
 
     PYTHONPATH=src python scripts/stage_timings.py --label after
@@ -17,6 +20,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import time
 from pathlib import Path
 
@@ -34,40 +38,53 @@ from matern_contact import (
 
 
 REPEATS = 3
+SEEDS = (5, 6, 7)
 SIDES = (100.0, 316.0, 1000.0)  # ~1e4, 1e5 and 1e6 parents at lambda_p = 1
+STAGES = ("sample", "thin", "nn_within", "nn_cross")
 
 
 def best_of(repeats: int, fn, *args):
-    """Smallest wall time of ``repeats`` calls, and the last call's result."""
-    best = float("inf")
+    """Smallest wall and smallest CPU time of ``repeats`` calls, and the last
+    call's result."""
+    wall = cpu = float("inf")
     for _ in range(repeats):
-        start = time.perf_counter()
+        start_wall, start_cpu = time.perf_counter(), time.process_time()
         result = fn(*args)
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        wall = min(wall, time.perf_counter() - start_wall)
+        cpu = min(cpu, time.process_time() - start_cpu)
+    return (wall, cpu), result
 
 
-def stage_row(side: float, delta: float, repeats: int) -> dict:
+def seed_row(side: float, delta: float, seed: int, repeats: int) -> dict:
     window = Window(side, side)
-    sample_s, parents = best_of(repeats, sample_ppp, 1.0, window, (5, 0, 0))
-    thin_s, thinned = best_of(repeats, thin_mhc_type2, parents, delta)
-    observers = sample_ppp(1.0, window, (5, 0, 1))
     mhc = PointLabel.MHC
-    within_s, _ = best_of(repeats, nn_distances_within, thinned, mhc)
-    cross_s, _ = best_of(
+    times = {}
+    times["sample"], parents = best_of(repeats, sample_ppp, 1.0, window, (seed, 0, 0))
+    times["thin"], thinned = best_of(repeats, thin_mhc_type2, parents, delta)
+    observers = sample_ppp(1.0, window, (seed, 0, 1))
+    times["nn_within"], _ = best_of(repeats, nn_distances_within, thinned, mhc)
+    times["nn_cross"], _ = best_of(
         repeats, nn_distances_cross, observers, PointLabel.PARENT, thinned, mhc
     )
     return {
-        "side": side,
-        "delta": delta,
         "parents": parents.n,
         "survivors": thinned.count(mhc),
         "observers": observers.n,
-        "sample_s": sample_s,
-        "thin_s": thin_s,
-        "nn_within_s": within_s,
-        "nn_cross_s": cross_s,
+        "times": times,
     }
+
+
+def stage_row(side: float, delta: float) -> dict:
+    """Counts per seed, and each stage's median over ``SEEDS`` of its
+    best-of-``REPEATS`` wall (``<stage>_s``) and CPU (``<stage>_cpu_s``)."""
+    per_seed = [seed_row(side, delta, seed, REPEATS) for seed in SEEDS]
+    row = {"side": side, "delta": delta, "seeds": list(SEEDS)}
+    for count in ("parents", "survivors", "observers"):
+        row[count] = [r[count] for r in per_seed]
+    for stage in STAGES:
+        for k, suffix in enumerate(("s", "cpu_s")):
+            row[f"{stage}_{suffix}"] = statistics.median(r["times"][stage][k] for r in per_seed)
+    return row
 
 
 def main() -> None:
@@ -76,22 +93,21 @@ def main() -> None:
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args()
 
-    stage_row(20.0, 1.0, 1)  # imports scipy.spatial before anything is timed
+    seed_row(20.0, 1.0, SEEDS[0], 1)  # imports scipy.spatial before anything is timed
     rows = []
     for side in SIDES:
         for delta in (0.5, 1.0):
-            row = stage_row(side, delta, REPEATS)
+            row = stage_row(side, delta)
             rows.append(row)
-            print(
-                f"parents {row['parents']:>8}  delta {delta:g}  "
-                f"sample {row['sample_s']:.4f} s  thin {row['thin_s']:.4f} s  "
-                f"nn_within {row['nn_within_s']:.4f} s  "
-                f"nn_cross {row['nn_cross_s']:.4f} s",
-                flush=True,
+            stages = "  ".join(
+                f"{stage} {row[stage + '_s']:.4f} s (cpu {row[stage + '_cpu_s']:.4f})"
+                for stage in STAGES
             )
+            print(f"side {side:g}  delta {delta:g}  {stages}", flush=True)
     record = {
         "label": args.label,
         "repeats": REPEATS,
+        "seeds": list(SEEDS),
         "machine": {
             "platform": platform.platform(),
             "machine": platform.machine(),

@@ -1,9 +1,9 @@
 """Seeded Poisson sampling on a rectangular torus and Matern type-II thinning.
 
 The wrap-around metric realises a stationary process exactly on a finite
-window, so no edge correction is ever needed downstream. Neighbour pairs come
-from scipy's periodic k-d tree, which also serves the nearest-neighbour
-search in :mod:`.estimate`; both match a brute-force minimum-image scan.
+window, so no edge correction is ever needed downstream. Thinning pairs come
+from a plain k-d tree padded with ghost copies across the seams, and :mod:`.estimate`
+searches neighbours on a periodic one; both match a brute-force minimum-image scan.
 """
 
 from __future__ import annotations
@@ -136,23 +136,26 @@ def _spatial_order(x: np.ndarray, y: np.ndarray, window: Window) -> np.ndarray:
     return np.argsort(np.floor(y / spacing) * window.width + x)
 
 
-def _periodic_tree(x: np.ndarray, y: np.ndarray, window: Window) -> cKDTree:
-    """Periodic k-d tree over the points, wrapped into [0, W) x [0, H) and
-    stored in their given order: row ``k`` of ``tree.data`` is point ``k``.
+def _wrapped(x: np.ndarray, y: np.ndarray, sides: tuple[float, float]) -> np.ndarray:
+    """The points as (n, 2) rows in [0, W) x [0, H), a side itself mapped to 0."""
+    coords = np.mod(np.column_stack((x, y)), sides)
+    coords[coords == sides] = 0.0  # np.mod of a tiny negative input, or a loaded point
+    return coords
 
-    The tree rejects a coordinate equal to a side, and ``np.mod`` returns the
-    side itself for tiny negative inputs; such values map back to 0. Sliding
-    midpoint splits (``balanced_tree=False``) build faster than median splits
-    and serve points spread over the whole window as well. ``scipy.spatial``
-    is imported here, not at module level: it is most of the package's import
-    time, and the analytic side never builds a tree.
+
+def _periodic_tree(x: np.ndarray, y: np.ndarray, window: Window) -> cKDTree:
+    """Periodic k-d tree over the :func:`_wrapped` points (the tree rejects a
+    coordinate equal to a side); row ``k`` of ``tree.data`` is point ``k``.
+
+    Sliding midpoint splits and uncompacted node boxes build faster and serve
+    points spread over the whole window as well. ``scipy.spatial`` is imported
+    here, not at module level: it is most of the package's import time, and
+    the analytic side never builds a tree.
     """
     from scipy.spatial import cKDTree
 
     sides = (window.width, window.height)
-    coords = np.mod(np.column_stack((x, y)), sides)
-    coords[coords == sides] = 0.0
-    return cKDTree(coords, boxsize=sides, balanced_tree=False)
+    return cKDTree(_wrapped(x, y, sides), boxsize=sides, balanced_tree=False, compact_nodes=False)
 
 
 def sample_ppp(lam: float, window: Window, seed: SeedLike) -> MarkedPattern:
@@ -182,6 +185,9 @@ def thin_mhc_type2(pattern: MarkedPattern, delta: float) -> MarkedPattern:
     Mark ties (measure zero with 64-bit uniforms) are broken by point index.
     The result shares the input's coordinate and mark arrays; only its labels
     are new.
+
+    Pairs come from a plain k-d tree over the points and ghost copies, shifted
+    by a side, of those within ``delta`` of the low seam: along x, then y (x ghosts too).
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta >= 0.0):
@@ -191,12 +197,21 @@ def thin_mhc_type2(pattern: MarkedPattern, delta: float) -> MarkedPattern:
     n = pattern.n
     label = np.full(n, int(PointLabel.MHC), dtype=np.uint8)
     if delta > 0.0 and n > 1:
-        window = pattern.window
-        _check_window_floor(window, delta)
-        # unordered pairs within the closed ball; each pair removes the point
-        # with the larger mark, or with the larger index on a tie
-        tree = _periodic_tree(pattern.x, pattern.y, window)
-        i, j = tree.query_pairs(delta, output_type="ndarray").T
+        from scipy.spatial import cKDTree
+        _check_window_floor(pattern.window, delta)
+        sides = (pattern.window.width, pattern.window.height)
+        coords = _wrapped(pattern.x, pattern.y, sides)
+        owner = np.arange(n)
+        for axis, shift in enumerate(np.diag(sides)):
+            near = np.flatnonzero(coords[:, axis] <= delta)
+            coords = np.concatenate((coords, coords[near] + shift))
+            owner = np.concatenate((owner, owner[near]))
+        # closed-ball pairs, never a point with its own ghost (window floor); each pair,
+        # even one seen twice, removes its larger-mark point, or larger index on a tie
+        tree = cKDTree(coords, balanced_tree=False, compact_nodes=False)
+        pairs = tree.query_pairs(delta, output_type="ndarray")
+        i, j = np.take(owner, pairs, out=pairs, mode="clip").T
+        del tree, coords, owner  # freed before the per-pair arrays, which set peak memory
         mi = pattern.mark[i]
         mj = pattern.mark[j]
         loser = np.where((mj > mi) | ((mj == mi) & (j > i)), j, i)

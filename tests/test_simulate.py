@@ -121,6 +121,14 @@ class TestThinning:
         out = thin_mhc_type2(pat, 0.5)
         assert list(out.label) == [int(PointLabel.CMHC), int(PointLabel.MHC)]
 
+    @pytest.mark.parametrize("y", [[0.2, 9.9], [9.9, 0.2]])
+    def test_corner_competition(self, y):
+        # the two points compete across both seams at once, from diagonally
+        # opposite corners
+        pat = make_pattern(Window(10, 10), [0.2, 9.9], y, [0.6, 0.3])
+        out = thin_mhc_type2(pat, 0.5)
+        assert list(out.label) == [int(PointLabel.CMHC), int(PointLabel.MHC)]
+
     def test_zero_delta_keeps_everything(self):
         pat = sample_ppp(1.0, W50, 5)
         out = thin_mhc_type2(pat, 0.0)
@@ -197,6 +205,28 @@ class TestThinning:
             delta = float(rng.uniform(0.2, 1.2))
             out = thin_mhc_type2(pat, delta)
             keep = brute_mhc_mask(ox, oy, pat.mark, 12.0, 15.0, delta)
+            assert np.array_equal(out.label == int(PointLabel.MHC), keep)
+
+    def test_matches_brute_force_at_the_window_floor(self):
+        # sides of exactly 10 delta; every point lies within delta of a seam,
+        # a third of them within delta of a corner, with four mark values
+        rng = np.random.default_rng(29)
+        delta, width, height = 1.0, 10.0, 13.0
+
+        def near_seam(side, n):
+            u = rng.uniform(-delta, delta, n)
+            return np.where(u < 0.0, u + side, u)
+
+        for _ in range(10):
+            n = int(rng.integers(2, 90))
+            near = rng.integers(0, 3, n)  # 0: x seam, 1: y seam, 2: corner
+            x = np.where(near != 1, near_seam(width, n), rng.uniform(0, width, n))
+            y = np.where(near != 0, near_seam(height, n), rng.uniform(0, height, n))
+            x, ox = on_the_seam(rng, x, width)
+            y, oy = on_the_seam(rng, y, height)
+            pat = make_pattern(Window(width, height), x, y, np.floor(rng.random(n) * 4.0) / 4.0)
+            out = thin_mhc_type2(pat, delta)
+            keep = brute_mhc_mask(ox, oy, pat.mark, width, height, delta)
             assert np.array_equal(out.label == int(PointLabel.MHC), keep)
 
     def test_retained_fraction_matches_retention_probability(self):
