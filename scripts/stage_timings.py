@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Wall and CPU times of the simulation stages at ~1e4, 1e5 and 1e6 parents.
+"""Wall and CPU times of the simulation stages at ~1e4, 1e5 and 1e6 parents,
+and of the analytic curve's quadrature.
 
 Times ``sample_ppp``, ``thin_mhc_type2``, ``nn_distances_within`` (MHC to MHC)
 and ``nn_distances_cross`` (an independent Poisson observer to MHC) at
@@ -9,6 +10,10 @@ wall means the stage ran on more than one core. For each of ``SEEDS`` a stage
 takes the best of ``REPEATS`` calls, and a row holds the median over the seeds,
 since single runs spread widely. Every stage runs on the same seeded patterns
 on every commit, so two files from the same machine compare stage by stage.
+
+The analytic section times ``contact_cdf`` for mhc-mhc, ppp-mhc and cmhc-mhc
+at the analytic sweep's shape: lambda_p = 1, delta 0.5 and 1, ``POINTS`` radii
+of ``default_r_grid``, tolerance ``TOL``; each row is the best of ``REPEATS``.
 Writes ``BENCH_<label>.json`` and prints one line per row:
 
     PYTHONPATH=src python scripts/stage_timings.py --label after
@@ -28,8 +33,13 @@ import numpy as np
 import scipy
 
 from matern_contact import (
+    ContactCase,
     PointLabel,
+    ProcessParams,
+    RetentionFunction,
     Window,
+    contact_cdf,
+    default_r_grid,
     nn_distances_cross,
     nn_distances_within,
     sample_ppp,
@@ -41,6 +51,10 @@ REPEATS = 3
 SEEDS = (5, 6, 7)
 SIDES = (100.0, 316.0, 1000.0)  # ~1e4, 1e5 and 1e6 parents at lambda_p = 1
 STAGES = ("sample", "thin", "nn_within", "nn_cross")
+DELTAS = (0.5, 1.0)
+ANALYTIC_CASES = (ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC, ContactCase.CMHC_TO_MHC)
+POINTS = 1000
+TOL = 1e-10
 
 
 def best_of(repeats: int, fn, *args):
@@ -87,6 +101,21 @@ def stage_row(side: float, delta: float) -> dict:
     return row
 
 
+def analytic_row(case: ContactCase, delta: float, points: int, repeats: int) -> dict:
+    """Best-of-``repeats`` wall and CPU time of one ``contact_cdf`` call."""
+    params = ProcessParams(1.0, delta)
+    grid = default_r_grid(case, params, points)
+    (wall, cpu), curve = best_of(repeats, contact_cdf, RetentionFunction(case, params), grid, TOL)
+    return {
+        "case": case.value,
+        "delta": delta,
+        "points": points,
+        "radii": len(curve.radii),
+        "contact_cdf_s": wall,
+        "contact_cdf_cpu_s": cpu,
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -96,7 +125,7 @@ def main() -> None:
     seed_row(20.0, 1.0, SEEDS[0], 1)  # imports scipy.spatial before anything is timed
     rows = []
     for side in SIDES:
-        for delta in (0.5, 1.0):
+        for delta in DELTAS:
             row = stage_row(side, delta)
             rows.append(row)
             stages = "  ".join(
@@ -104,6 +133,16 @@ def main() -> None:
                 for stage in STAGES
             )
             print(f"side {side:g}  delta {delta:g}  {stages}", flush=True)
+    analytic = []
+    for case in ANALYTIC_CASES:
+        for delta in DELTAS:
+            row = analytic_row(case, delta, POINTS, REPEATS)
+            analytic.append(row)
+            print(
+                f"{case.value}  delta {delta:g}  contact_cdf {row['contact_cdf_s']:.4f} s "
+                f"(cpu {row['contact_cdf_cpu_s']:.4f})",
+                flush=True,
+            )
     record = {
         "label": args.label,
         "repeats": REPEATS,
@@ -117,6 +156,7 @@ def main() -> None:
             "scipy": scipy.__version__,
         },
         "rows": rows,
+        "analytic": {"points": POINTS, "tol": TOL, "rows": analytic},
     }
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")

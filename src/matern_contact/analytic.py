@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .geometry import FloatOrArray, lens_asymmetric, lens_symmetric
+from .geometry import FloatOrArray, lens_asymmetric, lens_symmetric, piecewise
 
 __all__ = [
     "CdfCurve",
@@ -46,9 +46,12 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# The mask tests marked "speed guard" skip work on empty or one-sided masks.
-# Most look free when one is removed, but removing a dozen of them together
-# slowed the analytic-sweep benchmark by 30% on a 2-core machine; keep them.
+# Masks only where a branch is mixed: nearly every node array reaching a
+# kernel takes one branch throughout, so a kernel computes straight on its
+# input then (see geometry.piecewise), and only a mixed array pays for the
+# zero fill, the gather and the scatter. The tests marked "speed guard" skip
+# work on empty or one-sided masks; removing a dozen of them together slowed
+# the analytic-sweep benchmark by 30% on a 2-core machine, so keep them.
 
 # Below this the two-term series for (1 - exp(-x))/x is already exact to
 # double precision; expm1 covers everything above.
@@ -111,9 +114,9 @@ def expm1_ratio(x: FloatOrArray) -> FloatOrArray:
         x = float(x)
         return 1.0 - 0.5 * x if abs(x) < _SERIES_CUTOFF else -math.expm1(-x) / x
     arr = np.asarray(x, dtype=float)
-    small = np.abs(arr) < _SERIES_CUTOFF
-    if not small.any():  # all large: without this shortcut the analytic sweep ran 11% slower
+    if arr.size and arr.min() >= _SERIES_CUTOFF:  # speed guard: all large
         return -np.expm1(-arr) / arr
+    small = np.abs(arr) < _SERIES_CUTOFF
     safe = np.where(small, 1.0, arr)
     return np.where(small, 1.0 - 0.5 * arr, -np.expm1(-safe) / safe)
 
@@ -147,8 +150,8 @@ def _pair_retention_active(r: np.ndarray, params: ProcessParams) -> np.ndarray:
     b = lam * (ball - l2)  # candidate exposure when its mark is the lower one
     c = lam * (ball + l1 - l2)  # candidate exposure when its mark is the higher one
     d = lam * (ball - l1)  # reference exposure outside the shared lens
-    low = (expm1_ratio(a) - expm1_ratio(a + b)) / b
-    high = (expm1_ratio(c) - expm1_ratio(c + d)) / d
+    low = _quotient(expm1_ratio, _E_SERIES, a, b, _SPARSE)
+    high = _quotient(expm1_ratio, _E_SERIES, c, d, _SPARSE)
     return low + high
 
 
@@ -157,20 +160,12 @@ def pair_retention(r: np.ndarray, params: ProcessParams) -> np.ndarray:
     point both survive thinning, given the annulus between the hard-core disk
     and the candidate is void of parent points. Exactly 0 for r <= delta;
     over :func:`mhc_retention`, the first-order mhc-mhc profile."""
-    out = np.zeros(r.shape)
-    active = r > params.delta
-    if np.any(active):  # speed guard
-        out[active] = _pair_retention_active(r[active], params)
-    return out
+    return piecewise(r > params.delta, lambda x: _pair_retention_active(x, params), r)
 
 
 def _void_lens(r: np.ndarray, delta: float) -> np.ndarray:
     """lens_asymmetric(r, delta), and 0 at r = 0, where it is undefined."""
-    l2 = np.zeros(r.shape)
-    pos = r > 0.0
-    if np.any(pos):  # speed guard
-        l2[pos] = lens_asymmetric(r[pos], delta)
-    return l2
+    return piecewise(r > 0.0, lambda x: lens_asymmetric(x, delta), r)
 
 
 def retention_ppp_to_mhc(r: np.ndarray, params: ProcessParams) -> np.ndarray:
@@ -188,7 +183,7 @@ def _pair_free(l1: np.ndarray, params: ProcessParams) -> np.ndarray:
     separate (r > 2 * delta, l1 = 0)."""
     a = params.lambda_p * params.ball_area
     b = params.lambda_p * (params.ball_area - l1)
-    return 2.0 * (expm1_ratio(a) - expm1_ratio(a + b)) / b
+    return 2.0 * _quotient(expm1_ratio, _E_SERIES, a, b, _SPARSE)
 
 
 # Taylor coefficients of E(c) = (1 - exp(-c)) / c and of the rival-mark
@@ -214,7 +209,7 @@ def _below_rival(c: FloatOrArray) -> np.ndarray:
     return np.where(small, series, (safe + np.expm1(-safe)) / (safe * safe))
 
 
-def _homogeneous_sums(a: float, z: np.ndarray) -> list[np.ndarray]:
+def _homogeneous_sums(a: FloatOrArray, z: np.ndarray) -> list[np.ndarray]:
     """h_k = sum_{j <= k} a**j * z**(k - j) for k <= _SERIES_TERMS, so that
     (a**(k+1) - z**(k+1)) / (a - z) = h_k without cancellation."""
     h = [np.ones(z.shape)]
@@ -225,6 +220,24 @@ def _homogeneous_sums(a: float, z: np.ndarray) -> list[np.ndarray]:
     return h
 
 
+# exposure below which the mhc-mhc difference quotients are summed from their
+# series; above it the direct form keeps at least 12 digits
+_SPARSE = 1e-3
+
+
+def _quotient(f, coeffs: np.ndarray, x: FloatOrArray, y: np.ndarray, switch: float):
+    """(f(x) - f(x + y)) / y for f = E or W with Taylor coefficients ``coeffs``.
+    The difference cancels at small exposures, so where x + y <= ``switch``
+    the quotient is summed from the series, -sum_k coeffs[k] h_{k-1}(x, x + y)."""
+    z = x + y
+    value = (f(x) - f(z)) / y
+    if np.min(z) <= switch:  # speed guard
+        small = z <= switch
+        h = _homogeneous_sums(x if np.ndim(x) == 0 else x[small], z[small])
+        value[small] = -sum(coeffs[k] * h[k - 1] for k in range(1, len(h)))
+    return value
+
+
 def cmhc_pair_retention(s: np.ndarray, params: ProcessParams) -> np.ndarray:
     """Probability that two parent points at distance ``s``, both within
     ``delta`` of a third parent o, survive thinning while o competes with
@@ -232,20 +245,13 @@ def cmhc_pair_retention(s: np.ndarray, params: ProcessParams) -> np.ndarray:
     (c - 1 + exp(-c)) / c**2, a = lambda_p * pi * delta**2 and
     b = lambda_p * (pi * delta**2 - lens_symmetric(s, delta)). Exactly 0 for
     s <= delta, where the two points compete with each other."""
-    out = np.zeros(s.shape)
-    active = s > params.delta
-    if np.any(active):  # speed guard
-        a = params.lambda_p * params.ball_area
-        b = params.lambda_p * (params.ball_area - lens_symmetric(s[active], params.delta))
-        z = a + b
-        value = 2.0 * (_below_rival(a) - _below_rival(z)) / b
-        small = z <= 1.0
-        if np.any(small):  # speed guard
-            # the difference cancels for small exposures: sum its series
-            h = _homogeneous_sums(a, z[small])
-            value[small] = -2.0 * sum(_W_SERIES[k] * h[k - 1] for k in range(1, len(h)))
-        out[active] = value
-    return out
+    a = params.lambda_p * params.ball_area
+
+    def active(s):
+        b = params.lambda_p * (params.ball_area - lens_symmetric(s, params.delta))
+        return 2.0 * _quotient(_below_rival, _W_SERIES, a, b, 1.0)
+
+    return piecewise(s > params.delta, active, s)
 
 
 def _removed_pair_correlation(u: np.ndarray, params: ProcessParams) -> np.ndarray:
@@ -253,24 +259,23 @@ def _removed_pair_correlation(u: np.ndarray, params: ProcessParams) -> np.ndarra
     distance u from a removed point, over lambda_p. Equals p once the
     competition disks separate (u >= 2 delta), where k = p**2."""
     p = mhc_retention(params)
-    g = np.full(u.shape, p)
-    near = u < 2.0 * params.delta
-    if not np.any(near):  # speed guard
-        return g
     a = params.lambda_p * params.ball_area
-    b = params.lambda_p * (params.ball_area - lens_symmetric(u[near], params.delta))
-    z = a + b
-    diff = p - 2.0 * (expm1_ratio(a) - expm1_ratio(z)) / b
-    small = z <= 1.0
-    if np.any(small):  # speed guard
-        # p - k cancels for small exposures: sum its series
-        h = _homogeneous_sums(a, z[small])
-        diff[small] = sum(
-            _E_SERIES[k] * (a**k - 2.0 * h[k] / (k + 2)) for k in range(1, len(h))
-        )
-    # 1 - p = a * W(a) keeps its precision at small a
-    g[near] = diff / (a * _below_rival(a))
-    return g
+
+    def near(u):
+        b = params.lambda_p * (params.ball_area - lens_symmetric(u, params.delta))
+        z = a + b
+        diff = p - 2.0 * (expm1_ratio(a) - expm1_ratio(z)) / b
+        small = z <= 1.0
+        if np.any(small):  # speed guard
+            # p - k cancels for small exposures: sum its series
+            h = _homogeneous_sums(a, z[small])
+            diff[small] = sum(
+                _E_SERIES[k] * (a**k - 2.0 * h[k] / (k + 2)) for k in range(1, len(h))
+            )
+        # 1 - p = a * W(a) keeps its precision at small a
+        return diff / (a * _below_rival(a))
+
+    return piecewise(u < 2.0 * params.delta, near, u, other=lambda u: np.full(u.shape, p))
 
 
 def _weighted_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -626,7 +631,7 @@ _PANEL_BLOCK = 1024
 
 def _panel_rules(
     fn, lo: np.ndarray, hi: np.ndarray
-) -> tuple[list[float], list[float], list[float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fine-rule value, an error estimate from a coarser rule, and the
     fine-rule integral of the integrand's own error estimate, for each panel
     [lo[i], hi[i]]. ``fn`` maps nodes to (values, errors) and sees the nodes
@@ -635,7 +640,7 @@ def _panel_rules(
     values, errors = fn(nodes.ravel())
     fine, err = _PANEL.integral(values.reshape(nodes.shape), half)
     inner = _PANEL.fine(errors.reshape(nodes.shape), half)
-    return fine.tolist(), err.tolist(), inner.tolist()
+    return fine, err, inner
 
 
 def _integrate_panel(
@@ -644,7 +649,9 @@ def _integrate_panel(
     """Adaptively bisected panel integral of the hazard density with
     accumulated error estimate; ``offset`` is the hazard at ``lo`` and
     ``rules`` the panel's own :func:`_panel_rules` entry, evaluated with the
-    other panels of its curve.
+    other panels of its curve. :func:`_accumulate_hazard` accepts runs of
+    panels in bulk by this function's first test and hands it only a panel
+    that test rejects, so this is the one bisection path.
 
     Sub-panels are taken left to right, and each one's rule error is held to
     its share of ``tol`` times exp(H) at its right end. A panel's error reaches
@@ -698,9 +705,14 @@ def _accumulate_hazard(
     edge, the targets and the lens breakpoints among them.
 
     The panels run between consecutive edges. Their nodes go to eta
-    together, up to _PANEL_BLOCK panels per call; the walk then takes the
-    panels left to right and bisects only those that :func:`_integrate_panel`
-    rejects."""
+    together, up to _PANEL_BLOCK panels per call. The walk then tests every
+    panel at once against the tolerance of :func:`_integrate_panel`, with
+    the hazard before it summed left to right by np.cumsum, which adds in
+    sequence as the per-panel walk did, and with math.exp as there, so each
+    decision is the per-panel walk's to the bit. It accepts the run of
+    passing panels in one step and hands the first rejected panel to
+    :func:`_integrate_panel` to bisect. The hazard and its error are the
+    running sums of the panel integrals and of the error each one adds."""
     lam = eta.params.lambda_p
 
     def integrand(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -711,20 +723,27 @@ def _accumulate_hazard(
     tol_segment = abs_tol / max(1, len(targets) + len(cuts))
     edges = np.union1d(targets, cuts)
     lows = np.concatenate(([start], edges[:-1]))
-    hazard = np.empty(edges.shape)
-    herr = np.empty(edges.shape)
-    acc = 0.0
-    acc_err = 0.0
+    value = np.empty(edges.shape)
+    spent = np.empty(edges.shape)
     for first in range(0, len(edges), _PANEL_BLOCK):
         block = slice(first, first + _PANEL_BLOCK)
-        rules = zip(*_panel_rules(integrand, lows[block], edges[block]))
-        panels = zip(lows[block].tolist(), edges[block].tolist(), rules)
-        for i, (a, b, rule) in enumerate(panels, first):
-            v, e = _integrate_panel(integrand, a, b, tol_segment, offset + acc, rule)
-            acc += v
-            acc_err += e
-            hazard[i] = acc
-            herr[i] = acc_err
+        value[block], err, inner = _panel_rules(integrand, lows[block], edges[block])
+        spent[block] = err + inner
+        end = first + len(err)
+        i = first
+        while i < end:
+            before = offset + np.cumsum(np.concatenate(([0.0], value[: end - 1])))
+            exponent = np.minimum(before[i:] + value[i:end], _MAX_HAZARD).tolist()
+            passed = err[i - first :] <= [tol_segment * math.exp(x) for x in exponent]
+            i += int(np.argmin(np.append(passed, False)))  # the passing run
+            if i < end:
+                rule = (value[i], err[i - first], inner[i - first])
+                value[i], spent[i] = _integrate_panel(
+                    integrand, float(lows[i]), float(edges[i]), tol_segment, before[i], rule
+                )
+                i += 1
+    hazard = np.cumsum(value)
+    herr = np.cumsum(spent)
     if breakpoints:
         return edges, hazard, herr
     at = np.searchsorted(edges, targets)
@@ -753,7 +772,8 @@ def contact_cdf(
     The reported ``abs_error`` adds the error estimates of the integrals
     that eta evaluates internally; these do not shrink with the panels, so
     for a removed observer in a dense process (lambda_p pi delta**2 above
-    about 30) they exceed tolerances below about 1e-11.
+    about 30) they exceed tolerances below about 1e-11. ``abs_error`` bounds
+    quadrature error only, not the rounding inside eta's closed forms.
     """
     grid = np.asarray(r_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

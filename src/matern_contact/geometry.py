@@ -27,7 +27,7 @@ class DomainError(ValueError):
 def _validated(name: str, value: FloatOrArray) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     # NaN fails both comparisons
-    if not ((arr > 0.0) & (arr < np.inf)).all():
+    if arr.size and not (arr.min() > 0.0 and arr.max() < np.inf):
         raise DomainError(f"{name} must be finite and positive, got {value!r}")
     return arr
 
@@ -35,7 +35,7 @@ def _validated(name: str, value: FloatOrArray) -> np.ndarray:
 def _operands(r: FloatOrArray, delta: FloatOrArray) -> tuple[np.ndarray, FloatOrArray]:
     """Validated radius array and a delta that broadcasts against it; a scalar
     delta stays a scalar, which spares the broadcast on the common path:
-    without it the analytic-sweep benchmark ran 14% slower."""
+    without it the analytic sweep ran 6-9% slower (paired passes, 2-core VM)."""
     r_arr = _validated("r", r)
     d_arr = _validated("delta", delta)
     if np.ndim(delta) == 0:
@@ -44,19 +44,59 @@ def _operands(r: FloatOrArray, delta: FloatOrArray) -> tuple[np.ndarray, FloatOr
 
 
 def _check_unit_range(x: np.ndarray) -> np.ndarray:
-    if x.size:
-        excess = float(np.abs(x).max()) - 1.0
-        if excess > _ACOS_SLACK:
-            raise DomainError(f"inverse-trig argument outside [-1, 1] by {excess:.3e}")
-    return np.minimum(np.maximum(x, -1.0), 1.0)
+    """x, clamped to [-1, 1] when roundoff took it out by at most _ACOS_SLACK."""
+    if not x.size:
+        return x
+    excess = max(float(x.max()), -float(x.min())) - 1.0
+    if excess > _ACOS_SLACK:
+        raise DomainError(f"inverse-trig argument outside [-1, 1] by {excess:.3e}")
+    return x if excess <= 0.0 else np.minimum(np.maximum(x, -1.0), 1.0)
 
 
-def _arccos_clamped(x: np.ndarray) -> np.ndarray:
-    return np.arccos(_check_unit_range(x))
+def piecewise(mask: np.ndarray, fn, *args, other=None) -> np.ndarray:
+    """fn(*args) where ``mask`` holds, and ``other(*args)`` elsewhere, or 0
+    without ``other``. A mask that takes one branch throughout copies
+    nothing: that branch runs straight on the inputs. Only a mixed mask
+    gathers the array arguments (scalars pass as they are) and scatters."""
+    if mask.size and mask.all():
+        return fn(*args)
+    if other is not None and not mask.any():
+        return other(*args)
+    out = np.zeros(mask.shape)
+    for m, f in ((mask, fn), (~mask, other)):
+        if f is not None and m.any():
+            out[m] = f(*(a[m] if np.ndim(a) else a for a in args))
+    return out
 
 
-def _arcsin_clamped(x: np.ndarray) -> np.ndarray:
-    return np.arcsin(_check_unit_range(x))
+def _symmetric(r: np.ndarray, d: FloatOrArray) -> np.ndarray:
+    # factored root (2d - r)(2d + r) = 4 d**2 - r**2 avoids cancellation at the
+    # vanishing-lens boundary
+    root = np.sqrt(np.maximum((2.0 * d - r) * (2.0 * d + r), 0.0))
+    return 2.0 * d**2 * np.arccos(_check_unit_range(r / (2.0 * d))) - 0.5 * r * root
+
+
+def _two_arc(r: np.ndarray, d: FloatOrArray) -> np.ndarray:
+    """2 r**2 arcsin(q) + d**2 arccos(q) - d/2 sqrt((2r - d)(2r + d)), q = d/(2r),
+    in place and in the order written: one ratio feeds both arcs."""
+    # arccos(1 - d**2/(2 r**2)) == 2 arcsin(d/(2 r)); the arcsin form stays
+    # well-conditioned when r >> delta
+    two_r = 2.0 * r
+    q = _check_unit_range(d / two_r)
+    root = two_r - d
+    two_r += d
+    root *= two_r
+    np.sqrt(np.maximum(root, 0.0, out=root), out=root)
+    area = np.square(r)
+    area *= 2.0
+    arc = np.arcsin(q)
+    area *= arc
+    arc = np.arccos(q, out=arc)
+    arc *= d**2
+    area += arc
+    root *= 0.5 * d
+    area -= root
+    return area
 
 
 def lens_symmetric(r: FloatOrArray, delta: FloatOrArray) -> FloatOrArray:
@@ -67,16 +107,7 @@ def lens_symmetric(r: FloatOrArray, delta: FloatOrArray) -> FloatOrArray:
     """
     scalar = np.ndim(r) == 0 and np.ndim(delta) == 0
     r_arr, d_arr = _operands(r, delta)
-    area = np.zeros(r_arr.shape)
-    m = r_arr <= 2.0 * d_arr
-    if not m.any():  # speed guard, see analytic.py
-        return float(area[0]) if scalar else area
-    rm = r_arr[m]
-    dm = d_arr if np.ndim(d_arr) == 0 else d_arr[m]
-    # factored root (2d - r)(2d + r) = 4 d**2 - r**2 avoids cancellation at the
-    # vanishing-lens boundary
-    root = np.sqrt(np.maximum((2.0 * dm - rm) * (2.0 * dm + rm), 0.0))
-    area[m] = 2.0 * dm**2 * _arccos_clamped(rm / (2.0 * dm)) - 0.5 * rm * root
+    area = piecewise(r_arr <= 2.0 * d_arr, _symmetric, r_arr, d_arr)
     return float(area[0]) if scalar else area
 
 
@@ -90,18 +121,6 @@ def lens_asymmetric(r: FloatOrArray, delta: FloatOrArray) -> FloatOrArray:
     """
     scalar = np.ndim(r) == 0 and np.ndim(delta) == 0
     r_arr, d_arr = _operands(r, delta)
-    area = np.empty(r_arr.shape)
-    small = r_arr < 0.5 * d_arr
-    area[small] = np.pi * r_arr[small] ** 2
-    m = ~small
-    rm = r_arr[m]
-    dm = d_arr if np.ndim(d_arr) == 0 else d_arr[m]
-    # arccos(1 - d**2/(2 r**2)) == 2 arcsin(d/(2 r)); the arcsin form stays
-    # well-conditioned when r >> delta
-    root = np.sqrt(np.maximum((2.0 * rm - dm) * (2.0 * rm + dm), 0.0))
-    area[m] = (
-        2.0 * rm**2 * _arcsin_clamped(dm / (2.0 * rm))
-        + dm**2 * _arccos_clamped(dm / (2.0 * rm))
-        - 0.5 * dm * root
-    )
+    contained = r_arr < 0.5 * d_arr
+    area = piecewise(contained, lambda r, d: np.pi * r**2, r_arr, d_arr, other=_two_arc)
     return float(area[0]) if scalar else area

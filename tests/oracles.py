@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from first principles (plain
 minimum-image arithmetic, O(n^2) scans, midpoint rasterisation) so it shares
-no code path with the package implementations it checks.
+no code path with the package implementations it checks. The one exception,
+``per_panel_walk``, is the package's own quadrature walk taken one panel at a
+time, the reference its bulk walk must reproduce to the bit.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from matern_contact import ProcessParams, QuadratureError, RetentionFunction
+from matern_contact import ProcessParams, QuadratureError, RetentionFunction, analytic
 
 
 def lens_area_two_circles(d: float, r1: float, r2: float) -> float:
@@ -295,3 +297,40 @@ def cumulative_quad(fn, edges) -> tuple[np.ndarray, float]:
         error += err
         out.append(total)
     return np.array(out), error
+
+
+def per_panel_walk(eta, start: float, targets: np.ndarray, abs_tol: float, breakpoints: bool):
+    """The hazard walk of ``analytic._accumulate_hazard`` one panel at a time:
+    every panel goes to ``_integrate_panel`` in order, and the hazard and its
+    error are added up panel by panel. It shares the rule evaluation and the
+    bisection with the package on purpose, so it judges only the package's
+    bulk acceptance of panel runs. Returns radii, hazard and hazard error as
+    ``_accumulate_hazard`` does with zero offset."""
+    lam = eta.params.lambda_p
+
+    def integrand(r):
+        values, errors = eta(r, with_error=True)
+        return analytic.TWO_PI * lam * r * values, analytic.TWO_PI * lam * r * errors
+
+    cuts = analytic._lens_breakpoints(eta.params, start, float(targets[-1]))
+    tol_segment = abs_tol / max(1, len(targets) + len(cuts))
+    edges = np.union1d(targets, cuts)
+    lows = np.concatenate(([start], edges[:-1]))
+    hazard = np.empty(edges.shape)
+    herr = np.empty(edges.shape)
+    acc = 0.0
+    acc_err = 0.0
+    for first in range(0, len(edges), analytic._PANEL_BLOCK):
+        block = slice(first, first + analytic._PANEL_BLOCK)
+        rules = zip(*analytic._panel_rules(integrand, lows[block], edges[block]))
+        panels = zip(lows[block].tolist(), edges[block].tolist(), rules)
+        for i, (a, b, rule) in enumerate(panels, first):
+            v, e = analytic._integrate_panel(integrand, a, b, tol_segment, 0.0 + acc, rule)
+            acc += v
+            acc_err += e
+            hazard[i] = acc
+            herr[i] = acc_err
+    if breakpoints:
+        return edges, hazard, herr
+    at = np.searchsorted(edges, targets)
+    return targets, hazard[at], herr[at]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from matern_contact import analytic
 from matern_contact.analytic import (
     CdfCurve,
     ContactCase,
@@ -15,6 +16,8 @@ from matern_contact.analytic import (
     QuadratureError,
     RetentionFunction,
     _pair_free,
+    _removed_pair_correlation,
+    _void_lens,
     cmhc_pair_retention,
     contact_cdf,
     default_r_grid,
@@ -31,6 +34,7 @@ from oracles import (
     cumulative_quad,
     pair_retention_quadrature,
     pair_survival_quadrature,
+    per_panel_walk,
     rival_pair_survival_monte_carlo,
     void_probability_discretized,
 )
@@ -218,6 +222,52 @@ class TestRetentionProfiles:
             value, error = RetentionFunction(case, p)(ratio * delta, with_error=True)
             assert math.isfinite(value) and value >= 0.0
             assert math.isfinite(error) and 0.0 <= error <= 1e-9 * max(1.0, value)
+
+
+def test_single_branch_arrays_match_mixed_ones():
+    # a kernel computes straight on an array whose elements all take one
+    # branch; each element must get the bits it gets inside a mixed array
+    p = ProcessParams(1.0, 0.5)
+    kernels = [
+        # (kernel, elements on the computed branch, elements on the other)
+        (lambda r: pair_retention(r, p), np.linspace(0.5001, 3.0, 41), [0.0, 0.2, 0.5]),
+        (lambda r: _void_lens(r, p.delta), np.linspace(0.01, 3.0, 41), [0.0]),
+        (lambda s: cmhc_pair_retention(s, p), np.linspace(0.5001, 1.0, 41), [0.3, 0.5]),
+        (lambda u: _removed_pair_correlation(u, p), np.linspace(0.5001, 0.999, 41), [1.0, 2.5]),
+    ]
+    for kernel, branch, other in kernels:
+        mixed = kernel(np.concatenate([other, branch]))
+        assert kernel(branch).tobytes() == mixed[len(other) :].tobytes()
+        assert kernel(branch.reshape(-1, 1)).tobytes() == kernel(branch).tobytes()
+        assert kernel(np.empty(0)).shape == (0,)
+
+
+class TestSparseProcesses:
+    """At exposure a = lambda_p pi delta**2 -> 0 every case tends to the
+    Poisson curve, at a distance O(a)."""
+
+    EXPOSURES = (1e-14, 1e-12, 1e-10, 1e-8)
+
+    def test_curves_stay_within_ten_exposures_of_the_poisson_curve(self):
+        for a in self.EXPOSURES:
+            p = ProcessParams(1.0, math.sqrt(a / math.pi))
+            poisson = RetentionFunction(ContactCase.PPP_TO_PPP, p)
+            for case in (ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC):
+                eta = RetentionFunction(case, p)
+                # radii in units of the target spacing
+                radii = np.linspace(0.25, 2.0, 8) / math.sqrt(eta.target_intensity)
+                curve = contact_cdf(eta, radii, 1e-14)
+                exact = contact_cdf(poisson, radii, 1e-14)
+                assert np.max(np.abs(curve.values - exact.values)) <= 10.0 * a, (a, case)
+
+    def test_pair_retention_factorises_once_the_disks_separate(self):
+        # k(r) = p**2 exactly beyond 2 delta; the difference quotient behind
+        # k cancels unless it is summed from its series at small exposure
+        for a in self.EXPOSURES:
+            p = ProcessParams(1.0, math.sqrt(a / math.pi))
+            r = np.array([2.0 + 1e-9, 3.0, 1e3]) * p.delta
+            k = _pair_free(lens_symmetric(r, p.delta), p)
+            assert np.max(np.abs(k / mhc_retention(p) ** 2 - 1.0)) <= 1e-14, a
 
 
 class TestPairCorrelationTerms:
@@ -453,6 +503,43 @@ class TestBatchedQuadrature:
             )
             oracle = -np.expm1(-hazard[np.isin(edges[1:], radii)])
             assert np.max(np.abs(curve.values - oracle)) <= tol + quad_err
+
+    def test_bulk_walk_matches_the_per_panel_walk(self, monkeypatch):
+        configs = [
+            (ContactCase.CMHC_TO_MHC, ProcessParams(lam, delta), np.array(radii), 1e-12, False)
+            for lam, delta, radii in self.BISECTED
+        ]
+        for case in (ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC, ContactCase.CMHC_TO_MHC):
+            p = ProcessParams(1.0, 0.75)
+            configs.append((case, p, default_r_grid(case, p, points=1000), 1e-10, True))
+        integrate_panel = analytic._integrate_panel
+        ran = []
+        for case, p, grid, tol, breakpoints in configs:
+            eta = RetentionFunction(case, p)
+            s = eta.lower_support
+            reference = per_panel_walk(eta, s, grid[grid > s], tol, breakpoints)
+            # every panel the bulk walk hands on must be one it rejected,
+            # that is, one whose bisection evaluates eta
+            recording = RecordingEta(eta)
+            bisected = []
+
+            def counting(fn, *args):
+                calls = len(recording.calls)
+                out = integrate_panel(fn, *args)
+                bisected.append(len(recording.calls) > calls)
+                return out
+
+            monkeypatch.setattr(analytic, "_integrate_panel", counting)
+            curve = contact_cdf(recording, grid, tol, breakpoints=breakpoints)
+            monkeypatch.undo()
+            n = len(reference[0])
+            for field, expected in zip(("radii", "hazard", "hazard_error"), reference):
+                assert getattr(curve, field)[-n:].tobytes() == expected.tobytes(), (case, field)
+            assert all(bisected), case
+            ran.append(bool(bisected))
+        # the bisection path ran on every coarse grid, and between accepted
+        # runs on a 1000-radius one
+        assert all(ran[: len(self.BISECTED)]) and any(ran[len(self.BISECTED) :])
 
     def test_no_panel_is_evaluated_twice(self):
         for lam, delta, radii in self.BISECTED:

@@ -77,6 +77,22 @@ def test_analytic_small_delta_matches_ppp(tmp_path):
     assert np.max(np.abs(ra[:, 1] - rb[:, 1])) < 1e-2
 
 
+def test_sparse_hard_core_curve_matches_the_poisson_curve(capsys):
+    # exposure lambda_p pi delta**2 ~ 1e-14: the mhc-mhc curve lies within
+    # O(exposure) of ppp-ppp; a cancelling difference quotient once put
+    # F(1) at 0.95867 against 0.95679
+    argv = ["--lambda", "1", "--delta", "5.6e-8", "--rmin", "0.5", "--rmax", "1", "--points", "3"]
+    curves = {}
+    for case in ("mhc-mhc", "ppp-ppp"):
+        assert main(["analytic", "--case", case, *argv]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        curves[case] = np.array([[float(v) for v in row.split(",")] for row in rows])
+    assert np.array_equal(curves["mhc-mhc"][:, 0], [0.5, 0.75, 1.0])
+    assert np.array_equal(curves["ppp-ppp"][:, 0], [0.5, 0.75, 1.0])
+    exposure = math.pi * 5.6e-8**2
+    assert np.max(np.abs(curves["mhc-mhc"][:, 1] - curves["ppp-ppp"][:, 1])) <= 10.0 * exposure
+
+
 def test_analytic_delta_sweep_writes_one_file_per_delta(tmp_path):
     out = tmp_path / "curves.csv"
     assert main(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matern_contact import DomainError
-from matern_contact.geometry import lens_asymmetric, lens_symmetric
+from matern_contact.geometry import _check_unit_range, lens_asymmetric, lens_symmetric
 from oracles import lens_area_raster, lens_area_two_circles
 
 FULL_OVERLAP = 2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0  # unit disks, unit separation
@@ -102,13 +102,54 @@ def test_domain_errors(bad):
         lens_asymmetric(1.0, bad)
 
 
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+ARRAYS = {
+    "mixed": [0.3, 0.5, 1.0, 1.9, 2.5],
+    "all contained": [0.01, 0.2, 0.3, np.nextafter(0.5, 0.0)],  # r < delta/2
+    "all two-arc, overlapping": [0.5, 0.8, 1.3, 2.0, 1e6],
+    "all separated": [np.nextafter(2.0, 3.0), 3.0, 50.0],  # r > 2 delta
+}
+
+
 def test_array_inputs_match_scalars():
-    r = np.array([0.3, 0.5, 1.0, 1.9, 2.5])
-    sym = lens_symmetric(r, 1.0)
-    asym = lens_asymmetric(r, 1.0)
-    for i, ri in enumerate(r):
-        assert sym[i] == lens_symmetric(float(ri), 1.0)
-        assert asym[i] == lens_asymmetric(float(ri), 1.0)
+    # an array whose elements all take one branch skips the masks; every
+    # element must still carry the bits of the scalar call
+    for name, radii in ARRAYS.items():
+        r = np.array(radii)
+        sym = lens_symmetric(r, 1.0)
+        asym = lens_asymmetric(r, 1.0)
+        for i, ri in enumerate(r):
+            assert same_bits(sym[i], lens_symmetric(float(ri), 1.0)), name
+            assert same_bits(asym[i], lens_asymmetric(float(ri), 1.0)), name
+        assert same_bits(lens_symmetric(r.reshape(-1, 1), 1.0), sym.reshape(-1, 1)), name
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_broadcast_delta_matches_scalars(mixed):
+    # lens_symmetric(s, rho[:, None]), as the removed-observer moments call it
+    rho = np.array([0.6, 0.8, 1.0])
+    s = np.array([[0.1, 0.7, 1.1], [0.5, 1.2, 1.6], [1.0, 1.5, 2.0]])
+    if mixed:
+        s[0, 2] = 1.3  # beyond 2 rho: this lens vanishes
+    area = lens_symmetric(s, rho[:, None])
+    assert area.shape == s.shape
+    for (i, j), sij in np.ndenumerate(s):
+        assert same_bits(area[i, j], lens_symmetric(float(sij), float(rho[i])))
+    assert (area[0, 2] == 0.0) == mixed
+
+
+def test_unit_range_clamps_roundoff_and_rejects_the_rest():
+    eps = np.finfo(float).eps
+    inside = np.array([-1.0, -0.3, 0.0, 0.7, 1.0])
+    assert same_bits(_check_unit_range(inside), inside)
+    assert same_bits(_check_unit_range(np.array([1.0 + 2.0 * eps, 0.5])), [1.0, 0.5])
+    assert same_bits(_check_unit_range(np.array([-1.0 - 2.0 * eps])), [-1.0])
+    for bad in (1.0 + 1e-12, -1.0 - 1e-12):
+        with pytest.raises(DomainError):
+            _check_unit_range(np.array([0.0, bad]))
 
 
 @settings(max_examples=80, deadline=None)

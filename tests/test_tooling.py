@@ -6,16 +6,21 @@ from pathlib import Path
 
 import matern_contact.cli
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(path: Path) -> types.ModuleType:
+    module = types.ModuleType(path.stem)
+    module.__file__ = str(path)
+    # compiled from the text, so that no bytecode is written next to it
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
 
 
 def test_every_traced_binding_is_an_attribute_of_its_owner():
     # the benchmark patches each (owner, attribute) on every run, so a
     # function that moves or is renamed breaks every benchmark run
-    module = types.ModuleType("tracing")
-    module.__file__ = str(TRACING)
-    # compiled from the text, so that no bytecode is written next to it
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    module = load_script(ROOT / "perfbench" / "tracing.py")
     bindings = module.bindings(matern_contact)
     assert bindings
     for owner, attr, name in bindings:
@@ -33,3 +38,16 @@ def test_source_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_stage_timing_rows_run_at_toy_sizes():
+    # the row functions behind BENCH_<label>.json, on a side-20 torus and
+    # 50 radii; nothing is written
+    script = load_script(ROOT / "scripts" / "stage_timings.py")
+    row = script.stage_row(20.0, 1.0)
+    assert all(n > 0 for n in row["parents"] + row["survivors"] + row["observers"])
+    for stage in script.STAGES:
+        assert row[f"{stage}_s"] >= 0.0 and row[f"{stage}_cpu_s"] >= 0.0
+    for case in script.ANALYTIC_CASES:
+        timed = script.analytic_row(case, 1.0, 50, 1)
+        assert timed["radii"] >= 50 and timed["contact_cdf_s"] > 0.0, timed
