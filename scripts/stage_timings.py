@@ -13,7 +13,10 @@ on every commit, so two files from the same machine compare stage by stage.
 
 The analytic section times ``contact_cdf`` for mhc-mhc, ppp-mhc and cmhc-mhc
 at the analytic sweep's shape: lambda_p = 1, delta 0.5 and 1, ``POINTS`` radii
-of ``default_r_grid``, tolerance ``TOL``; each row is the best of ``REPEATS``.
+of ``default_r_grid``, tolerance ``TOL``. Each of ``ANALYTIC_REPEATS`` calls
+gets a fresh ``RetentionFunction``, so every call pays for building its
+tables, and a row holds the median and quartiles of the calls: a best of
+three single calls of 20-50 ms cannot resolve a change of 10%.
 Writes ``BENCH_<label>.json`` and prints one line per row:
 
     PYTHONPATH=src python scripts/stage_timings.py --label after
@@ -48,6 +51,7 @@ from matern_contact import (
 
 
 REPEATS = 3
+ANALYTIC_REPEATS = 11
 SEEDS = (5, 6, 7)
 SIDES = (100.0, 316.0, 1000.0)  # ~1e4, 1e5 and 1e6 parents at lambda_p = 1
 STAGES = ("sample", "thin", "nn_within", "nn_cross")
@@ -102,17 +106,30 @@ def stage_row(side: float, delta: float) -> dict:
 
 
 def analytic_row(case: ContactCase, delta: float, points: int, repeats: int) -> dict:
-    """Best-of-``repeats`` wall and CPU time of one ``contact_cdf`` call."""
+    """Median and quartiles of the wall and CPU times of ``repeats``
+    ``contact_cdf`` calls, each on a fresh ``RetentionFunction``."""
     params = ProcessParams(1.0, delta)
     grid = default_r_grid(case, params, points)
-    (wall, cpu), curve = best_of(repeats, contact_cdf, RetentionFunction(case, params), grid, TOL)
+    walls, cpus = [], []
+    for _ in range(repeats):
+        start_wall, start_cpu = time.perf_counter(), time.process_time()
+        curve = contact_cdf(RetentionFunction(case, params), grid, TOL)
+        walls.append(time.perf_counter() - start_wall)
+        cpus.append(time.process_time() - start_cpu)
+    wall_q1, wall, wall_q3 = np.percentile(walls, (25, 50, 75))
+    cpu_q1, cpu, cpu_q3 = np.percentile(cpus, (25, 50, 75))
     return {
         "case": case.value,
         "delta": delta,
         "points": points,
         "radii": len(curve.radii),
+        "repeats": repeats,
         "contact_cdf_s": wall,
+        "contact_cdf_q1_s": wall_q1,
+        "contact_cdf_q3_s": wall_q3,
         "contact_cdf_cpu_s": cpu,
+        "contact_cdf_cpu_q1_s": cpu_q1,
+        "contact_cdf_cpu_q3_s": cpu_q3,
     }
 
 
@@ -136,10 +153,11 @@ def main() -> None:
     analytic = []
     for case in ANALYTIC_CASES:
         for delta in DELTAS:
-            row = analytic_row(case, delta, POINTS, REPEATS)
+            row = analytic_row(case, delta, POINTS, ANALYTIC_REPEATS)
             analytic.append(row)
             print(
                 f"{case.value}  delta {delta:g}  contact_cdf {row['contact_cdf_s']:.4f} s "
+                f"[{row['contact_cdf_q1_s']:.4f}-{row['contact_cdf_q3_s']:.4f}] "
                 f"(cpu {row['contact_cdf_cpu_s']:.4f})",
                 flush=True,
             )
@@ -156,7 +174,7 @@ def main() -> None:
             "scipy": scipy.__version__,
         },
         "rows": rows,
-        "analytic": {"points": POINTS, "tol": TOL, "rows": analytic},
+        "analytic": {"points": POINTS, "tol": TOL, "repeats": ANALYTIC_REPEATS, "rows": analytic},
     }
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")

@@ -23,11 +23,11 @@ handles delta = 0, where every case is a plain Poisson process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebint
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import FloatOrArray, lens_asymmetric, lens_symmetric, piecewise
@@ -313,71 +313,272 @@ class _RulePair:
         return fine, np.abs(fine - coarse)
 
 
-# the integrals inside eta, and the hazard panels of contact_cdf
-_INNER = _RulePair(12, 8)
+# the hazard panels of contact_cdf
 _PANEL = _RulePair(21, 10)
 
 
-def _inner_gauss(fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    nodes, half = _INNER.nodes(lo, hi)
-    return _INNER.integral(fn(nodes), half)
+# The inner integrals of eta are fixed functions of one radius for given
+# case and parameters, so each RetentionFunction tabulates them once (_Table)
+# and eta looks them up. Nodes and fit of the panels' Chebyshev series:
+# first-kind points, so that no density is evaluated at a panel edge, where
+# some of them jump; cos(k theta_j) with the angle reduced in integers, since
+# rounding k * theta_j would put errors of ~1e-15 into every coefficient.
+_CHEB_NODES = 17
+_CHEB_POINTS = np.cos(math.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES)
+_CHEB_FIT = (2.0 / _CHEB_NODES) * np.cos(
+    (math.pi / (2 * _CHEB_NODES))
+    * (np.outer(np.arange(_CHEB_NODES), 2 * np.arange(_CHEB_NODES) + 1) % (4 * _CHEB_NODES))
+)
+_CHEB_FIT[0] *= 0.5
+# a panel is bisected until the last two coefficients of its series fall
+# below this share of its largest value
+_TAIL_TOL = 1e-15
+_MAX_DEPTH = 40
 
 
-def _split_integral(
-    fn, lo: np.ndarray, hi: np.ndarray, cut: float, singular_above: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise integral of ``fn`` over [lo, hi] with error estimates. On the
-    side of ``cut`` where the lens areas behave like |u - cut|**1.5 the
-    integral runs in v = sqrt(|u - cut|), where the integrand is smooth, so one
-    fixed Gauss rule converges fast on both sides."""
-    value = np.zeros(lo.shape)
-    err = np.zeros(lo.shape)
-    # a side no row reaches is skipped: without this the analytic sweep ran 5% slower
-    rows = lo < cut
-    if np.any(rows):
-        a, b = lo[rows], np.minimum(hi[rows], cut)
-        if singular_above:
-            v, e = _inner_gauss(fn, a, b)
-        else:
-            v, e = _inner_gauss(
-                lambda t: 2.0 * t * fn(cut - t * t), np.sqrt(cut - b), np.sqrt(cut - a)
+def _chebyshev_fit(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of each row of values at _CHEB_POINTS. Each
+    coefficient is a sum over its own row only, so a row's coefficients do
+    not depend on the rows it is fitted with."""
+    return np.sum(values[:, None, :] * _CHEB_FIT, axis=2)
+
+
+def _clenshaw(rows: np.ndarray, at: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """S(t[i]) for the series S with coefficients rows[:, at[i]]."""
+    b1 = np.zeros(t.shape)
+    b2 = np.zeros(t.shape)
+    two_t = 2.0 * t
+    for row in rows[:0:-1]:
+        b1, b2 = two_t * b1 - b2 + row[at], b1
+    return t * b1 - b2 + rows[0][at]
+
+
+def _clenshaw_difference(rows, at, x: np.ndarray, y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """S(x[i]) - S(y[i]) for the series S with coefficients rows[:, at[i]],
+    given dx = x - y: Clenshaw's recurrence run on the difference of the two
+    points' recurrences, which scales with dx instead of cancelling when x
+    and y are close."""
+    b1 = np.zeros(x.shape)
+    b2 = np.zeros(x.shape)
+    d1 = np.zeros(x.shape)
+    d2 = np.zeros(x.shape)
+    two_x, two_y, two_dx = 2.0 * x, 2.0 * y, 2.0 * dx
+    for row in rows[:0:-1]:
+        d1, d2 = two_x * d1 + two_dx * b1 - d2, d1
+        b1, b2 = two_y * b1 - b2 + row[at], b1
+    return x * d1 + dx * b1 - d2
+
+
+class _Table:
+    """Piecewise Chebyshev table of a density f(u) from edges[0] on, and of
+    its integral from there, built out to the largest radius asked for.
+
+    Top-level panel k spans [edges[k], edges[k + 1]] and runs in
+    v = sqrt(|u - cuts[k]|), in which the density is smooth up to a panel
+    edge at cuts[k], where lens areas behave like |u - cut|**1.5. Past the
+    last edge the panels double in length and keep the last cut. A panel is
+    bisected in v until the last two coefficients of its series fall below
+    _TAIL_TOL of its largest value, or stop falling, at the noise floor of the
+    density. The layout thus depends on (density, edges, cuts) alone, never on
+    the order of the requests, and eta is a pure function of (r, case, params).
+    """
+
+    def __init__(self, density, edges: tuple[float, ...], cuts: tuple[float, ...]):
+        self._density = density
+        self._edges = edges
+        self._cuts = cuts
+        self._count = 0  # top-level panels built
+        self._end = edges[0]
+        # per panel, in the order of u: left edge, v-centre and half-width,
+        # sign of u - cut, cut, series of f and of its integral (coefficient
+        # by row), integral over the panel, error estimates of both series
+        self._left = self._mid = self._half = self._sign = self._cut = np.zeros(0)
+        self._values = np.zeros((_CHEB_NODES, 0))
+        self._anti = np.zeros((_CHEB_NODES + 1, 0))
+        self._integral = self._value_err = self._integral_err = np.zeros(0)
+
+    def _edge(self, k: int) -> float:
+        extra = k - len(self._edges) + 1
+        return self._edges[k] if extra <= 0 else self._edges[-1] * 2.0**extra
+
+    def _extend(self, x_max: float) -> None:
+        top = []
+        while self._end < x_max:
+            k = self._count
+            top.append((self._end, self._edge(k + 1), self._cuts[min(k, len(self._cuts) - 1)]))
+            self._count += 1
+            self._end = top[-1][1]
+        if not top:
+            return
+        lo, hi, cut = (np.array(x) for x in zip(*top))
+        sign = np.where(lo >= cut, 1.0, -1.0)
+        a, b = np.sqrt(np.abs(lo - cut)), np.sqrt(np.abs(hi - cut))
+        pending = (np.minimum(a, b), np.maximum(a, b), sign, cut, lo, np.full(lo.shape, np.inf))
+        kept = []
+        for depth in range(_MAX_DEPTH + 1):
+            a, b, sign, cut, left, prev = pending
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            v = mid[:, None] + half[:, None] * _CHEB_POINTS
+            f = self._density((cut[:, None] + sign[:, None] * v * v).ravel()).reshape(v.shape)
+            # the integrand in t, f du/dt
+            values = np.concatenate([f, f * (2.0 * sign * half)[:, None] * v])
+            coeffs = _chebyshev_fit(values)
+            tail = np.abs(coeffs[:, -1]) + np.abs(coeffs[:, -2])
+            scale = np.max(np.abs(values), axis=1)
+            ratio = np.divide(tail, scale, out=np.zeros(tail.shape), where=scale > 0.0)
+            n = len(f)
+            ratio = np.maximum(ratio[:n], ratio[n:])
+            # a NaN ratio compares false and is kept, never split
+            split = (ratio > _TAIL_TOL) & (ratio <= 0.5 * prev) & (depth < _MAX_DEPTH)
+            panels = (left, mid, half, sign, cut, coeffs[:n], coeffs[n:], tail[:n], 2.0 * tail[n:])
+            kept.append(tuple(x[~split] for x in panels))
+            if not split.any():
+                break
+            a, b, sign, cut, left, m = (x[split] for x in (a, b, sign, cut, left, mid))
+            # the child nearer in u to the parent's left edge keeps it
+            m_u = cut + sign * m * m
+            near = sign > 0.0
+            pending = (
+                np.concatenate([a, m]),
+                np.concatenate([m, b]),
+                np.concatenate([sign, sign]),
+                np.concatenate([cut, cut]),
+                np.concatenate([np.where(near, left, m_u), np.where(near, m_u, left)]),
+                np.tile(ratio[split], 2),
             )
-        value[rows] += v
-        err[rows] += e
-    rows = hi > cut
-    if np.any(rows):
-        a, b = np.maximum(lo[rows], cut), hi[rows]
-        if singular_above:
-            v, e = _inner_gauss(
-                lambda t: 2.0 * t * fn(cut + t * t), np.sqrt(a - cut), np.sqrt(b - cut)
-            )
-        else:
-            v, e = _inner_gauss(fn, a, b)
-        value[rows] += v
-        err[rows] += e
-    return value, err
+        panels = [np.concatenate(x) for x in zip(*kept)]
+        order = np.argsort(panels[0])
+        left, mid, half, sign, cut, fc, hc, value_err, integral_err = (x[order] for x in panels)
+        # integral from the panel's left end in u: t = -1 where u grows with
+        # t, t = 1 where it falls
+        anti = chebint(hc, lbnd=-1.0, axis=1)
+        anti[sign < 0.0, 0] -= np.sum(anti[sign < 0.0], axis=1)
+        self._left = np.concatenate([self._left, left])
+        self._mid = np.concatenate([self._mid, mid])
+        self._half = np.concatenate([self._half, half])
+        self._sign = np.concatenate([self._sign, sign])
+        self._cut = np.concatenate([self._cut, cut])
+        self._values = np.concatenate([self._values, fc.T], axis=1)
+        self._anti = np.concatenate([self._anti, anti.T], axis=1)
+        integral = _clenshaw(anti.T, np.arange(len(anti)), sign)
+        self._integral = np.concatenate([self._integral, integral])
+        self._value_err = np.concatenate([self._value_err, value_err])
+        self._integral_err = np.concatenate([self._integral_err, integral_err])
+        self._offset = np.concatenate([[0.0], np.cumsum(self._integral)])
+        self._cum_err = np.concatenate([[0.0], np.cumsum(self._integral_err)])
+
+    def _locate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Panel index, v and panel coordinate t of each radius."""
+        if x.size:
+            self._extend(float(np.max(x)))
+        at = np.clip(np.searchsorted(self._left, x, side="right") - 1, 0, None)
+        v = np.sqrt(np.abs(x - self._cut[at]))
+        return at, v, (v - self._mid[at]) / self._half[at]
+
+    def _span(self, at, x, vx, tx, y, vy, ty) -> np.ndarray:
+        """Integral of panel ``at``'s series from radius y to radius x, given
+        their v and t. t_x - t_y is taken from x - y, which is exact for
+        close radii, where the difference of the rounded t's is not."""
+        dv = np.divide(x - y, vx + vy, out=np.zeros(x.shape), where=vx + vy > 0.0)
+        return _clenshaw_difference(self._anti, at, tx, ty, self._sign[at] * dv / self._half[at])
+
+    def value(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The density at x and its error estimate."""
+        at, _, t = self._locate(x)
+        return _clenshaw(self._values, at, t), self._value_err[at]
+
+    def integral(self, hi: np.ndarray, lo: np.ndarray | None = None):
+        """Integral of the density from ``lo`` (default: the table's start)
+        to ``hi`` >= ``lo``, and its error estimate: the estimates of every
+        panel the integral touches."""
+        j, vj, tj = self._locate(hi)
+        sj = self._sign[j]
+        # the left edge of hi's panel, in u, v and t
+        left, left_v = self._left[j], self._mid[j] - sj * self._half[j]
+        if lo is None:
+            value = self._span(j, hi, vj, tj, left, left_v, -sj)
+            return self._offset[j] + value, self._cum_err[j + 1]
+        i, vi, ti = self._locate(lo)
+        same = i == j
+        start = (np.where(same, lo, left), np.where(same, vi, left_v), np.where(same, ti, -sj))
+        value = self._span(j, hi, vj, tj, *start)
+        cross = ~same
+        if cross.any():  # speed guard: lo in an earlier panel
+            k = i[cross]
+            sk = self._sign[k]
+            right_v = self._mid[k] + sk * self._half[k]
+            head = self._span(k, self._left[k + 1], right_v, sk, lo[cross], vi[cross], ti[cross])
+            value[cross] += head + (self._offset[j[cross]] - self._offset[k + 1])
+        return value, self._cum_err[j + 1] - self._cum_err[i]
 
 
-def _eta_ppp_to_mhc(r: np.ndarray, params: ProcessParams) -> tuple[np.ndarray, np.ndarray]:
+# the inner rule of the second factorial moment at the removed-observer table's
+# nodes: 24 points reach rounding at every exposure from 1e-8 to 3e4
+_MOMENT_X, _MOMENT_W = leggauss(24)
+
+
+def _moment_density(rho: np.ndarray, params: ProcessParams) -> np.ndarray:
+    """m2'(rho) / 2 for the second factorial moment m2 of :func:`_removed_void`,
+    0 for rho <= delta/2, where no pair fits. The pair distance s runs in
+    v = sqrt(2 rho - s), which smooths the lens edge at s = 2 rho."""
+    lam, d = params.lambda_p, params.delta
+    # 1 - p = a * W(a) keeps its precision at small a
+    a = lam * params.ball_area
+    scale = lam * lam / (a * _below_rival(a))
+
+    def pairs(rho):
+        half = 0.5 * np.sqrt(2.0 * rho - d)
+        v = half[:, None] * (1.0 + _MOMENT_X)
+        s = 2.0 * rho[:, None] - v * v
+        # d/drho lens_symmetric(s, rho) = 4 rho arccos(s / (2 rho))
+        arc = np.arccos(np.minimum(s / (2.0 * rho[:, None]), 1.0))
+        weight = scale * 2.0 * v * TWO_PI * s * cmhc_pair_retention(s, params)
+        return 0.5 * half * _weighted_rows(weight * 4.0 * rho[:, None] * arc, _MOMENT_W)
+
+    return piecewise(rho > 0.5 * d, pairs, rho)
+
+
+def _case_tables(case: ContactCase, params: ProcessParams) -> dict[str, _Table]:
+    """The unbuilt tables of one case: "h0", the density of the first-order
+    hazard in eta's void ratio, or for a removed observer "tail", the density
+    2 pi u lambda_p g(u) beyond delta, and "moment", :func:`_moment_density`.
+    A moment panel runs about delta/2 below 3 delta/4 and about delta above:
+    the moment has a (delta - rho)**3 log(delta - rho) term, which a panel in
+    v = sqrt(rho - delta/2) resolves only after eight bisections."""
+    lam, d = params.lambda_p, params.delta
+    if case is ContactCase.PPP_TO_MHC:
+        h0 = lambda u: TWO_PI * lam * u * retention_ppp_to_mhc(u, params)  # noqa: E731
+        return {"h0": _Table(h0, (0.0, 0.5 * d, d, 2.0 * d), (0.5 * d,))}
+    if case is ContactCase.MHC_TO_MHC:
+        p = mhc_retention(params)
+        h0 = lambda u: TWO_PI * lam * u * (pair_retention(u, params) / p)  # noqa: E731
+        return {"h0": _Table(h0, (d, 2.0 * d), (2.0 * d,))}
+    if case is ContactCase.CMHC_TO_MHC:
+        tail = lambda u: TWO_PI * lam * u * _removed_pair_correlation(u, params)  # noqa: E731
+        moment = lambda rho: _moment_density(rho, params)  # noqa: E731
+        return {
+            "tail": _Table(tail, (d, 2.0 * d), (2.0 * d,)),
+            "moment": _Table(moment, (0.0, 0.5 * d, 0.75 * d, d), (0.5 * d, 0.5 * d, d)),
+        }
+    return {}
+
+
+def _eta_ppp_to_mhc(r: np.ndarray, params: ProcessParams, tables: dict[str, _Table]):
     """p * exp(H0(r) - H0(r_e)): pair correlation 1, and the void ratio from
     the first-order hazard H0 over the part of the ball that the candidate's
     own disk does not already keep free of survivors (area pi * r_e**2)."""
-    lam, d = params.lambda_p, params.delta
+    d = params.delta
     r_e = np.sqrt(np.maximum(r * r - _void_lens(r, d) / math.pi, 0.0))
-
-    def density(u):
-        return TWO_PI * lam * u * retention_ppp_to_mhc(u, params)
-
-    dh, dh_err = _split_integral(density, r_e, r, 0.5 * d, True)
+    dh, dh_err = tables["h0"].integral(r, r_e)
     eta = mhc_retention(params) * np.exp(dh)
     return eta, eta * dh_err
 
 
-def _eta_mhc_to_mhc(r: np.ndarray, params: ProcessParams) -> tuple[np.ndarray, np.ndarray]:
+def _eta_mhc_to_mhc(r: np.ndarray, params: ProcessParams, tables: dict[str, _Table]):
     """(k(r) / p) * exp(H0(r) - H0(r_e)) above delta, 0 below: pair
     correlation from the unconditional two-point retention, and the void
     ratio over the part of the annulus outside both hard-core disks."""
-    lam, d = params.lambda_p, params.delta
+    d = params.delta
     eta = np.zeros(r.shape)
     err = np.zeros(r.shape)
     active = r > d
@@ -387,77 +588,46 @@ def _eta_mhc_to_mhc(r: np.ndarray, params: ProcessParams) -> tuple[np.ndarray, n
     l1 = lens_symmetric(ra, d)
     l2 = lens_asymmetric(ra, d)
     r_e = np.sqrt(np.maximum(ra * ra - (l2 - l1) / math.pi, d * d))
-
-    def density(u):
-        return TWO_PI * lam * u * (pair_retention(u, params) / mhc_retention(params))
-
-    dh, dh_err = _split_integral(density, r_e, ra, 2.0 * d, False)
+    dh, dh_err = tables["h0"].integral(ra, r_e)
     eta[active] = _pair_free(l1, params) / mhc_retention(params) * np.exp(dh)
     err[active] = eta[active] * dh_err
     return eta, err
 
 
-def _removed_contact(
-    rho: np.ndarray, params: ProcessParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Void probability 1 - F(rho) of a removed point, the derivative F'(rho),
-    and their error estimates, for 0 <= rho <= delta.
+def _removed_void(rho: np.ndarray, params: ProcessParams, moment: _Table):
+    """Void probability 1 - F(rho) of a removed point and its error
+    estimate, for 0 <= rho <= delta.
 
     Every survivor within delta of a removed point o beats o's mark, so the
     survivor count N in b(o, rho) has mean (rho/delta)**2 exactly, and
     F = E[N] - E[N(N-1)]/2 up to the rare triples. The second factorial
-    moment is the pair density lambda_p**2 * cmhc_pair_retention / (1 - p)
+    moment m2 is the pair density lambda_p**2 * cmhc_pair_retention / (1 - p)
     integrated over point pairs in the ball: over their distance s in
-    (delta, 2 rho) with weight 2 pi s * lens_symmetric(s, rho).
+    (delta, 2 rho) with weight 2 pi s * lens_symmetric(s, rho). ``moment``
+    tabulates m2'(rho) / 2 (:func:`_moment_density`).
     """
-    lam, d = params.lambda_p, params.delta
+    d = params.delta
+    half_m2, err = moment.integral(rho)
     # factored so that the void keeps full relative precision as rho -> delta
-    void = (d - rho) * (d + rho) / (d * d)
-    fp = 2.0 * rho / (d * d)
-    void_err = np.zeros(rho.shape)
-    fp_err = np.zeros(rho.shape)
-    pairs = rho > 0.5 * d
-    if np.any(pairs):  # speed guard
-        rp = rho[pairs]
-        # s = 2 rho - v**2 smooths the lens edge at s = 2 rho
-        v, half = _INNER.nodes(np.zeros(rp.shape), np.sqrt(2.0 * rp - d))
-        s = 2.0 * rp[:, None] - v * v
-        # 1 - p = a * W(a) keeps its precision at small a
-        a = lam * params.ball_area
-        scale = lam * lam / (a * _below_rival(a))
-        weight = scale * 2.0 * v * TWO_PI * s * cmhc_pair_retention(s, params)
-        m2, m2_err = _INNER.integral(weight * lens_symmetric(s, rp[:, None]), half)
-        # d/drho lens_symmetric(s, rho) = 4 rho arccos(s / (2 rho))
-        arc = np.arccos(np.minimum(s / (2.0 * rp[:, None]), 1.0))
-        dm2, dm2_err = _INNER.integral(weight * 4.0 * rp[:, None] * arc, half)
-        void[pairs] += 0.5 * m2
-        fp[pairs] -= 0.5 * dm2
-        void_err[pairs] = 0.5 * m2_err
-        fp_err[pairs] = 0.5 * dm2_err
-    return void, fp, void_err, fp_err
+    return (d - rho) * (d + rho) / (d * d) + half_m2, err
 
 
-# every block of a cmhc-mhc curve needs this; uncached, the analytic sweep ran 9% slower
-@lru_cache(maxsize=64)
-def _removed_hazard_at_delta(params: ProcessParams) -> tuple[float, float]:
-    """-log(1 - F(delta)) of the removed-point case and its error estimate."""
-    void, _, void_err, _ = _removed_contact(np.array([params.delta]), params)
-    return float(-np.log(void[0])), float(void_err[0] / void[0])
-
-
-def _eta_cmhc_to_mhc(r: np.ndarray, params: ProcessParams) -> tuple[np.ndarray, np.ndarray]:
-    """Removed observer. Up to delta, the hazard of :func:`_removed_contact`.
-    Beyond it, g(r) * exp(H0(r) - H0(r_e)) with the exact pair correlation
-    lambda_t * g / lambda_p = (p - k(r)) / (1 - p) of a removed point and a
-    survivor, and H0 the zeroth-order hazard: the hazard of
-    :func:`_removed_contact` up to delta, then 2 pi u lambda_p g(u)."""
+def _eta_cmhc_to_mhc(r: np.ndarray, params: ProcessParams, tables: dict[str, _Table]):
+    """Removed observer. Up to delta, the hazard F'(r) / (1 - F(r)) of
+    :func:`_removed_void`. Beyond it, g(r) * exp(H0(r) - H0(r_e)) with the
+    exact pair correlation lambda_t * g / lambda_p = (p - k(r)) / (1 - p) of
+    a removed point and a survivor, and H0 the zeroth-order hazard: that of
+    :func:`_removed_void` up to delta, then 2 pi u lambda_p g(u)."""
     lam, d = params.lambda_p, params.delta
+    moment = tables["moment"]
     eta = np.empty(r.shape)
     err = np.zeros(r.shape)
     inner = r <= d
     if np.any(inner):  # speed guard
         ri = r[inner]
-        void, fp, void_err, fp_err = _removed_contact(ri, params)
+        void, void_err = _removed_void(ri, params, moment)
+        half_dm2, fp_err = moment.value(ri)
+        fp = 2.0 * ri / (d * d) - half_dm2
         # F'(r) / (2 pi r lambda_p), whose limit at r = 0 is 1 / (lambda_p pi delta**2)
         positive = ri > 0.0
         rate = np.where(
@@ -472,19 +642,15 @@ def _eta_cmhc_to_mhc(r: np.ndarray, params: ProcessParams) -> tuple[np.ndarray, 
     if np.any(outer):  # speed guard
         ro = r[outer]
         r_e = np.sqrt(np.maximum(ro * ro - lens_asymmetric(ro, d) / math.pi, 0.0))
-        h_delta, h_delta_err = _removed_hazard_at_delta(params)
         dh = np.zeros(ro.shape)
         dh_err = np.zeros(ro.shape)
         back = r_e < d
         if np.any(back):  # speed guard
-            void, _, void_err, _ = _removed_contact(r_e[back], params)
-            dh[back] = h_delta + np.log(void)
-            dh_err[back] = h_delta_err + void_err / void
-
-        def density(u):
-            return TWO_PI * lam * u * _removed_pair_correlation(u, params)
-
-        tail, tail_err = _split_integral(density, np.maximum(r_e, d), ro, 2.0 * d, False)
+            # H0(delta) = -log(1 - F(delta)), then back down to r_e
+            void, void_err = _removed_void(np.append(r_e[back], d), params, moment)
+            dh[back] = -np.log(void[-1]) + np.log(void[:-1])
+            dh_err[back] = void_err[-1] / void[-1] + void_err[:-1] / void[:-1]
+        tail, tail_err = tables["tail"].integral(ro, np.maximum(r_e, d))
         g = _removed_pair_correlation(ro, params)
         eta[outer] = g * np.exp(dh + tail)
         err[outer] = eta[outer] * (dh_err + tail_err)
@@ -496,9 +662,6 @@ _EVALUATORS = {
     ContactCase.PPP_TO_MHC: _eta_ppp_to_mhc,
     ContactCase.CMHC_TO_MHC: _eta_cmhc_to_mhc,
 }
-# points per evaluation block: bounds the inner-rule scratch when a whole
-# curve's quadrature nodes arrive in one call; no result depends on it
-_EVAL_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -517,16 +680,28 @@ class RetentionFunction:
     to a fixed point is less accurate and diverges once lambda_p pi delta**2
     exceeds about 1.3. A removed observer is treated exactly up to the
     second factorial moment of its survivor count within delta (see
-    :func:`_removed_contact`). eta is a hazard ratio, not a probability, and
+    :func:`_removed_void`). eta is a hazard ratio, not a probability, and
     exceeds 1 where the source attracts targets (removed observers).
+
+    The inner integrals, H0 and the removed observer's second factorial
+    moment, depend on one radius each, so every instance tabulates them on
+    first use, as piecewise Chebyshev series out to the largest radius asked
+    for (see :class:`_Table`), and eta looks them up. The tables belong to
+    the instance and their layout depends on (case, params) only, so eta is
+    a pure function of (r, case, params), whatever the order of the calls.
 
     ``eta(r)`` takes a scalar or an array of any shape and is 1 for ppp-ppp
     and at delta = 0; ``eta(r, with_error=True)`` also returns an error
-    estimate for the inner integrals it evaluates.
+    estimate: the tail estimates of the table panels that its lookups touch,
+    propagated to eta.
     """
 
     case: ContactCase
     params: ProcessParams
+    _tables: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_tables", _case_tables(self.case, self.params))
 
     @property
     def lower_support(self) -> float:
@@ -549,13 +724,7 @@ class RetentionFunction:
             values, errors = np.ones(flat.shape), np.zeros(flat.shape)
         else:
             evaluate = _EVALUATORS[self.case]
-            # one block at least, so that an empty input gives empty arrays
-            blocks = [
-                evaluate(flat[i : i + _EVAL_BLOCK], self.params)
-                for i in range(0, max(flat.size, 1), _EVAL_BLOCK)
-            ]
-            values = np.concatenate([v for v, _ in blocks])
-            errors = np.concatenate([e for _, e in blocks])
+            values, errors = evaluate(flat, self.params, self._tables)
         if scalar:
             values, errors = float(values[0]), float(errors[0])
         else:
@@ -624,9 +793,10 @@ class CdfCurve:
 _MAX_BISECTIONS = 48
 # exp(-H) underflows F's complement long before this hazard
 _MAX_HAZARD = 700.0
-# panels whose nodes go to eta in one call: every panel of a grid of up to
-# about a thousand radii, while longer grids keep their node arrays small
-_PANEL_BLOCK = 1024
+# panels whose nodes go to eta in one call (7936 nodes): the analytic sweep
+# ran 6-10% faster with this block than with 128 or 512 panels, and a whole
+# 1000-radius grid in one call took 3.6 times the peak memory
+_PANEL_BLOCK = 256
 
 
 def _panel_rules(
@@ -769,11 +939,12 @@ def contact_cdf(
     the grid, at no extra cost; F at the grid radii is the same either way.
 
     The quadrature holds the error of F, not of the hazard, to ``abs_tol``.
-    The reported ``abs_error`` adds the error estimates of the integrals
-    that eta evaluates internally; these do not shrink with the panels, so
-    for a removed observer in a dense process (lambda_p pi delta**2 above
-    about 30) they exceed tolerances below about 1e-11. ``abs_error`` bounds
-    quadrature error only, not the rounding inside eta's closed forms.
+    The reported ``abs_error`` adds the error estimates of eta itself: those
+    of the tables of its inner integrals (see :class:`RetentionFunction`),
+    which are built to about 1e-15 of their own scale, so at any exposure
+    they stay near rounding level, far below the tolerances a curve is
+    asked for. ``abs_error`` bounds quadrature and table error only, not the
+    rounding inside eta's closed forms.
     """
     grid = np.asarray(r_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:

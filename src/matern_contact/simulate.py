@@ -138,7 +138,12 @@ def _spatial_order(x: np.ndarray, y: np.ndarray, window: Window) -> np.ndarray:
 
 def _wrapped(x: np.ndarray, y: np.ndarray, sides: tuple[float, float]) -> np.ndarray:
     """The points as (n, 2) rows in [0, W) x [0, H), a side itself mapped to 0."""
-    coords = np.mod(np.column_stack((x, y)), sides)
+    coords = np.column_stack((x, y))
+    # generated points already lie in the window, and np.mod would return
+    # them unchanged; only a loaded or shifted pattern needs the wrap
+    if x.size and min(x.min(), y.min()) >= 0.0 and x.max() < sides[0] and y.max() < sides[1]:
+        return coords
+    coords = np.mod(coords, sides)
     coords[coords == sides] = 0.0  # np.mod of a tiny negative input, or a loaded point
     return coords
 

@@ -2,9 +2,12 @@
 
 Everything here is deliberately written from first principles (plain
 minimum-image arithmetic, O(n^2) scans, midpoint rasterisation) so it shares
-no code path with the package implementations it checks. The one exception,
-``per_panel_walk``, is the package's own quadrature walk taken one panel at a
-time, the reference its bulk walk must reproduce to the bit.
+no code path with the package implementations it checks. The two
+exceptions judge one layer of the package against its own earlier form:
+``per_panel_walk`` is the quadrature walk taken one panel at a time, the
+reference its bulk walk must reproduce to the bit, and ``per_node_eta`` is
+eta with its inner integrals taken at every node, the reference for the
+tables that replaced them.
 """
 
 from __future__ import annotations
@@ -334,3 +337,133 @@ def per_panel_walk(eta, start: float, targets: np.ndarray, abs_tol: float, break
         return edges, hazard, herr
     at = np.searchsorted(edges, targets)
     return targets, hazard[at], herr[at]
+
+
+# the per-node inner rule that eta used before it tabulated its inner
+# integrals: a 12-point Gauss rule, with an 8-point one for its error estimate
+_INNER = analytic._RulePair(12, 8)
+
+
+def _inner_gauss(fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    nodes, half = _INNER.nodes(lo, hi)
+    return _INNER.integral(fn(nodes), half)
+
+
+def _split_integral(fn, lo, hi, cut: float, singular_above: bool):
+    """Row-wise integral of ``fn`` over [lo, hi] with error estimates; on the
+    side of ``cut`` where the lens areas behave like |u - cut|**1.5 it runs
+    in v = sqrt(|u - cut|)."""
+    value = np.zeros(lo.shape)
+    err = np.zeros(lo.shape)
+    rows = lo < cut
+    if np.any(rows):
+        a, b = lo[rows], np.minimum(hi[rows], cut)
+        if singular_above:
+            v, e = _inner_gauss(fn, a, b)
+        else:
+            v, e = _inner_gauss(
+                lambda t: 2.0 * t * fn(cut - t * t), np.sqrt(cut - b), np.sqrt(cut - a)
+            )
+        value[rows] += v
+        err[rows] += e
+    rows = hi > cut
+    if np.any(rows):
+        a, b = np.maximum(lo[rows], cut), hi[rows]
+        if singular_above:
+            v, e = _inner_gauss(
+                lambda t: 2.0 * t * fn(cut + t * t), np.sqrt(a - cut), np.sqrt(b - cut)
+            )
+        else:
+            v, e = _inner_gauss(fn, a, b)
+        value[rows] += v
+        err[rows] += e
+    return value, err
+
+
+def _removed_contact(rho: np.ndarray, params: ProcessParams):
+    """1 - F(rho) and F'(rho) of a removed point with their error estimates,
+    the second factorial moment and its derivative integrated point by point."""
+    lam, d = params.lambda_p, params.delta
+    void = (d - rho) * (d + rho) / (d * d)
+    fp = 2.0 * rho / (d * d)
+    void_err = np.zeros(rho.shape)
+    fp_err = np.zeros(rho.shape)
+    pairs = rho > 0.5 * d
+    if np.any(pairs):
+        rp = rho[pairs]
+        v, half = _INNER.nodes(np.zeros(rp.shape), np.sqrt(2.0 * rp - d))
+        s = 2.0 * rp[:, None] - v * v
+        a = lam * params.ball_area
+        scale = lam * lam / (a * analytic._below_rival(a))
+        weight = scale * 2.0 * v * analytic.TWO_PI * s * analytic.cmhc_pair_retention(s, params)
+        m2, m2_err = _INNER.integral(weight * analytic.lens_symmetric(s, rp[:, None]), half)
+        arc = np.arccos(np.minimum(s / (2.0 * rp[:, None]), 1.0))
+        dm2, dm2_err = _INNER.integral(weight * 4.0 * rp[:, None] * arc, half)
+        void[pairs] += 0.5 * m2
+        fp[pairs] -= 0.5 * dm2
+        void_err[pairs] = 0.5 * m2_err
+        fp_err[pairs] = 0.5 * dm2_err
+    return void, fp, void_err, fp_err
+
+
+def per_node_eta(case, params: ProcessParams, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eta(r) of a curved case at delta > 0, and its error estimate, with
+    every inner integral taken at each node by the fixed 12/8 Gauss pair:
+    the package's rule before it tabulated them. It shares the closed-form
+    kernels with the package, so it judges only the tables."""
+    lam, d = params.lambda_p, params.delta
+    p = analytic.mhc_retention(params)
+    r = np.asarray(r, dtype=float)
+    if case is analytic.ContactCase.PPP_TO_MHC:
+        r_e = np.sqrt(np.maximum(r * r - analytic._void_lens(r, d) / math.pi, 0.0))
+        dh, dh_err = _split_integral(
+            lambda u: analytic.TWO_PI * lam * u * analytic.retention_ppp_to_mhc(u, params),
+            r_e, r, 0.5 * d, True,
+        )
+        eta = p * np.exp(dh)
+        return eta, eta * dh_err
+    eta = np.zeros(r.shape)
+    err = np.zeros(r.shape)
+    if case is analytic.ContactCase.MHC_TO_MHC:
+        active = r > d
+        ra = r[active]
+        l1 = analytic.lens_symmetric(ra, d)
+        l2 = analytic.lens_asymmetric(ra, d)
+        r_e = np.sqrt(np.maximum(ra * ra - (l2 - l1) / math.pi, d * d))
+        dh, dh_err = _split_integral(
+            lambda u: analytic.TWO_PI * lam * u * (analytic.pair_retention(u, params) / p),
+            r_e, ra, 2.0 * d, False,
+        )
+        eta[active] = analytic._pair_free(l1, params) / p * np.exp(dh)
+        err[active] = eta[active] * dh_err
+        return eta, err
+    inner = r <= d
+    ri = r[inner]
+    void, fp, void_err, fp_err = _removed_contact(ri, params)
+    positive = ri > 0.0
+    rate = np.where(
+        positive,
+        fp / (analytic.TWO_PI * lam * np.where(positive, ri, 1.0)),
+        1.0 / (lam * params.ball_area),
+    )
+    eta[inner] = rate / void
+    fp_rel = np.divide(fp_err, fp, out=np.zeros(fp.shape), where=fp_err > 0.0)
+    err[inner] = eta[inner] * (fp_rel + void_err / void)
+    outer = ~inner
+    ro = r[outer]
+    r_e = np.sqrt(np.maximum(ro * ro - analytic.lens_asymmetric(ro, d) / math.pi, 0.0))
+    void_d, _, void_d_err, _ = _removed_contact(np.array([d]), params)
+    h_delta, h_delta_err = float(-np.log(void_d[0])), float(void_d_err[0] / void_d[0])
+    dh = np.zeros(ro.shape)
+    dh_err = np.zeros(ro.shape)
+    back = r_e < d
+    void, _, void_err, _ = _removed_contact(r_e[back], params)
+    dh[back] = h_delta + np.log(void)
+    dh_err[back] = h_delta_err + void_err / void
+    tail, tail_err = _split_integral(
+        lambda u: analytic.TWO_PI * lam * u * analytic._removed_pair_correlation(u, params),
+        np.maximum(r_e, d), ro, 2.0 * d, False,
+    )
+    eta[outer] = analytic._removed_pair_correlation(ro, params) * np.exp(dh + tail)
+    err[outer] = eta[outer] * (dh_err + tail_err)
+    return eta, err

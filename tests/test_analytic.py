@@ -34,6 +34,7 @@ from oracles import (
     cumulative_quad,
     pair_retention_quadrature,
     pair_survival_quadrature,
+    per_node_eta,
     per_panel_walk,
     rival_pair_survival_monte_carlo,
     void_probability_discretized,
@@ -551,6 +552,60 @@ class TestBatchedQuadrature:
             # more rows than top-level panels: the bisection path ran
             assert len(rows) > len(self.panel_edges(delta, radii)) - 1
             assert len({row.tobytes() for row in rows}) == len(rows)
+
+
+CURVED = (ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC, ContactCase.CMHC_TO_MHC)
+
+
+class TestTables:
+    """eta looks its inner integrals up in piecewise Chebyshev tables that
+    each RetentionFunction builds on first use."""
+
+    def test_eta_agrees_with_the_per_node_rule(self):
+        # (1, 5.64e-5) has exposure 1e-8 and (8, 3) exposure 226
+        for lam, delta in ((1.0, 0.5), (1.0, 1.0), (1.0, 5.64e-5), (8.0, 3.0)):
+            p = ProcessParams(lam, delta)
+            cuts = (0.5 * delta, delta, 2.0 * delta)
+            near = [np.nextafter(c, side) for c in cuts for side in (0.0, math.inf)]
+            for case in CURVED:
+                top = default_r_grid(case, p, points=2)[-1]
+                r = np.concatenate([np.linspace(0.0, top, 2000 - 9), cuts, near])
+                values, errors = RetentionFunction(case, p)(r, with_error=True)
+                expected, expected_err = per_node_eta(case, p, r)
+                assert np.all(np.isfinite(errors)), (lam, delta, case)
+                gap = np.abs(values - expected) - (expected_err + 1e-13 * expected)
+                assert np.all(gap <= 0.0), (lam, delta, case, r[np.argmax(gap)])
+
+    def test_tables_do_not_depend_on_the_order_of_requests(self):
+        p = ProcessParams(1.0, 0.5)
+        near = np.linspace(0.0, 1.2, 301)
+        for case in CURVED:
+            warmed = RetentionFunction(case, p)
+            warmed(np.linspace(5.0, 40.0, 7))
+            values, errors = warmed(near, with_error=True)
+            fresh_values, fresh_errors = RetentionFunction(case, p)(near, with_error=True)
+            assert values.tobytes() == fresh_values.tobytes(), case
+            assert errors.tobytes() == fresh_errors.tobytes(), case
+
+    def test_table_integrals_match_the_antiderivative(self):
+        # panels on both sides of a cut, spans within and across panels,
+        # against sin(hi) - sin(lo); spans of a few ulp keep their relative
+        # precision, which a difference of rounded panel coordinates loses
+        table = analytic._Table(np.cos, (0.0, 0.5, 1.0, 2.0), (0.5,))
+        rng = np.random.default_rng(5)
+        lo = np.concatenate([rng.uniform(0.0, 9.0, 400), [0.0, 0.5, 1.0, 2.0]])
+        hi = lo + np.concatenate([rng.uniform(0.0, 3.0, 400), [0.5, 1.0, 1.0, 2.0]])
+        value, err = table.integral(hi, lo)
+        exact = 2.0 * np.cos(0.5 * (hi + lo)) * np.sin(0.5 * (hi - lo))
+        assert np.max(np.abs(value - exact)) <= 1e-14
+        assert np.all((err >= 0.0) & (err <= 1e-13))
+        tiny = lo[:400] + np.spacing(lo[:400]) * rng.integers(1, 5, 400)
+        value, _ = table.integral(tiny, lo[:400])
+        assert np.max(np.abs(value / (np.cos(lo[:400]) * (tiny - lo[:400])) - 1.0)) <= 1e-12
+        start, _ = table.integral(hi)
+        assert np.max(np.abs(start - np.sin(hi))) <= 1e-14
+        density, _ = table.value(hi)
+        assert np.max(np.abs(density - np.cos(hi))) <= 1e-14
 
 
 class TestDiscretizedVoidProbability:
