@@ -288,41 +288,13 @@ def _weighted_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return total
 
 
-class _RulePair:
-    """A fine Gauss-Legendre rule and a coarse one whose difference estimates
-    the fine rule's error, with the nodes of both in one array, fine first."""
-
-    def __init__(self, fine: int, coarse: int):
-        fine_x, self.fine_w = leggauss(fine)
-        coarse_x, self.coarse_w = leggauss(coarse)
-        self.x = np.concatenate([fine_x, coarse_x])
-
-    def nodes(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The nodes of both rules, one row per interval, and the half-widths."""
-        half = 0.5 * (hi - lo)
-        return (0.5 * (lo + hi))[:, None] + half[:, None] * self.x, half
-
-    def fine(self, values: np.ndarray, half: np.ndarray) -> np.ndarray:
-        """Row-wise fine-rule integral; reads only the fine columns."""
-        return half * _weighted_rows(values[:, : len(self.fine_w)], self.fine_w)
-
-    def integral(self, values: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise fine-rule integral and its error estimate."""
-        fine = self.fine(values, half)
-        coarse = half * _weighted_rows(values[:, len(self.fine_w) :], self.coarse_w)
-        return fine, np.abs(fine - coarse)
-
-
-# the hazard panels of contact_cdf
-_PANEL = _RulePair(21, 10)
-
-
 # The inner integrals of eta are fixed functions of one radius for given
 # case and parameters, so each RetentionFunction tabulates them once (_Table)
-# and eta looks them up. Nodes and fit of the panels' Chebyshev series:
-# first-kind points, so that no density is evaluated at a panel edge, where
-# some of them jump; cos(k theta_j) with the angle reduced in integers, since
-# rounding k * theta_j would put errors of ~1e-15 into every coefficient.
+# and eta looks them up; contact_cdf tabulates the hazard density the same
+# way. Nodes and fit of the panels' Chebyshev series: first-kind points, so
+# that no density is evaluated at a panel edge, where some of them jump;
+# cos(k theta_j) with the angle reduced in integers, since rounding
+# k * theta_j would put errors of ~1e-15 into every coefficient.
 _CHEB_NODES = 17
 _CHEB_POINTS = np.cos(math.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES)
 _CHEB_FIT = (2.0 / _CHEB_NODES) * np.cos(
@@ -330,6 +302,9 @@ _CHEB_FIT = (2.0 / _CHEB_NODES) * np.cos(
     * (np.outer(np.arange(_CHEB_NODES), 2 * np.arange(_CHEB_NODES) + 1) % (4 * _CHEB_NODES))
 )
 _CHEB_FIT[0] *= 0.5
+# Fejer's first rule on the same points: the integral over [-1, 1] of the
+# series through the values, with positive weights
+_CHEB_WEIGHTS = (2.0 / (1.0 - np.arange(0, _CHEB_NODES, 2) ** 2.0)) @ _CHEB_FIT[::2]
 # a panel is bisected until the last two coefficients of its series fall
 # below this share of its largest value
 _TAIL_TOL = 1e-15
@@ -380,11 +355,17 @@ class _Table:
     bisected in v until the last two coefficients of its series fall below
     _TAIL_TOL of its largest value, or stop falling, at the noise floor of the
     density. The layout thus depends on (density, edges, cuts) alone, never on
-    the order of the requests, and eta is a pure function of (r, case, params).
+    the order or the extent of the requests, and so does every value and
+    integral it returns: eta and F are pure functions of (r, case, params).
+
+    The error estimate of a panel's integral is twice the tail of its series.
+    With ``density_error`` the density returns its values and their own error
+    estimates, and a panel's estimate adds the integral of the latter.
     """
 
-    def __init__(self, density, edges: tuple[float, ...], cuts: tuple[float, ...]):
+    def __init__(self, density, edges, cuts, density_error: bool = False):
         self._density = density
+        self._density_error = density_error
         self._edges = edges
         self._cuts = cuts
         self._count = 0  # top-level panels built
@@ -396,6 +377,9 @@ class _Table:
         self._values = np.zeros((_CHEB_NODES, 0))
         self._anti = np.zeros((_CHEB_NODES + 1, 0))
         self._integral = self._value_err = self._integral_err = np.zeros(0)
+        # integral and its error estimate at every panel's left edge, and at
+        # the table's end
+        self._offset = self._cum_err = np.zeros(1)
 
     def _edge(self, k: int) -> float:
         extra = k - len(self._edges) + 1
@@ -419,18 +403,25 @@ class _Table:
             a, b, sign, cut, left, prev = pending
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             v = mid[:, None] + half[:, None] * _CHEB_POINTS
-            f = self._density((cut[:, None] + sign[:, None] * v * v).ravel()).reshape(v.shape)
+            out = self._density((cut[:, None] + sign[:, None] * v * v).ravel())
+            f, f_err = out if self._density_error else (out, None)
+            f = f.reshape(v.shape)
+            du_dt = (2.0 * sign * half)[:, None] * v
             # the integrand in t, f du/dt
-            values = np.concatenate([f, f * (2.0 * sign * half)[:, None] * v])
+            values = np.concatenate([f, f * du_dt])
             coeffs = _chebyshev_fit(values)
             tail = np.abs(coeffs[:, -1]) + np.abs(coeffs[:, -2])
             scale = np.max(np.abs(values), axis=1)
             ratio = np.divide(tail, scale, out=np.zeros(tail.shape), where=scale > 0.0)
             n = len(f)
+            integral_err = 2.0 * tail[n:]
+            if f_err is not None:
+                f_err = np.abs(f_err.reshape(v.shape) * du_dt)
+                integral_err += np.sum(f_err * _CHEB_WEIGHTS, axis=1)
             ratio = np.maximum(ratio[:n], ratio[n:])
             # a NaN ratio compares false and is kept, never split
             split = (ratio > _TAIL_TOL) & (ratio <= 0.5 * prev) & (depth < _MAX_DEPTH)
-            panels = (left, mid, half, sign, cut, coeffs[:n], coeffs[n:], tail[:n], 2.0 * tail[n:])
+            panels = (left, mid, half, sign, cut, coeffs[:n], coeffs[n:], tail[:n], integral_err)
             kept.append(tuple(x[~split] for x in panels))
             if not split.any():
                 break
@@ -518,7 +509,7 @@ _MOMENT_X, _MOMENT_W = leggauss(24)
 
 
 def _moment_density(rho: np.ndarray, params: ProcessParams) -> np.ndarray:
-    """m2'(rho) / 2 for the second factorial moment m2 of :func:`_removed_void`,
+    """m2'(rho) / 2 for the second factorial moment m2 of :func:`_removed_cdf`,
     0 for rho <= delta/2, where no pair fits. The pair distance s runs in
     v = sqrt(2 rho - s), which smooths the lens edge at s = 2 rho."""
     lam, d = params.lambda_p, params.delta
@@ -594,9 +585,9 @@ def _eta_mhc_to_mhc(r: np.ndarray, params: ProcessParams, tables: dict[str, _Tab
     return eta, err
 
 
-def _removed_void(rho: np.ndarray, params: ProcessParams, moment: _Table):
-    """Void probability 1 - F(rho) of a removed point and its error
-    estimate, for 0 <= rho <= delta.
+def _removed_cdf(rho: np.ndarray, params: ProcessParams, moment: _Table):
+    """Contact CDF F(rho) of a removed point, its void probability 1 - F(rho)
+    and their error estimate, for 0 <= rho <= delta.
 
     Every survivor within delta of a removed point o beats o's mark, so the
     survivor count N in b(o, rho) has mean (rho/delta)**2 exactly, and
@@ -608,16 +599,16 @@ def _removed_void(rho: np.ndarray, params: ProcessParams, moment: _Table):
     """
     d = params.delta
     half_m2, err = moment.integral(rho)
-    # factored so that the void keeps full relative precision as rho -> delta
-    return (d - rho) * (d + rho) / (d * d) + half_m2, err
+    # the void factored so that it keeps full relative precision as rho -> delta
+    return (rho / d) ** 2 - half_m2, (d - rho) * (d + rho) / (d * d) + half_m2, err
 
 
 def _eta_cmhc_to_mhc(r: np.ndarray, params: ProcessParams, tables: dict[str, _Table]):
     """Removed observer. Up to delta, the hazard F'(r) / (1 - F(r)) of
-    :func:`_removed_void`. Beyond it, g(r) * exp(H0(r) - H0(r_e)) with the
+    :func:`_removed_cdf`. Beyond it, g(r) * exp(H0(r) - H0(r_e)) with the
     exact pair correlation lambda_t * g / lambda_p = (p - k(r)) / (1 - p) of
     a removed point and a survivor, and H0 the zeroth-order hazard: that of
-    :func:`_removed_void` up to delta, then 2 pi u lambda_p g(u)."""
+    :func:`_removed_cdf` up to delta, then 2 pi u lambda_p g(u)."""
     lam, d = params.lambda_p, params.delta
     moment = tables["moment"]
     eta = np.empty(r.shape)
@@ -625,7 +616,7 @@ def _eta_cmhc_to_mhc(r: np.ndarray, params: ProcessParams, tables: dict[str, _Ta
     inner = r <= d
     if np.any(inner):  # speed guard
         ri = r[inner]
-        void, void_err = _removed_void(ri, params, moment)
+        _, void, void_err = _removed_cdf(ri, params, moment)
         half_dm2, fp_err = moment.value(ri)
         fp = 2.0 * ri / (d * d) - half_dm2
         # F'(r) / (2 pi r lambda_p), whose limit at r = 0 is 1 / (lambda_p pi delta**2)
@@ -647,7 +638,7 @@ def _eta_cmhc_to_mhc(r: np.ndarray, params: ProcessParams, tables: dict[str, _Ta
         back = r_e < d
         if np.any(back):  # speed guard
             # H0(delta) = -log(1 - F(delta)), then back down to r_e
-            void, void_err = _removed_void(np.append(r_e[back], d), params, moment)
+            _, void, void_err = _removed_cdf(np.append(r_e[back], d), params, moment)
             dh[back] = -np.log(void[-1]) + np.log(void[:-1])
             dh_err[back] = void_err[-1] / void[-1] + void_err[:-1] / void[:-1]
         tail, tail_err = tables["tail"].integral(ro, np.maximum(r_e, d))
@@ -680,7 +671,7 @@ class RetentionFunction:
     to a fixed point is less accurate and diverges once lambda_p pi delta**2
     exceeds about 1.3. A removed observer is treated exactly up to the
     second factorial moment of its survivor count within delta (see
-    :func:`_removed_void`). eta is a hazard ratio, not a probability, and
+    :func:`_removed_cdf`). eta is a hazard ratio, not a probability, and
     exceeds 1 where the source attracts targets (removed observers).
 
     The inner integrals, H0 and the removed observer's second factorial
@@ -689,11 +680,14 @@ class RetentionFunction:
     for (see :class:`_Table`), and eta looks them up. The tables belong to
     the instance and their layout depends on (case, params) only, so eta is
     a pure function of (r, case, params), whatever the order of the calls.
+    :func:`contact_cdf` tabulates the hazard density 2 pi r lambda_p eta(r)
+    the same way, from eta's values at the table's nodes, and reads the
+    removed observer's CDF below delta from the moment table directly.
 
     ``eta(r)`` takes a scalar or an array of any shape and is 1 for ppp-ppp
     and at delta = 0; ``eta(r, with_error=True)`` also returns an error
     estimate: the tail estimates of the table panels that its lookups touch,
-    propagated to eta.
+    propagated to eta. :func:`contact_cdf` integrates it into ``abs_error``.
     """
 
     case: ContactCase
@@ -734,12 +728,14 @@ class RetentionFunction:
 
 @dataclass(frozen=True)
 class CdfCurve:
-    """Sampled analytic contact-distance CDF with quadrature error estimates.
+    """Sampled analytic contact-distance CDF with error estimates.
 
-    ``hazard`` holds the accumulated integral I(R) at each radius and
-    ``hazard_error`` its error estimate. The CDF ``values``,
-    F = 1 - exp(-I), and ``abs_error``, the error estimate propagated to F,
-    exp(-I) * hazard_error, are computed from them on access.
+    ``hazard`` holds the hazard H(R) at each radius, as :func:`contact_cdf`
+    reads it from its table, and ``hazard_error`` its error estimate. The CDF
+    ``values``, F = 1 - exp(-H), and ``abs_error``, the error estimate
+    propagated to F, exp(-H) * hazard_error, are computed from them on
+    access. Each radius's entries depend on that radius alone, never on the
+    others in the curve.
     """
 
     case: ContactCase
@@ -790,134 +786,53 @@ class CdfCurve:
         )
 
 
-_MAX_BISECTIONS = 48
-# exp(-H) underflows F's complement long before this hazard
-_MAX_HAZARD = 700.0
-# panels whose nodes go to eta in one call (7936 nodes): the analytic sweep
-# ran 6-10% faster with this block than with 128 or 512 panels, and a whole
-# 1000-radius grid in one call took 3.6 times the peak memory
-_PANEL_BLOCK = 256
-
-
-def _panel_rules(
-    fn, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fine-rule value, an error estimate from a coarser rule, and the
-    fine-rule integral of the integrand's own error estimate, for each panel
-    [lo[i], hi[i]]. ``fn`` maps nodes to (values, errors) and sees the nodes
-    of both rules on every panel in one array."""
-    nodes, half = _PANEL.nodes(lo, hi)
-    values, errors = fn(nodes.ravel())
-    fine, err = _PANEL.integral(values.reshape(nodes.shape), half)
-    inner = _PANEL.fine(errors.reshape(nodes.shape), half)
-    return fine, err, inner
-
-
-def _integrate_panel(
-    fn, lo: float, hi: float, tol: float, offset: float, rules: tuple[float, float, float]
-) -> tuple[float, float]:
-    """Adaptively bisected panel integral of the hazard density with
-    accumulated error estimate; ``offset`` is the hazard at ``lo`` and
-    ``rules`` the panel's own :func:`_panel_rules` entry, evaluated with the
-    other panels of its curve. :func:`_accumulate_hazard` accepts runs of
-    panels in bulk by this function's first test and hands it only a panel
-    that test rejects, so this is the one bisection path.
-
-    Sub-panels are taken left to right, and each one's rule error is held to
-    its share of ``tol`` times exp(H) at its right end. A panel's error reaches
-    F = 1 - exp(-H) only at radii beyond it, multiplied there by exp(-H), so
-    this bounds the error of F by ``tol`` without asking for absolute hazard
-    precision where F is already near 1. Bisection is driven by the rule
-    error alone: the integrand's own error shrinks with the panel as fast as
-    the tolerance does, so it is added to the estimate but never bisected
-    on. Only a rejected panel is split; its two halves are evaluated in one
-    call, and no panel is evaluated twice."""
-    total = 0.0
-    total_err = 0.0
-    stack = [(lo, hi, tol, 0, rules)]
-    while stack:
-        a, b, t, depth, (value, err, inner_err) = stack.pop()
-        allowed = t * math.exp(min(offset + total + value, _MAX_HAZARD))
-        if err <= allowed:
-            total += value
-            total_err += err + inner_err
-            continue
-        if depth >= _MAX_BISECTIONS or (b - a) <= 64.0 * np.spacing(max(abs(a), abs(b))):
-            raise QuadratureError(
-                f"adaptive quadrature stalled on panel [{a!r}, {b!r}] "
-                f"(error estimate {err:.3e} > tolerance {allowed:.3e})"
-            )
-        m = 0.5 * (a + b)
-        left, right = zip(*_panel_rules(fn, np.array([a, m]), np.array([m, b])))
-        stack.append((m, b, 0.5 * t, depth + 1, right))
-        stack.append((a, m, 0.5 * t, depth + 1, left))
-    return total, total_err
+# The radii, in delta units, where eta is not smooth in any case: the lens
+# breakpoints 1/2, 1 and 2, and the radii whose r_e reaches them, where
+# r_e**2 = r**2 - lens_asymmetric(r, delta) / pi and H0(r_e) changes form
+_KINKS = (0.5, 0.7793057626307204, 1.0, 1.186981892266404, 2.0, 2.1093627037391927)
 
 
 def _lens_breakpoints(params: ProcessParams, lo: float, hi: float) -> list[float]:
-    """Radii where the lens areas switch branch; panels must not straddle them."""
+    """The lens breakpoints delta/2, delta and 2 delta strictly between lo and hi."""
     d = params.delta
     return sorted(c for c in (0.5 * d, d, 2.0 * d) if lo < c < hi)
 
 
-def _accumulate_hazard(
-    eta: RetentionFunction,
-    start: float,
-    targets: np.ndarray,
-    abs_tol: float,
-    offset: float = 0.0,
-    breakpoints: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative integral of 2*pi*r*lambda_p*eta(r) from ``start`` to each
-    ascending target radius above it; ``offset`` is the hazard already
-    accumulated at ``start``. Returns the radii, the hazard there and its
-    error estimate: at the targets, or with ``breakpoints`` at every panel
-    edge, the targets and the lens breakpoints among them.
+def _hazard_table(eta: RetentionFunction, start: float) -> _Table:
+    """Table of the hazard density 2 pi u lambda_p eta(u) from ``start`` on.
 
-    The panels run between consecutive edges. Their nodes go to eta
-    together, up to _PANEL_BLOCK panels per call. The walk then tests every
-    panel at once against the tolerance of :func:`_integrate_panel`, with
-    the hazard before it summed left to right by np.cumsum, which adds in
-    sequence as the per-panel walk did, and with math.exp as there, so each
-    decision is the per-panel walk's to the bit. It accepts the run of
-    passing panels in one step and hands the first rejected panel to
-    :func:`_integrate_panel` to bisect. The hazard and its error are the
-    running sums of the panel integrals and of the error each one adds."""
-    lam = eta.params.lambda_p
+    Its edges are eta's kinks above ``start`` (a Poisson curve has none, and
+    its first edges sit at the mean spacing), and each stretch between two
+    of them is split at its midpoint, so that every top-level panel runs in
+    sqrt(|u - c|) about its singular end c."""
+    params = eta.params
+    lam, d = params.lambda_p, params.delta
+    if eta.case is ContactCase.PPP_TO_PPP or d == 0.0:
+        kinks = [1.0 / math.sqrt(lam)]
+    else:
+        kinks = [k * d for k in _KINKS]
+    points = [start] + [k for k in kinks if k > start]
+    edges, cuts = [start], []
+    for a, b in zip(points[:-1], points[1:]):
+        edges += [0.5 * (a + b), b]
+        cuts += [a, b]
 
-    def integrand(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values, errors = eta(r, with_error=True)
-        return TWO_PI * lam * r * values, TWO_PI * lam * r * errors
+    def density(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values, errors = eta(u, with_error=True)
+        return TWO_PI * lam * u * values, TWO_PI * lam * u * errors
 
-    cuts = _lens_breakpoints(eta.params, start, float(targets[-1]))
-    tol_segment = abs_tol / max(1, len(targets) + len(cuts))
-    edges = np.union1d(targets, cuts)
-    lows = np.concatenate(([start], edges[:-1]))
-    value = np.empty(edges.shape)
-    spent = np.empty(edges.shape)
-    for first in range(0, len(edges), _PANEL_BLOCK):
-        block = slice(first, first + _PANEL_BLOCK)
-        value[block], err, inner = _panel_rules(integrand, lows[block], edges[block])
-        spent[block] = err + inner
-        end = first + len(err)
-        i = first
-        while i < end:
-            before = offset + np.cumsum(np.concatenate(([0.0], value[: end - 1])))
-            exponent = np.minimum(before[i:] + value[i:end], _MAX_HAZARD).tolist()
-            passed = err[i - first :] <= [tol_segment * math.exp(x) for x in exponent]
-            i += int(np.argmin(np.append(passed, False)))  # the passing run
-            if i < end:
-                rule = (value[i], err[i - first], inner[i - first])
-                value[i], spent[i] = _integrate_panel(
-                    integrand, float(lows[i]), float(edges[i]), tol_segment, before[i], rule
-                )
-                i += 1
-    hazard = np.cumsum(value)
-    herr = np.cumsum(spent)
-    if breakpoints:
-        return edges, hazard, herr
-    at = np.searchsorted(edges, targets)
-    return targets, hazard[at], herr[at]
+    return _Table(density, tuple(edges), tuple(cuts), density_error=True)
+
+
+def _removed_hazard(rho: np.ndarray, params: ProcessParams, moment: _Table):
+    """Hazard -log(1 - F(rho)) of a removed point and its error estimate, for
+    0 <= rho <= delta, with F in closed form (:func:`_removed_cdf`)."""
+    f, void, err = _removed_cdf(rho, params, moment)
+    # log1p keeps the relative precision of a small F, log that of a small void
+    hazard = -np.log(void)
+    small = f < 0.5
+    hazard[small] = -np.log1p(-f[small])
+    return hazard, err / void
 
 
 def contact_cdf(
@@ -926,25 +841,31 @@ def contact_cdf(
     abs_tol: float = 1e-9,
     breakpoints: bool = False,
 ) -> CdfCurve:
-    """Contact-distance CDF F(R) = 1 - exp(-integral(2*pi*r*lambda_p*eta(r)))
-    accumulated over an ascending radius grid.
+    """Contact-distance CDF F(R) = 1 - exp(-H(R)) at each radius of an
+    ascending grid, with hazard H(R) = integral of 2*pi*r*lambda_p*eta(r).
 
-    Integration starts at the case's lower support (the hard-core distance
-    when both endpoints live in the thinned process, zero otherwise), so the
-    returned curve is monotone by construction. The quadrature panels run
-    between the grid radii and the lens breakpoints delta/2, delta and
-    2 delta, where eta changes form and F has kinks; the nodes of all panels
-    are evaluated in a few batched eta calls (see :func:`_accumulate_hazard`).
-    With ``breakpoints`` the curve also holds F at the breakpoints inside
-    the grid, at no extra cost; F at the grid radii is the same either way.
+    H starts at the case's lower support (the hard-core distance when both
+    endpoints live in the thinned process, zero otherwise), so the returned
+    curve is monotone by construction. One piecewise Chebyshev table of the
+    hazard density (:class:`_Table`), with edges at eta's kinks (the lens
+    breakpoints delta/2, delta, 2 delta and the radii whose r_e reaches
+    them), is built out to the last radius, and H is read from it at every
+    radius in one lookup. A removed observer (cmhc-mhc) needs no hazard up
+    to delta: there F = (r/delta)**2 - m2/2 in closed form
+    (:func:`_removed_cdf`), and the table starts at delta from H(delta). The
+    table's layout depends on (case, params) alone, so F at a radius is the
+    same, to the bit, on any grid that holds it and at any tolerance. With
+    ``breakpoints`` the curve also holds F at the lens breakpoints inside the
+    grid.
 
-    The quadrature holds the error of F, not of the hazard, to ``abs_tol``.
-    The reported ``abs_error`` adds the error estimates of eta itself: those
-    of the tables of its inner integrals (see :class:`RetentionFunction`),
-    which are built to about 1e-15 of their own scale, so at any exposure
-    they stay near rounding level, far below the tolerances a curve is
-    asked for. ``abs_error`` bounds quadrature and table error only, not the
-    rounding inside eta's closed forms.
+    ``abs_error`` is exp(-H) times the error estimate of H: the tails of the
+    table panels up to each radius, plus the integral of eta's own error
+    estimate (see :class:`RetentionFunction`). Both are built to about 1e-15
+    of their own scale, so the estimate bounds table error, not the rounding
+    inside eta's closed forms.
+
+    Raises:
+        QuadratureError: if ``abs_error`` exceeds ``abs_tol`` at any radius.
     """
     grid = np.asarray(r_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -956,23 +877,33 @@ def contact_cdf(
     if not (math.isfinite(abs_tol) and abs_tol > 0.0):
         raise ValueError(f"abs_tol must be > 0, got {abs_tol!r}")
 
-    s = eta.lower_support
-    below = grid[grid <= s]
-    radii = grid[grid > s]
-    hazard = herr = np.zeros(0)
-    if radii.size:
-        radii, hazard, herr = _accumulate_hazard(
-            eta, s, radii, abs_tol, breakpoints=breakpoints
+    params = eta.params
+    start = eta.lower_support
+    radii = grid
+    if breakpoints:
+        radii = np.union1d(grid, _lens_breakpoints(params, start, float(grid[-1])))
+    hazard = np.zeros(radii.shape)
+    herr = np.zeros(radii.shape)
+    offset = offset_err = 0.0
+    if eta.case is ContactCase.CMHC_TO_MHC and params.delta > 0.0:
+        start = params.delta
+        inner = (radii > 0.0) & (radii <= start)
+        h, e = _removed_hazard(np.append(radii[inner], start), params, eta._tables["moment"])
+        hazard[inner], herr[inner] = h[:-1], e[:-1]
+        offset, offset_err = h[-1], e[-1]
+    outer = radii > start
+    h, e = _hazard_table(eta, start).integral(radii[outer])
+    hazard[outer] = offset + h
+    herr[outer] = offset_err + e
+    curve = CdfCurve(eta.case, params, radii, hazard, herr, abs_tol)
+    error = curve.abs_error
+    if not np.all(error <= abs_tol):
+        worst = int(np.argmax(np.where(np.isnan(error), np.inf, error)))
+        raise QuadratureError(
+            f"quadrature stalled at r = {float(radii[worst])!r}: the hazard table's error "
+            f"estimate {error[worst]:.3e} of F exceeds the tolerance {abs_tol:.3e}"
         )
-    zeros = np.zeros(below.size)
-    return CdfCurve(
-        eta.case,
-        eta.params,
-        np.concatenate([below, radii]),
-        np.concatenate([zeros, hazard]),
-        np.concatenate([zeros, herr]),
-        abs_tol,
-    )
+    return curve
 
 
 def _spaced(lo: float, hi: float, step: float | None) -> np.ndarray:
@@ -983,34 +914,24 @@ def _spaced(lo: float, hi: float, step: float | None) -> np.ndarray:
 
 
 def extend_curve(curve: CdfCurve, r_max: float, r_min: float | None = None) -> CdfCurve:
-    """Continue a curve's accumulated integral out to ``r_max`` and, when
-    ``r_min`` lies below its first radius, down to its lower support, where
-    F is 0 (no-op when the curve already spans both). New radii keep the
-    curve's median step; a curve extended down is recomputed from its lower
-    support, lens breakpoints included."""
+    """The curve on its own radii and more: out to ``r_max`` and, when
+    ``r_min`` lies below its first radius, down from its lower support, where
+    F is 0, with the lens breakpoints below its last radius (the curve itself
+    when it already spans both). New radii keep the curve's median step. F
+    is a lookup, so the curve's own radii keep their values to the bit."""
     steps = np.diff(curve.radii)
     positive = steps[steps > 0.0]
     step = float(np.median(positive)) if positive.size else None
     eta = RetentionFunction(curve.case, curve.params)
-    first = float(curve.radii[0])
+    radii = curve.radii
+    first, last = float(radii[0]), float(radii[-1])
     if r_min is not None and float(r_min) < first and first > eta.lower_support:
         below = _spaced(eta.lower_support, first, step)[:-1]
-        radii = np.concatenate([below, curve.radii])
-        curve = contact_cdf(eta, radii, curve.abs_tol, breakpoints=True)
-    r_max = float(r_max)
-    last = float(curve.radii[-1])
-    if r_max <= last:
-        return curve
-    extra = _spaced(last, r_max, step)[1:]
-    _, hz, he = _accumulate_hazard(eta, last, extra, curve.abs_tol, float(curve.hazard[-1]))
-    return CdfCurve(
-        curve.case,
-        curve.params,
-        np.concatenate([curve.radii, extra]),
-        np.concatenate([curve.hazard, curve.hazard[-1] + hz]),
-        np.concatenate([curve.hazard_error, curve.hazard_error[-1] + he]),
-        curve.abs_tol,
-    )
+        cuts = _lens_breakpoints(curve.params, eta.lower_support, last)
+        radii = np.union1d(np.concatenate([below, radii]), cuts)
+    if float(r_max) > last:
+        radii = np.concatenate([radii, _spaced(last, float(r_max), step)[1:]])
+    return curve if radii is curve.radii else contact_cdf(eta, radii, curve.abs_tol)
 
 
 def default_r_grid(

@@ -2,12 +2,10 @@
 
 Everything here is deliberately written from first principles (plain
 minimum-image arithmetic, O(n^2) scans, midpoint rasterisation) so it shares
-no code path with the package implementations it checks. The two
-exceptions judge one layer of the package against its own earlier form:
-``per_panel_walk`` is the quadrature walk taken one panel at a time, the
-reference its bulk walk must reproduce to the bit, and ``per_node_eta`` is
-eta with its inner integrals taken at every node, the reference for the
-tables that replaced them.
+no code path with the package implementations it checks. The exception
+judges one layer of the package against its own earlier form:
+``per_node_eta`` is eta with its inner integrals taken at every node, the
+reference for the tables that replaced them.
 """
 
 from __future__ import annotations
@@ -15,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
 from matern_contact import ProcessParams, QuadratureError, RetentionFunction, analytic
@@ -302,46 +301,31 @@ def cumulative_quad(fn, edges) -> tuple[np.ndarray, float]:
     return np.array(out), error
 
 
-def per_panel_walk(eta, start: float, targets: np.ndarray, abs_tol: float, breakpoints: bool):
-    """The hazard walk of ``analytic._accumulate_hazard`` one panel at a time:
-    every panel goes to ``_integrate_panel`` in order, and the hazard and its
-    error are added up panel by panel. It shares the rule evaluation and the
-    bisection with the package on purpose, so it judges only the package's
-    bulk acceptance of panel runs. Returns radii, hazard and hazard error as
-    ``_accumulate_hazard`` does with zero offset."""
-    lam = eta.params.lambda_p
+class _GaussPair:
+    """A fine Gauss-Legendre rule and a coarse one whose difference estimates
+    the fine rule's error, with the nodes of both in one array, fine first."""
 
-    def integrand(r):
-        values, errors = eta(r, with_error=True)
-        return analytic.TWO_PI * lam * r * values, analytic.TWO_PI * lam * r * errors
+    def __init__(self, fine: int, coarse: int):
+        fine_x, self.fine_w = leggauss(fine)
+        coarse_x, self.coarse_w = leggauss(coarse)
+        self.x = np.concatenate([fine_x, coarse_x])
 
-    cuts = analytic._lens_breakpoints(eta.params, start, float(targets[-1]))
-    tol_segment = abs_tol / max(1, len(targets) + len(cuts))
-    edges = np.union1d(targets, cuts)
-    lows = np.concatenate(([start], edges[:-1]))
-    hazard = np.empty(edges.shape)
-    herr = np.empty(edges.shape)
-    acc = 0.0
-    acc_err = 0.0
-    for first in range(0, len(edges), analytic._PANEL_BLOCK):
-        block = slice(first, first + analytic._PANEL_BLOCK)
-        rules = zip(*analytic._panel_rules(integrand, lows[block], edges[block]))
-        panels = zip(lows[block].tolist(), edges[block].tolist(), rules)
-        for i, (a, b, rule) in enumerate(panels, first):
-            v, e = analytic._integrate_panel(integrand, a, b, tol_segment, 0.0 + acc, rule)
-            acc += v
-            acc_err += e
-            hazard[i] = acc
-            herr[i] = acc_err
-    if breakpoints:
-        return edges, hazard, herr
-    at = np.searchsorted(edges, targets)
-    return targets, hazard[at], herr[at]
+    def nodes(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes of both rules, one row per interval, and the half-widths."""
+        half = 0.5 * (hi - lo)
+        return (0.5 * (lo + hi))[:, None] + half[:, None] * self.x, half
+
+    def integral(self, values: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row-wise fine-rule integral and its error estimate."""
+        n = len(self.fine_w)
+        fine = half * analytic._weighted_rows(values[:, :n], self.fine_w)
+        coarse = half * analytic._weighted_rows(values[:, n:], self.coarse_w)
+        return fine, np.abs(fine - coarse)
 
 
 # the per-node inner rule that eta used before it tabulated its inner
 # integrals: a 12-point Gauss rule, with an 8-point one for its error estimate
-_INNER = analytic._RulePair(12, 8)
+_INNER = _GaussPair(12, 8)
 
 
 def _inner_gauss(fn, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

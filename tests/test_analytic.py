@@ -1,6 +1,7 @@
 """Unit and property tests for the retention probabilities and CDF machinery."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from oracles import (
     pair_retention_quadrature,
     pair_survival_quadrature,
     per_node_eta,
-    per_panel_walk,
     rival_pair_survival_monte_carlo,
     void_probability_discretized,
 )
@@ -261,6 +261,25 @@ class TestSparseProcesses:
                 exact = contact_cdf(poisson, radii, 1e-14)
                 assert np.max(np.abs(curve.values - exact.values)) <= 10.0 * a, (a, case)
 
+    def test_removed_observer_curves_in_sparse_processes(self):
+        # a removed observer's dominator is alone in its hard-core disk at
+        # a -> 0, so F -> (r/delta)**2 there; beyond delta the hazard table
+        # starts from the closed form at delta
+        began = time.perf_counter()
+        for a in self.EXPOSURES:
+            p = ProcessParams(1.0, math.sqrt(a / math.pi))
+            eta = RetentionFunction(ContactCase.CMHC_TO_MHC, p)
+            inner = np.linspace(0.0, 1.0, 9) * p.delta
+            outer = np.concatenate(
+                [np.array([1.2, 1.5, 2.0, 3.0]) * p.delta, np.linspace(0.25, 2.0, 8)]
+            )
+            curve = contact_cdf(eta, np.concatenate([inner, outer]), 1e-14)
+            assert np.all(curve.abs_error <= 1e-14), a
+            gap = np.abs(curve.values[: inner.size] - (inner / p.delta) ** 2)
+            assert np.max(gap) <= 10.0 * a, a
+            assert_matches_quadrature(eta, outer, curve.values[inner.size :])
+        assert time.perf_counter() - began < 10.0
+
     def test_pair_retention_factorises_once_the_disks_separate(self):
         # k(r) = p**2 exactly beyond 2 delta; the difference quotient behind
         # k cancels unless it is summed from its series at small exposure
@@ -438,7 +457,8 @@ class TestContactCdf:
         short = contact_cdf(eta, np.linspace(0.0, 2.0, 50))
         extended = extend_curve(short, 4.0)
         direct = contact_cdf(eta, extended.radii)
-        assert np.max(np.abs(extended.values - direct.values)) < 1e-8
+        for field in ("radii", "values", "abs_error", "hazard", "hazard_error"):
+            assert getattr(extended, field).tobytes() == getattr(direct, field).tobytes()
         assert extend_curve(short, 1.5) is short
 
     def test_evaluate_interpolates_and_guards_range(self):
@@ -452,21 +472,6 @@ class TestContactCdf:
             curve.evaluate(3.0)
 
 
-class RecordingEta:
-    """Duck-typed eta that keeps a copy of every node array it receives."""
-
-    def __init__(self, eta: RetentionFunction):
-        self.eta = eta
-        self.case = eta.case
-        self.params = eta.params
-        self.lower_support = eta.lower_support
-        self.calls: list[np.ndarray] = []
-
-    def __call__(self, r, with_error=False):
-        self.calls.append(np.array(r, dtype=float))
-        return self.eta(r, with_error=with_error)
-
-
 class TestBatchedQuadrature:
     def test_eta_does_not_depend_on_batch_size(self):
         r = np.linspace(0.0, 3.0, 5003)
@@ -478,8 +483,8 @@ class TestBatchedQuadrature:
                 assert np.concatenate([v for v, _ in parts]).tobytes() == values.tobytes()
                 assert np.concatenate([e for _, e in parts]).tobytes() == errors.tobytes()
 
-    # a sparse removed observer's hazard is steep just below delta, so on a
-    # coarse grid with a tight tolerance the top-level panels are rejected
+    # coarse grids of a sparse removed observer, whose hazard is steep just
+    # below delta
     BISECTED = (
         (0.1, 1.0, (0.3, 0.99, 1.5)),
         (0.05, 1.0, (0.5, 0.999, 2.5)),
@@ -505,56 +510,136 @@ class TestBatchedQuadrature:
             oracle = -np.expm1(-hazard[np.isin(edges[1:], radii)])
             assert np.max(np.abs(curve.values - oracle)) <= tol + quad_err
 
-    def test_bulk_walk_matches_the_per_panel_walk(self, monkeypatch):
-        configs = [
-            (ContactCase.CMHC_TO_MHC, ProcessParams(lam, delta), np.array(radii), 1e-12, False)
-            for lam, delta, radii in self.BISECTED
-        ]
-        for case in (ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC, ContactCase.CMHC_TO_MHC):
-            p = ProcessParams(1.0, 0.75)
-            configs.append((case, p, default_r_grid(case, p, points=1000), 1e-10, True))
-        integrate_panel = analytic._integrate_panel
-        ran = []
-        for case, p, grid, tol, breakpoints in configs:
-            eta = RetentionFunction(case, p)
-            s = eta.lower_support
-            reference = per_panel_walk(eta, s, grid[grid > s], tol, breakpoints)
-            # every panel the bulk walk hands on must be one it rejected,
-            # that is, one whose bisection evaluates eta
-            recording = RecordingEta(eta)
-            bisected = []
-
-            def counting(fn, *args):
-                calls = len(recording.calls)
-                out = integrate_panel(fn, *args)
-                bisected.append(len(recording.calls) > calls)
-                return out
-
-            monkeypatch.setattr(analytic, "_integrate_panel", counting)
-            curve = contact_cdf(recording, grid, tol, breakpoints=breakpoints)
-            monkeypatch.undo()
-            n = len(reference[0])
-            for field, expected in zip(("radii", "hazard", "hazard_error"), reference):
-                assert getattr(curve, field)[-n:].tobytes() == expected.tobytes(), (case, field)
-            assert all(bisected), case
-            ran.append(bool(bisected))
-        # the bisection path ran on every coarse grid, and between accepted
-        # runs on a 1000-radius one
-        assert all(ran[: len(self.BISECTED)]) and any(ran[len(self.BISECTED) :])
-
-    def test_no_panel_is_evaluated_twice(self):
-        for lam, delta, radii in self.BISECTED:
-            eta = RetentionFunction(ContactCase.CMHC_TO_MHC, ProcessParams(lam, delta))
-            recording = RecordingEta(eta)
-            contact_cdf(recording, np.array(radii), 1e-12)
-            assert all(nodes.size % 31 == 0 for nodes in recording.calls)
-            rows = np.concatenate([nodes.reshape(-1, 31) for nodes in recording.calls])
-            # more rows than top-level panels: the bisection path ran
-            assert len(rows) > len(self.panel_edges(delta, radii)) - 1
-            assert len({row.tobytes() for row in rows}) == len(rows)
-
 
 CURVED = (ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC, ContactCase.CMHC_TO_MHC)
+
+
+def r_e_preimage(c: float) -> float:
+    """The radius rho > delta/2, in delta units, at which
+    r_e(rho)**2 = rho**2 - lens_asymmetric(rho, 1) / pi reaches c**2, by
+    bisection until the bracket is one ulp wide."""
+    lo, hi = 0.5, 4.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if mid * mid - lens_asymmetric(mid, 1.0) / math.pi < c * c:
+            lo = mid
+        else:
+            hi = mid
+
+
+# eta's kinks in delta units: the lens breakpoints and their r_e preimages
+KINKS = sorted((0.5, 1.0, 2.0, *(r_e_preimage(c) for c in (0.5, 1.0, 2.0))))
+
+
+def quad_cdf(eta, radii, start: float, offset: float = 0.0):
+    """F at ascending radii above ``start`` from ``cumulative_quad`` of the
+    hazard density with the radii and every kink of eta as edges, given the
+    hazard ``offset`` at ``start``; and the quadrature's error estimate."""
+    lam, d = eta.params.lambda_p, eta.params.delta
+    kinks = [k * d for k in KINKS if start < k * d < radii[-1]]
+    edges = np.union1d([start, *kinks], radii)
+    hazard, err = cumulative_quad(lambda r: 2.0 * math.pi * lam * r * eta(r), edges)
+    return -np.expm1(-(offset + hazard[np.searchsorted(edges[1:], radii)])), err
+
+
+def assert_matches_quadrature(eta, radii, values, bound: float = 2e-13):
+    """F at ascending radii against :func:`quad_cdf`. A removed observer's
+    table starts at delta, so there the oracle starts from the curve's own
+    hazard at delta; its closed form below delta is checked against the
+    quadrature from 0 unless the process is sparse, where the hazard has a
+    near-pole at delta."""
+    start = eta.lower_support
+    checks = [(radii > start, start, 0.0)]
+    if eta.case is ContactCase.CMHC_TO_MHC:
+        d = eta.params.delta
+        at_delta = contact_cdf(eta, np.array([d])).hazard[0]
+        checks = [(radii > d, d, at_delta)]
+        if eta.params.lambda_p * eta.params.ball_area >= 1e-3:
+            checks.append(((radii > 0.0) & (radii <= d), 0.0, 0.0))
+    for mask, lo, offset in checks:
+        if mask.any():
+            oracle, err = quad_cdf(eta, radii[mask], lo, offset)
+            # an error dH of the hazard moves F by (1 - F) dH
+            gap = np.max(np.abs(values[mask] - oracle) - err * (1.0 - oracle))
+            assert gap <= bound, (eta.case, eta.params, lo, gap)
+
+
+class TestHazardTable:
+    """contact_cdf reads the hazard from one table of its density per curve."""
+
+    def test_kinks_are_where_r_e_reaches_the_lens_breakpoints(self):
+        assert analytic._KINKS == pytest.approx(KINKS, rel=1e-15, abs=0.0)
+        # mhc-mhc's r_e also subtracts the shared lens, which is 0 beyond 2
+        # delta, so its preimage of 2 delta is the same
+        rho = KINKS[-1]
+        r_e_squared = rho * rho - (
+            lens_asymmetric(rho, 1.0) - lens_symmetric(rho, 1.0)
+        ) / math.pi
+        assert r_e_squared == pytest.approx(4.0, rel=1e-14)
+
+    def configs(self):
+        """(case, params, grid): the coarse BISECTED grids, the benchmark's
+        sweep grids and curves at exposures 1e-8, 1 and 226."""
+        out = []
+        for case in CURVED:
+            for lam, delta, radii in TestBatchedQuadrature.BISECTED:
+                out.append((case, ProcessParams(lam, delta), np.array(radii)))
+            for delta in (0.5, 0.75, 1.0):
+                p = ProcessParams(1.0, delta)
+                out.append((case, p, default_r_grid(case, p, points=1000)))
+            for lam, delta in ((1.0, 5.64e-5), (1.0, 1.0 / math.sqrt(math.pi)), (8.0, 3.0)):
+                p = ProcessParams(lam, delta)
+                out.append((case, p, default_r_grid(case, p, points=50)))
+        return out
+
+    def test_table_cdf_matches_an_independent_quadrature(self):
+        for case, p, grid in self.configs():
+            eta = RetentionFunction(case, p)
+            curve = contact_cdf(eta, grid, 1e-13)
+            assert np.all(curve.abs_error <= 1e-13)
+            # about 12 radii of a long grid: its table is the same
+            every = max(1, len(grid) // 12)
+            assert_matches_quadrature(eta, curve.radii[::every], curve.values[::every])
+
+    def test_cdf_at_a_radius_does_not_depend_on_the_grid(self):
+        # exposure 1; a coarse grid whose one stretch holds the kink at
+        # 1.1869819 delta, where eta's void ratio changes form
+        p = ProcessParams(1.0, 0.5641895835477563)
+        eta = RetentionFunction(ContactCase.CMHC_TO_MHC, p)
+        coarse = contact_cdf(eta, np.array([0.6289, 0.8463]), 1e-13)
+        fine = contact_cdf(eta, np.linspace(0.6289, 0.8463, 40), 1e-13)
+        assert coarse.values[-1] == fine.values[-1]
+        at_delta = contact_cdf(eta, np.array([p.delta])).hazard[0]
+        oracle, err = quad_cdf(eta, np.array([0.8463]), p.delta, at_delta)
+        assert abs(coarse.values[-1] - oracle[0]) <= 2e-13 + err
+        # a radius keeps its bits on every grid, at every tolerance
+        radii = np.array([0.3, 0.6, 1.0, 1.7, 2.6])
+        for case in CURVED + (ContactCase.PPP_TO_PPP,):
+            eta = RetentionFunction(case, ProcessParams(1.0, 0.5))
+            alone = contact_cdf(eta, radii, 1e-13)
+            grids = [
+                np.union1d(radii, np.linspace(0.0, 4.0, 1000)),
+                np.union1d(radii, [0.25, 0.5, 1.0, 7.5]),
+                radii[1:],
+            ]
+            for grid in grids:
+                for tol, breakpoints in ((1e-6, False), (1e-13, True)):
+                    curve = contact_cdf(RetentionFunction(case, eta.params), grid, tol, breakpoints)
+                    at = np.isin(curve.radii, radii)
+                    theirs = np.isin(radii, curve.radii)
+                    for field in ("hazard", "hazard_error"):
+                        got = getattr(curve, field)[at].tobytes()
+                        assert got == getattr(alone, field)[theirs].tobytes(), (case, field)
+
+    def test_empty_lookups_before_the_first_extension(self):
+        table = analytic._Table(np.cos, (0.0, 1.0), (0.0,))
+        for value, err in (table.integral(np.zeros(0)), table.value(np.zeros(0))):
+            assert value.shape == err.shape == (0,)
+        value, err = table.integral(np.zeros(0), np.zeros(0))
+        assert value.shape == err.shape == (0,)
+
 
 
 class TestTables:
