@@ -17,6 +17,14 @@ of ``default_r_grid``, tolerance ``TOL``. Each of ``ANALYTIC_REPEATS`` calls
 gets a fresh ``RetentionFunction``, so every call pays for building its
 tables, and a row holds the median and quartiles of the calls: a best of
 three single calls of 20-50 ms cannot resolve a change of 10%.
+
+The pooled section times ``pooled_distances`` end to end for ``POOLED_REPS``
+replications of mhc-mhc and ppp-mhc at lambda_p = 1 on the side-100 torus,
+delta 0.5 and 1: every stage above, replication after replication, as
+``compare`` runs them. Rows hold the median and quartiles of
+``POOLED_REPEATS`` calls; CPU above wall means a second core worked, in
+scipy's query threads or in a replication's search overlapping the next
+replication's draw.
 Writes ``BENCH_<label>.json`` and prints one line per row:
 
     PYTHONPATH=src python scripts/stage_timings.py --label after
@@ -37,6 +45,7 @@ import scipy
 
 from matern_contact import (
     ContactCase,
+    ExperimentConfig,
     PointLabel,
     ProcessParams,
     RetentionFunction,
@@ -48,6 +57,7 @@ from matern_contact import (
     sample_ppp,
     thin_mhc_type2,
 )
+from matern_contact.estimate import pooled_distances
 
 
 REPEATS = 3
@@ -59,6 +69,10 @@ DELTAS = (0.5, 1.0)
 ANALYTIC_CASES = (ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC, ContactCase.CMHC_TO_MHC)
 POINTS = 1000
 TOL = 1e-10
+POOLED_CASES = (ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC)
+POOLED_REPS = 5
+POOLED_REPEATS = 11
+POOLED_SIDE = 100.0
 
 
 def best_of(repeats: int, fn, *args):
@@ -105,32 +119,44 @@ def stage_row(side: float, delta: float) -> dict:
     return row
 
 
+def quartiles_of(name: str, repeats: int, fn) -> tuple[dict, object]:
+    """Median and quartiles of the wall (``<name>_s``, ``<name>_q1_s``,
+    ``<name>_q3_s``) and CPU (``<name>_cpu_s``, ...) times of ``repeats``
+    calls of ``fn()``, and the last call's result."""
+    walls, cpus = [], []
+    for _ in range(repeats):
+        start_wall, start_cpu = time.perf_counter(), time.process_time()
+        result = fn()
+        walls.append(time.perf_counter() - start_wall)
+        cpus.append(time.process_time() - start_cpu)
+    row = {}
+    for kind, times in (("", walls), ("_cpu", cpus)):
+        q1, median, q3 = np.percentile(times, (25, 50, 75))
+        row.update({f"{name}{kind}_s": median, f"{name}{kind}_q1_s": q1,
+                    f"{name}{kind}_q3_s": q3})
+    return row, result
+
+
 def analytic_row(case: ContactCase, delta: float, points: int, repeats: int) -> dict:
     """Median and quartiles of the wall and CPU times of ``repeats``
     ``contact_cdf`` calls, each on a fresh ``RetentionFunction``."""
     params = ProcessParams(1.0, delta)
     grid = default_r_grid(case, params, points)
-    walls, cpus = [], []
-    for _ in range(repeats):
-        start_wall, start_cpu = time.perf_counter(), time.process_time()
-        curve = contact_cdf(RetentionFunction(case, params), grid, TOL)
-        walls.append(time.perf_counter() - start_wall)
-        cpus.append(time.process_time() - start_cpu)
-    wall_q1, wall, wall_q3 = np.percentile(walls, (25, 50, 75))
-    cpu_q1, cpu, cpu_q3 = np.percentile(cpus, (25, 50, 75))
-    return {
-        "case": case.value,
-        "delta": delta,
-        "points": points,
-        "radii": len(curve.radii),
-        "repeats": repeats,
-        "contact_cdf_s": wall,
-        "contact_cdf_q1_s": wall_q1,
-        "contact_cdf_q3_s": wall_q3,
-        "contact_cdf_cpu_s": cpu,
-        "contact_cdf_cpu_q1_s": cpu_q1,
-        "contact_cdf_cpu_q3_s": cpu_q3,
-    }
+    times, curve = quartiles_of(
+        "contact_cdf", repeats, lambda: contact_cdf(RetentionFunction(case, params), grid, TOL)
+    )
+    return {"case": case.value, "delta": delta, "points": points, "radii": len(curve.radii),
+            "repeats": repeats, **times}
+
+
+def pooled_row(case: ContactCase, delta: float, side: float, repeats: int) -> dict:
+    """Median and quartiles of the wall and CPU times of ``repeats``
+    ``pooled_distances`` calls on one ``POOLED_REPS``-replication config."""
+    config = ExperimentConfig(case, ProcessParams(1.0, delta), Window(side, side),
+                              replications=POOLED_REPS, seed=SEEDS[0])
+    times, emp = quartiles_of("pooled", repeats, lambda: pooled_distances(config))
+    return {"case": case.value, "delta": delta, "side": side, "replications": POOLED_REPS,
+            "seed": SEEDS[0], "samples": emp.n, "repeats": repeats, **times}
 
 
 def main() -> None:
@@ -161,6 +187,17 @@ def main() -> None:
                 f"(cpu {row['contact_cdf_cpu_s']:.4f})",
                 flush=True,
             )
+    pooled = []
+    for case in POOLED_CASES:
+        for delta in DELTAS:
+            row = pooled_row(case, delta, POOLED_SIDE, POOLED_REPEATS)
+            pooled.append(row)
+            print(
+                f"{case.value}  delta {delta:g}  pooled {row['pooled_s']:.4f} s "
+                f"[{row['pooled_q1_s']:.4f}-{row['pooled_q3_s']:.4f}] "
+                f"(cpu {row['pooled_cpu_s']:.4f})",
+                flush=True,
+            )
     record = {
         "label": args.label,
         "repeats": REPEATS,
@@ -175,6 +212,7 @@ def main() -> None:
         },
         "rows": rows,
         "analytic": {"points": POINTS, "tol": TOL, "repeats": ANALYTIC_REPEATS, "rows": analytic},
+        "pooled": {"replications": POOLED_REPS, "repeats": POOLED_REPEATS, "rows": pooled},
     }
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")

@@ -2,12 +2,14 @@
 Monte-Carlo comparison pipeline.
 
 Nearest-neighbour distances on the torus come from scipy's periodic k-d tree,
-queried on every core, and equal a brute-force minimum-image scan bit for bit
-whatever the core count. They keep the pattern's (spatial) point order.
+queried on every core (on one off the main thread), and equal a brute-force
+minimum-image scan bit for bit whatever the core count. They keep the
+pattern's (spatial) point order.
 
 :func:`replication_patterns` is the one recipe for the patterns of a
 replication: the seeds of ``SEED_SCHEME`` and the thinning each case calls
-for. :func:`pooled_distances` and the command line's ``density`` both use it.
+for. :func:`pooled_distances` and the command line's ``density`` both use it;
+the former overlaps each replication's NN search with the next one's thinning.
 Wall-clock times stay out of everything here, so that reports of the same
 config and seed are byte-identical.
 
@@ -19,6 +21,7 @@ fixed thresholds, never a formal hypothesis test.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -98,9 +101,15 @@ def empirical_cdf(samples) -> EmpiricalDistribution:
     return EmpiricalDistribution(arr)
 
 
+def _query_workers() -> int:
+    """scipy query threads: every core on the main thread, else one, as on
+    :func:`pooled_distances`' lane while the caller thins the next pattern."""
+    return -1 if threading.current_thread() is threading.main_thread() else 1
+
+
 def nn_distances_within(pattern: MarkedPattern, label: PointLabel) -> np.ndarray:
     """Toroidal distance from each ``label`` point to its nearest other point
-    carrying the same label."""
+    carrying the same label (query threads: :func:`_query_workers`)."""
     idx = pattern.indices_of(label)
     if len(idx) < 2:
         raise InsufficientDataError(
@@ -108,7 +117,7 @@ def nn_distances_within(pattern: MarkedPattern, label: PointLabel) -> np.ndarray
         )
     tree = _periodic_tree(pattern.x[idx], pattern.y[idx], pattern.window)
     # the nearest hit of each point is itself, at distance 0
-    return tree.query(tree.data, k=[2], workers=-1)[0][:, 0]
+    return tree.query(tree.data, k=[2], workers=_query_workers())[0][:, 0]
 
 
 def nn_distances_cross(
@@ -118,10 +127,13 @@ def nn_distances_cross(
     target_label: PointLabel,
 ) -> np.ndarray:
     """Toroidal distance from each source-labelled point to the nearest
-    target-labelled point. Both patterns must live on the same window; with
-    disjoint labels on a shared pattern no self-pairing can occur."""
+    target-labelled point (query threads: :func:`_query_workers`). Both
+    patterns must live on the same window; one pattern needs disjoint labels,
+    or each point would be its own neighbour."""
     if source.window != target.window:
         raise ValueError("source and target patterns live on different windows")
+    if source is target and source_label == target_label:
+        raise ValueError("source and target are the same points; use nn_distances_within")
     s_idx = source.indices_of(source_label)
     t_idx = target.indices_of(target_label)
     if len(s_idx) == 0:
@@ -129,7 +141,8 @@ def nn_distances_cross(
     if len(t_idx) == 0:
         raise InsufficientDataError("target has no points with the requested label")
     tree = _periodic_tree(target.x[t_idx], target.y[t_idx], target.window)
-    return tree.query(np.column_stack((source.x[s_idx], source.y[s_idx])), k=1, workers=-1)[0]
+    queries = np.column_stack((source.x[s_idx], source.y[s_idx]))
+    return tree.query(queries, k=1, workers=_query_workers())[0]
 
 
 def ks_sup_distance(emp: EmpiricalDistribution, curve: CdfCurve) -> float:
@@ -277,22 +290,47 @@ def pooled_distances(
     config: ExperimentConfig, on_pattern: PatternSink | None = None
 ) -> EmpiricalDistribution:
     """Generate the patterns each case calls for and pool their
-    nearest-neighbour distances across replications.
+    nearest-neighbour distances across replications, in replication order.
+
+    While the calling thread draws and thins replication r + 1, replication
+    r's NN search runs on the lane, one helper thread living for this call.
+    The last replication runs on the calling thread: nothing is left to
+    overlap it with, and one replication starts no thread.
 
     ``on_pattern`` receives every generated pattern (replication index, role,
-    pattern) — used for optional pattern dumps. A replication with too few
-    points raises :class:`InsufficientDataError` naming its index.
+    pattern) on the calling thread, in replication order, after that
+    replication's distances — used for optional pattern dumps. A replication
+    with too few points raises :class:`InsufficientDataError` naming its index.
     """
-    chunks: list[np.ndarray] = []
-    for rep in range(config.replications):
-        patterns = replication_patterns(config, rep)
+
+    def distances(rep: int, patterns: dict[str, MarkedPattern]) -> np.ndarray:
         try:
-            chunks.append(_case_distances(config.case, patterns))
+            return _case_distances(config.case, patterns)
         except InsufficientDataError as exc:
             raise InsufficientDataError(f"replication {rep} failed: {exc}") from exc
+
+    chunks: list[np.ndarray] = []
+
+    def pool(rep: int, patterns: dict[str, MarkedPattern], chunk: np.ndarray) -> None:
+        chunks.append(chunk)
         if on_pattern is not None:
             for role, pattern in patterns.items():
                 on_pattern(rep, role, pattern)
+
+    # imported here: concurrent.futures is ~10 ms of the package's import
+    # time, and the analytic side never pools
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as lane:
+        on_lane = None  # (rep, patterns, future) of the replication on the lane
+        for rep in range(config.replications):
+            patterns = replication_patterns(config, rep)
+            if on_lane is not None:
+                pool(on_lane[0], on_lane[1], on_lane[2].result())
+            if rep + 1 < config.replications:
+                on_lane = rep, patterns, lane.submit(distances, rep, patterns)
+            else:
+                pool(rep, patterns, distances(rep, patterns))
     return empirical_cdf(np.concatenate(chunks))
 
 

@@ -2,10 +2,12 @@
 
 Everything here is deliberately written from first principles (plain
 minimum-image arithmetic, O(n^2) scans, midpoint rasterisation) so it shares
-no code path with the package implementations it checks. The exception
-judges one layer of the package against its own earlier form:
+no code path with the package implementations it checks. The exceptions
+judge one layer of the package against its own earlier form:
 ``per_node_eta`` is eta with its inner integrals taken at every node, the
-reference for the tables that replaced them.
+reference for the tables that replaced them, and ``serial_pooled_distances``
+is the plain replication loop that the pipelined ``pooled_distances``
+replaced.
 """
 
 from __future__ import annotations
@@ -16,7 +18,18 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
-from matern_contact import ProcessParams, QuadratureError, RetentionFunction, analytic
+from matern_contact import (
+    ContactCase,
+    InsufficientDataError,
+    PointLabel,
+    ProcessParams,
+    QuadratureError,
+    RetentionFunction,
+    analytic,
+    nn_distances_cross,
+    nn_distances_within,
+)
+from matern_contact.estimate import replication_patterns
 
 
 def lens_area_two_circles(d: float, r1: float, r2: float) -> float:
@@ -451,3 +464,32 @@ def per_node_eta(case, params: ProcessParams, r: np.ndarray) -> tuple[np.ndarray
     eta[outer] = analytic._removed_pair_correlation(ro, params) * np.exp(dh + tail)
     err[outer] = eta[outer] * (dh_err + tail_err)
     return eta, err
+
+
+def serial_pooled_distances(config, on_pattern=None) -> np.ndarray:
+    """The distances ``pooled_distances`` pools, unsorted and in pooling order,
+    from a plain loop on the calling thread: each replication's patterns are
+    drawn, their NN distances taken, and then the patterns handed to
+    ``on_pattern``. A replication with too few points raises
+    ``InsufficientDataError`` naming its index."""
+    chunks = []
+    for rep in range(config.replications):
+        patterns = replication_patterns(config, rep)
+        try:
+            if config.case is ContactCase.PPP_TO_MHC:
+                chunk = nn_distances_cross(patterns["source"], PointLabel.PARENT,
+                                           patterns["target"], PointLabel.MHC)
+            elif config.case is ContactCase.CMHC_TO_MHC:
+                chunk = nn_distances_cross(patterns["pattern"], PointLabel.CMHC,
+                                           patterns["pattern"], PointLabel.MHC)
+            elif config.case is ContactCase.MHC_TO_MHC:
+                chunk = nn_distances_within(patterns["pattern"], PointLabel.MHC)
+            else:
+                chunk = nn_distances_within(patterns["pattern"], PointLabel.PARENT)
+        except InsufficientDataError as exc:
+            raise InsufficientDataError(f"replication {rep} failed: {exc}") from exc
+        chunks.append(chunk)
+        if on_pattern is not None:
+            for role, pattern in patterns.items():
+                on_pattern(rep, role, pattern)
+    return np.concatenate(chunks)

@@ -3,6 +3,8 @@ the experiment pipeline."""
 
 import json
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,7 @@ from matern_contact import (
     Window,
     WindowFloorError,
     contact_cdf,
+    estimate,
     nn_distances_cross,
     nn_distances_within,
     run_experiment,
@@ -27,8 +30,19 @@ from matern_contact import (
     thin_mhc_type2,
 )
 from matern_contact.analytic import default_r_grid, extend_curve
-from matern_contact.estimate import empirical_cdf, ks_sup_distance, replication_patterns
-from oracles import brute_nn_cross, brute_nn_within, brute_sup_distance, on_the_seam
+from matern_contact.estimate import (
+    empirical_cdf,
+    ks_sup_distance,
+    pooled_distances,
+    replication_patterns,
+)
+from oracles import (
+    brute_nn_cross,
+    brute_nn_within,
+    brute_sup_distance,
+    on_the_seam,
+    serial_pooled_distances,
+)
 
 P11 = ProcessParams(1.0, 1.0)
 
@@ -126,6 +140,30 @@ class TestNearestNeighbourDistances:
             nn_distances_cross(lone, PointLabel.MHC, empty_target, PointLabel.MHC)
         with pytest.raises(InsufficientDataError):
             nn_distances_cross(lone, PointLabel.CMHC, lone, PointLabel.MHC)
+
+    def test_cross_rejects_a_pattern_against_itself(self):
+        # one label on one pattern would pair every point with itself, at 0
+        pat = thin_mhc_type2(sample_ppp(1.0, Window(20, 20), 25), 1.0)
+        for target_label in (PointLabel.MHC, 1):
+            with pytest.raises(ValueError, match="nn_distances_within"):
+                nn_distances_cross(pat, PointLabel.MHC, pat, target_label)
+        # the same points in another pattern object are the caller's business
+        twin = labelled_pattern(pat.window, pat.x, pat.y, pat.label)
+        assert np.all(nn_distances_cross(pat, PointLabel.MHC, twin, PointLabel.MHC) == 0.0)
+
+    def test_worker_thread_distances_equal_the_main_thread_ones(self):
+        window = Window(80.0, 50.0)
+        thinned = thin_mhc_type2(sample_ppp(1.0, window, 26), 0.8)
+        observers = sample_ppp(1.0, window, 27)
+        calls = [
+            (nn_distances_within, thinned, PointLabel.MHC),
+            (nn_distances_cross, observers, PointLabel.PARENT, thinned, PointLabel.MHC),
+            (nn_distances_cross, thinned, PointLabel.CMHC, thinned, PointLabel.MHC),
+        ]
+        with ThreadPoolExecutor(1) as worker:
+            for fn, *args in calls:
+                off_main = worker.submit(fn, *args).result(timeout=60)
+                assert np.array_equal(off_main, fn(*args))
 
     def test_window_mismatch(self):
         a = labelled_pattern(Window(10, 10), [1.0], [1.0], [1])
@@ -405,3 +443,82 @@ class TestRunExperiment:
         assert len(data["analytic"]["radii"]) == len(data["analytic"]["F"])
         assert "runtime" not in json.dumps(data)
         assert 0.0 <= data["sup_distance"] <= 1.0
+
+
+# lambda 0.01 on a 20 x 20 torus thins to ~2 points: replication 0 finds its
+# neighbour pair, replication 3 is the first to have fewer than two points
+SPARSE = ExperimentConfig(
+    case=ContactCase.MHC_TO_MHC,
+    params=ProcessParams(0.01, 1.0),
+    window=Window(20.0, 20.0),
+    replications=6,
+    seed=1,
+)
+
+
+class TestPooledDistances:
+    @pytest.mark.parametrize("case", list(ContactCase))
+    @pytest.mark.parametrize("reps", [1, 2, 3, 5])
+    def test_equals_the_serial_loop_bit_for_bit(self, case, reps, monkeypatch):
+        config = ExperimentConfig(case, P11, Window(30.0, 30.0), replications=reps, seed=12)
+        serial = serial_pooled_distances(config)
+        pooled = []
+
+        def recording(samples):
+            pooled.append(samples)
+            return empirical_cdf(samples)
+
+        monkeypatch.setattr(estimate, "empirical_cdf", recording)
+        emp = pooled_distances(config)
+        # pooled in replication order, before the sort
+        assert np.array_equal(pooled[0], serial)
+        assert np.array_equal(emp.samples, np.sort(serial))
+
+    @pytest.mark.parametrize("case", [ContactCase.PPP_TO_MHC, ContactCase.CMHC_TO_MHC])
+    def test_patterns_reach_the_sink_in_serial_order_on_the_calling_thread(self, case):
+        config = ExperimentConfig(case, P11, Window(30.0, 30.0), replications=4, seed=13)
+        seen, expected = [], []
+
+        def sink(calls):
+            def record(rep, role, pat):
+                calls.append((rep, role, pat.seed, threading.get_ident()))
+
+            return record
+
+        pooled_distances(config, sink(seen))
+        serial_pooled_distances(config, sink(expected))
+        assert seen == expected
+        assert {call[3] for call in seen} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("reps", [4, 6])  # replication 3 last, or on the lane
+    def test_a_later_failure_names_its_replication(self, reps):
+        config = replace(SPARSE, replications=reps)
+        assert len(serial_pooled_distances(replace(config, replications=3))) > 0
+        with pytest.raises(InsufficientDataError) as serial:
+            serial_pooled_distances(config)
+        assert str(serial.value).startswith("replication 3 failed:")
+        with pytest.raises(InsufficientDataError) as pooled:
+            pooled_distances(config)
+        assert str(pooled.value) == str(serial.value)
+
+    def test_the_lane_lives_only_when_a_replication_follows(self):
+        # the lane is alive, idle, while the calling thread pools and sinks
+        before = threading.active_count()
+        config = ExperimentConfig(ContactCase.PPP_TO_MHC, P11, Window(30.0, 30.0),
+                                  replications=2, seed=15)
+        alive = []
+        pooled_distances(config, lambda rep, role, pat: alive.append(threading.active_count()))
+        assert alive == [before + 1] * 4
+        alive.clear()
+        pooled_distances(replace(config, replications=1),
+                         lambda rep, role, pat: alive.append(threading.active_count()))
+        assert alive == [before] * 2
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        pooled_distances(ExperimentConfig(ContactCase.MHC_TO_MHC, P11, Window(30.0, 30.0),
+                                          replications=3, seed=14))
+        assert threading.active_count() == before
+        with pytest.raises(InsufficientDataError, match="replication 3"):
+            pooled_distances(SPARSE)
+        assert threading.active_count() == before

@@ -41,8 +41,8 @@ def test_source_has_no_assert_statements():
 
 
 def test_stage_timing_rows_run_at_toy_sizes():
-    # the row functions behind BENCH_<label>.json, on a side-20 torus and
-    # 50 radii; nothing is written
+    # the row functions behind BENCH_<label>.json, on side-20 tori and 50
+    # radii; nothing is written
     script = load_script(ROOT / "scripts" / "stage_timings.py")
     row = script.stage_row(20.0, 1.0)
     assert all(n > 0 for n in row["parents"] + row["survivors"] + row["observers"])
@@ -51,3 +51,6 @@ def test_stage_timing_rows_run_at_toy_sizes():
     for case in script.ANALYTIC_CASES:
         timed = script.analytic_row(case, 1.0, 50, 1)
         assert timed["radii"] >= 50 and timed["contact_cdf_s"] > 0.0, timed
+    for case in script.POOLED_CASES:
+        pooled = script.pooled_row(case, 1.0, 20.0, 1)
+        assert pooled["samples"] > 0 and pooled["pooled_s"] > 0.0, pooled
