@@ -4,7 +4,11 @@ and of the analytic curve's quadrature.
 
 Times ``sample_ppp``, ``thin_mhc_type2``, ``nn_distances_within`` (MHC to MHC)
 and ``nn_distances_cross`` (an independent Poisson observer to MHC) at
-lambda_p = 1 on square tori of side 100, 316 and 1000, for delta 0.5 and 1.
+lambda_p = 1 on square tori of side 100, 316 and 1000, for delta 0.5 and 1,
+and ``ks_sup_distance`` (``sup``) between the MHC-to-MHC distances and the
+mhc-mhc curve on the default report grid. The sup's best-of-``REPEATS``
+leaves out the first call's growth of the curve's table out to the largest
+distance.
 Each stage records ``time.perf_counter`` and ``time.process_time``; CPU above
 wall means the stage ran on more than one core. For each of ``SEEDS`` a stage
 takes the best of ``REPEATS`` calls, and a row holds the median over the seeds,
@@ -57,14 +61,14 @@ from matern_contact import (
     sample_ppp,
     thin_mhc_type2,
 )
-from matern_contact.estimate import pooled_distances
+from matern_contact.estimate import empirical_cdf, ks_sup_distance, pooled_distances
 
 
 REPEATS = 3
 ANALYTIC_REPEATS = 11
 SEEDS = (5, 6, 7)
 SIDES = (100.0, 316.0, 1000.0)  # ~1e4, 1e5 and 1e6 parents at lambda_p = 1
-STAGES = ("sample", "thin", "nn_within", "nn_cross")
+STAGES = ("sample", "thin", "nn_within", "nn_cross", "sup")
 DELTAS = (0.5, 1.0)
 ANALYTIC_CASES = (ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC, ContactCase.CMHC_TO_MHC)
 POINTS = 1000
@@ -94,10 +98,13 @@ def seed_row(side: float, delta: float, seed: int, repeats: int) -> dict:
     times["sample"], parents = best_of(repeats, sample_ppp, 1.0, window, (seed, 0, 0))
     times["thin"], thinned = best_of(repeats, thin_mhc_type2, parents, delta)
     observers = sample_ppp(1.0, window, (seed, 0, 1))
-    times["nn_within"], _ = best_of(repeats, nn_distances_within, thinned, mhc)
+    times["nn_within"], within = best_of(repeats, nn_distances_within, thinned, mhc)
     times["nn_cross"], _ = best_of(
         repeats, nn_distances_cross, observers, PointLabel.PARENT, thinned, mhc
     )
+    case, params = ContactCase.MHC_TO_MHC, ProcessParams(1.0, delta)
+    curve = contact_cdf(RetentionFunction(case, params), default_r_grid(case, params))
+    times["sup"], _ = best_of(repeats, ks_sup_distance, empirical_cdf(within), curve)
     return {
         "parents": parents.n,
         "survivors": thinned.count(mhc),

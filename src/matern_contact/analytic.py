@@ -23,7 +23,7 @@ handles delta = 0, where every case is a plain Poisson process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -735,7 +735,8 @@ class CdfCurve:
     ``values``, F = 1 - exp(-H), and ``abs_error``, the error estimate
     propagated to F, exp(-H) * hazard_error, are computed from them on
     access. Each radius's entries depend on that radius alone, never on the
-    others in the curve.
+    others in the curve. :meth:`cdf` reads F at any other radii from the same
+    table.
     """
 
     case: ContactCase
@@ -744,6 +745,7 @@ class CdfCurve:
     hazard: np.ndarray
     hazard_error: np.ndarray
     abs_tol: float
+    _hazard_at: _Hazard = field(repr=False, compare=False)
 
     @property
     def values(self) -> np.ndarray:
@@ -753,17 +755,19 @@ class CdfCurve:
     def abs_error(self) -> np.ndarray:
         return np.exp(-self.hazard) * self.hazard_error
 
-    def evaluate(self, x: FloatOrArray) -> FloatOrArray:
-        """Monotone (linear) interpolation of F on the curve's grid; 0 below it."""
-        scalar = np.ndim(x) == 0
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if arr.size and np.max(arr) > self.radii[-1]:
-            raise ValueError(
-                f"evaluation point {float(np.max(arr))!r} beyond curve range "
-                f"{float(self.radii[-1])!r}; extend the curve first"
-            )
-        out = np.interp(arr, self.radii, self.values, left=0.0)
-        return float(out[0]) if scalar else out
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        """F at any radii, read from the table the curve was built from: to
+        the bit, the values of a curve built on those radii. 0 below the
+        lower support.
+
+        Raises:
+            QuadratureError: if the error estimate of F exceeds the curve's
+                ``abs_tol`` at any of the radii.
+        """
+        x = np.asarray(x, dtype=float)
+        hazard, herr = self._hazard_at(x)
+        _check_error(x, hazard, herr, self.abs_tol)
+        return -np.expm1(-hazard)
 
     def to_dict(self) -> dict:
         """The curve's ``radii``, ``F`` and ``abs_error`` as JSON lists."""
@@ -772,18 +776,6 @@ class CdfCurve:
             "F": self.values.tolist(),
             "abs_error": self.abs_error.tolist(),
         }
-
-    def restricted(self, radii: np.ndarray) -> CdfCurve:
-        """The curve at ``radii``, a subset of its own radii."""
-        if not np.all(np.isin(radii, self.radii)):
-            raise ValueError("radii must be a subset of the curve's radii")
-        at = np.searchsorted(self.radii, radii)
-        return replace(
-            self,
-            radii=self.radii[at],
-            hazard=self.hazard[at],
-            hazard_error=self.hazard_error[at],
-        )
 
 
 # The radii, in delta units, where eta is not smooth in any case: the lens
@@ -835,12 +827,53 @@ def _removed_hazard(rho: np.ndarray, params: ProcessParams, moment: _Table):
     return hazard, err / void
 
 
-def contact_cdf(
-    eta: RetentionFunction,
-    r_grid: FloatOrArray,
-    abs_tol: float = 1e-9,
-    breakpoints: bool = False,
-) -> CdfCurve:
+class _Hazard:
+    """The hazard H(r) of one curve and its error estimate at any radii,
+    read from one table of the hazard density (:func:`_hazard_table`) that
+    grows out to the largest radius read. H starts at the case's lower
+    support. A removed observer (cmhc-mhc) needs no table up to delta: there
+    H is read in closed form (:func:`_removed_hazard`), and the table starts
+    at delta from H(delta)."""
+
+    def __init__(self, eta: RetentionFunction):
+        self._params = eta.params
+        self._start = eta.lower_support
+        self._moment = None
+        if eta.case is ContactCase.CMHC_TO_MHC and eta.params.delta > 0.0:
+            self._start = eta.params.delta
+            self._moment = eta._tables["moment"]
+        self._table = _hazard_table(eta, self._start)
+
+    def __call__(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hazard = np.zeros(radii.shape)
+        herr = np.zeros(radii.shape)
+        offset = offset_err = 0.0
+        if self._moment is not None:
+            inner = (radii > 0.0) & (radii <= self._start)
+            at = np.append(radii[inner], self._start)
+            h, e = _removed_hazard(at, self._params, self._moment)
+            hazard[inner], herr[inner] = h[:-1], e[:-1]
+            offset, offset_err = h[-1], e[-1]
+        outer = radii > self._start
+        h, e = self._table.integral(radii[outer])
+        hazard[outer] = offset + h
+        herr[outer] = offset_err + e
+        return hazard, herr
+
+
+def _check_error(radii: np.ndarray, hazard: np.ndarray, herr: np.ndarray, abs_tol: float):
+    """Raise :class:`QuadratureError` where the error estimate of F exceeds
+    ``abs_tol``."""
+    error = np.exp(-hazard) * herr
+    if not np.all(error <= abs_tol):
+        worst = int(np.argmax(np.where(np.isnan(error), np.inf, error)))
+        raise QuadratureError(
+            f"quadrature stalled at r = {float(radii[worst])!r}: the hazard table's error "
+            f"estimate {error[worst]:.3e} of F exceeds the tolerance {abs_tol:.3e}"
+        )
+
+
+def contact_cdf(eta: RetentionFunction, r_grid: FloatOrArray, abs_tol: float = 1e-9) -> CdfCurve:
     """Contact-distance CDF F(R) = 1 - exp(-H(R)) at each radius of an
     ascending grid, with hazard H(R) = integral of 2*pi*r*lambda_p*eta(r).
 
@@ -854,9 +887,9 @@ def contact_cdf(
     to delta: there F = (r/delta)**2 - m2/2 in closed form
     (:func:`_removed_cdf`), and the table starts at delta from H(delta). The
     table's layout depends on (case, params) alone, so F at a radius is the
-    same, to the bit, on any grid that holds it and at any tolerance. With
-    ``breakpoints`` the curve also holds F at the lens breakpoints inside the
-    grid.
+    same, to the bit, on any grid that holds it and at any tolerance. The
+    curve keeps its table, and :meth:`CdfCurve.cdf` reads F at any other
+    radii from it.
 
     ``abs_error`` is exp(-H) times the error estimate of H: the tails of the
     table panels up to each radius, plus the integral of eta's own error
@@ -877,33 +910,10 @@ def contact_cdf(
     if not (math.isfinite(abs_tol) and abs_tol > 0.0):
         raise ValueError(f"abs_tol must be > 0, got {abs_tol!r}")
 
-    params = eta.params
-    start = eta.lower_support
-    radii = grid
-    if breakpoints:
-        radii = np.union1d(grid, _lens_breakpoints(params, start, float(grid[-1])))
-    hazard = np.zeros(radii.shape)
-    herr = np.zeros(radii.shape)
-    offset = offset_err = 0.0
-    if eta.case is ContactCase.CMHC_TO_MHC and params.delta > 0.0:
-        start = params.delta
-        inner = (radii > 0.0) & (radii <= start)
-        h, e = _removed_hazard(np.append(radii[inner], start), params, eta._tables["moment"])
-        hazard[inner], herr[inner] = h[:-1], e[:-1]
-        offset, offset_err = h[-1], e[-1]
-    outer = radii > start
-    h, e = _hazard_table(eta, start).integral(radii[outer])
-    hazard[outer] = offset + h
-    herr[outer] = offset_err + e
-    curve = CdfCurve(eta.case, params, radii, hazard, herr, abs_tol)
-    error = curve.abs_error
-    if not np.all(error <= abs_tol):
-        worst = int(np.argmax(np.where(np.isnan(error), np.inf, error)))
-        raise QuadratureError(
-            f"quadrature stalled at r = {float(radii[worst])!r}: the hazard table's error "
-            f"estimate {error[worst]:.3e} of F exceeds the tolerance {abs_tol:.3e}"
-        )
-    return curve
+    hazard_at = _Hazard(eta)
+    hazard, herr = hazard_at(grid)
+    _check_error(grid, hazard, herr, abs_tol)
+    return CdfCurve(eta.case, eta.params, grid, hazard, herr, abs_tol, hazard_at)
 
 
 def _spaced(lo: float, hi: float, step: float | None) -> np.ndarray:

@@ -34,7 +34,8 @@ from .analytic import (
     RetentionFunction,
     contact_cdf,
     default_r_grid,
-    extend_curve,
+    # unused here, but perfbench's tracer wraps estimate.extend_curve
+    extend_curve,  # noqa: F401
 )
 from .simulate import (
     MarkedPattern,
@@ -85,11 +86,6 @@ class EmpiricalDistribution:
         out = np.searchsorted(self.samples, x, side="right") / self.n
         return float(out) if np.ndim(x) == 0 else out
 
-    def cdf_left(self, x: float | np.ndarray) -> float | np.ndarray:
-        """Left limit F_hat(x-) = (#samples < x) / n."""
-        out = np.searchsorted(self.samples, x, side="left") / self.n
-        return float(out) if np.ndim(x) == 0 else out
-
 
 def empirical_cdf(samples) -> EmpiricalDistribution:
     """Sorted copy of the samples wrapped for step-function evaluation."""
@@ -107,6 +103,27 @@ def _query_workers() -> int:
     return -1 if threading.current_thread() is threading.main_thread() else 1
 
 
+# The first NN query of a point searches out to this many mean target
+# spacings only, which prunes most of the tree walk; the few points with no
+# target that close are queried again without a bound.
+NN_BOUND_SPACINGS = 2.0
+
+
+def _nearest(tree, queries: np.ndarray, k: int | list[int], window: Window) -> np.ndarray:
+    """One distance per query: ``tree.query``'s to the nearest tree point
+    (``k=1``) or to the second nearest (``k=[2]``), searched out to
+    :data:`NN_BOUND_SPACINGS` first. A point found inside the bound is the
+    one an unbounded search finds, at the same distance, so the result
+    equals the unbounded query's to the bit."""
+    workers = _query_workers()
+    bound = NN_BOUND_SPACINGS * math.sqrt(window.area / tree.n)
+    dist = tree.query(queries, k=k, distance_upper_bound=bound, workers=workers)[0].ravel()
+    miss = np.isinf(dist)
+    if miss.any():  # speed guard
+        dist[miss] = tree.query(queries[miss], k=k, workers=workers)[0].ravel()
+    return dist
+
+
 def nn_distances_within(pattern: MarkedPattern, label: PointLabel) -> np.ndarray:
     """Toroidal distance from each ``label`` point to its nearest other point
     carrying the same label (query threads: :func:`_query_workers`)."""
@@ -117,7 +134,7 @@ def nn_distances_within(pattern: MarkedPattern, label: PointLabel) -> np.ndarray
         )
     tree = _periodic_tree(pattern.x[idx], pattern.y[idx], pattern.window)
     # the nearest hit of each point is itself, at distance 0
-    return tree.query(tree.data, k=[2], workers=_query_workers())[0][:, 0]
+    return _nearest(tree, tree.data, [2], pattern.window)
 
 
 def nn_distances_cross(
@@ -142,23 +159,69 @@ def nn_distances_cross(
         raise InsufficientDataError("target has no points with the requested label")
     tree = _periodic_tree(target.x[t_idx], target.y[t_idx], target.window)
     queries = np.column_stack((source.x[s_idx], source.y[s_idx]))
-    return tree.query(queries, k=1, workers=_query_workers())[0]
+    return _nearest(tree, queries, 1, target.window)
 
 
-def ks_sup_distance(emp: EmpiricalDistribution, curve: CdfCurve) -> float:
-    """Two-sided sup distance between the step CDF and an analytic curve,
-    evaluated at every sample point (both the jump top and its left limit).
+# The sup distance's first stage reads F at one distinct sample in
+# SUP_STRIDE, at evenly spaced ranks, and at SUP_GRID_MAX + 1 samples at most
+SUP_STRIDE = 32
+SUP_GRID_MAX = 4096
+# F read from a table is monotone only up to rounding; a bin whose bound
+# falls short of the largest gap by less than this is searched all the same
+SUP_SLACK = 1e-14
 
-    The analytic curve is extended wherever the samples leave its grid: out
-    past the largest sample, and down to its lower support when a sample lies
-    below a curve that starts above that support.
+
+def ks_sup_distance(
+    emp: EmpiricalDistribution, curve: CdfCurve, with_radius: bool = False
+) -> float | tuple[float, float]:
+    """Two-sided sup distance between the step CDF and the analytic curve,
+    sup over r of |F_hat(r) - F(r)|, with F read from the curve's own table
+    (:meth:`CdfCurve.cdf`) at any radius, inside the curve's grid or not.
+
+    F is continuous and F_hat a step function, so the sup is attained at a
+    distinct sample x, against F_hat(x) or its left limit F_hat(x-), and
+    equals the largest of these gaps over every distinct sample. It is taken
+    in two stages, with the same result to the bit:
+
+    1. F at a grid of distinct samples at evenly spaced ranks
+       (:data:`SUP_STRIDE`, :data:`SUP_GRID_MAX`). F is monotone, so the gap
+       at a sample between two grid samples x_lo < x < x_hi is at most
+       max(F_hat(x_hi-) - F(x_lo), F(x_hi) - F_hat(x_lo)).
+    2. F at every sample of the bins whose bound, plus :data:`SUP_SLACK` for
+       rounding in F, reaches the largest gap at the grid samples.
+
+    With ``with_radius`` it returns the sup and the smallest sample at which
+    it is attained.
     """
     x = emp.samples
-    lo, hi = float(x[0]), float(x[-1])
-    if lo < float(curve.radii[0]) or hi > float(curve.radii[-1]):
-        curve = extend_curve(curve, hi, lo)
-    f = curve.evaluate(x)
-    return float(np.maximum(np.abs(emp.cdf(x) - f), np.abs(emp.cdf_left(x) - f)).max())
+    # the last copy of each distinct sample, F_hat there and its left limit
+    last = np.flatnonzero(np.append(x[1:] != x[:-1], True))
+    radii = x[last]
+    at_most = (last + 1) / emp.n
+    below = np.append(0.0, at_most[:-1])
+
+    def gaps(at: np.ndarray, f: np.ndarray) -> np.ndarray:
+        return np.maximum(at_most[at] - f, f - below[at])
+
+    m = len(radii)
+    bins = min(SUP_GRID_MAX, max(1, m // SUP_STRIDE))
+    edges = np.unique(np.linspace(0, m - 1, bins + 1).astype(np.intp))
+    f = curve.cdf(radii[edges])
+    edge_gaps = gaps(edges, f)
+    lo, hi = edges[:-1], edges[1:]
+    bound = np.maximum(below[hi] - f[:-1], f[1:] - at_most[lo])
+    searched = (hi - lo > 1) & (bound + SUP_SLACK >= edge_gaps.max())
+    # the samples strictly inside the searched bins
+    step = np.zeros(m + 1, dtype=np.intp)
+    step[lo[searched] + 1] += 1
+    step[hi[searched]] -= 1
+    inside = np.flatnonzero(np.cumsum(step[:-1]))
+    at = np.concatenate([edges, inside])
+    found = np.concatenate([edge_gaps, gaps(inside, curve.cdf(radii[inside]))])
+    sup = float(found.max())
+    if not with_radius:
+        return sup
+    return sup, float(radii[at[found == sup]].min())
 
 
 @dataclass(frozen=True)
@@ -263,18 +326,21 @@ def _case_distances(case: ContactCase, patterns: dict[str, MarkedPattern]) -> np
 @dataclass
 class ComparisonReport:
     """Analytic curve, pooled empirical distances, and their sup distance for
-    one experiment."""
+    one experiment, with the smallest sample radius at which the sup is
+    attained."""
 
     config: ExperimentConfig
     analytic: CdfCurve
     empirical: EmpiricalDistribution
     sup_distance: float
+    sup_radius: float
 
     def to_dict(self) -> dict:
         return {
             "config": self.config.to_dict(),
             "seed_scheme": SEED_SCHEME,
             "sup_distance": self.sup_distance,
+            "sup_radius": self.sup_radius,
             "empirical": {
                 "pooled_samples": self.empirical.n,
                 "replications": self.config.replications,
@@ -341,14 +407,8 @@ def run_experiment(
     compare them against the analytic curve."""
     emp = pooled_distances(config, on_pattern)
     eta = RetentionFunction(config.case, config.params)
-    grid = config.r_grid()
-    # F at the lens breakpoints as well: interpolating across a kink of F
-    # between two grid radii would dominate the sup distance
-    curve = contact_cdf(eta, grid, config.abs_tol, breakpoints=True)
-    sup = ks_sup_distance(emp, curve)
+    curve = contact_cdf(eta, config.r_grid(), config.abs_tol)
+    sup, radius = ks_sup_distance(emp, curve, with_radius=True)
     return ComparisonReport(
-        config=config,
-        analytic=curve.restricted(grid),
-        empirical=emp,
-        sup_distance=sup,
+        config=config, analytic=curve, empirical=emp, sup_distance=sup, sup_radius=radius
     )

@@ -5,9 +5,10 @@ minimum-image arithmetic, O(n^2) scans, midpoint rasterisation) so it shares
 no code path with the package implementations it checks. The exceptions
 judge one layer of the package against its own earlier form:
 ``per_node_eta`` is eta with its inner integrals taken at every node, the
-reference for the tables that replaced them, and ``serial_pooled_distances``
-is the plain replication loop that the pipelined ``pooled_distances``
-replaced.
+reference for the tables that replaced them (``quad_contact_cdf``
+integrates it, independently of the hazard table), and
+``serial_pooled_distances`` is the plain replication loop that the pipelined
+``pooled_distances`` replaced.
 """
 
 from __future__ import annotations
@@ -196,31 +197,18 @@ def brute_nn_cross(
     return np.sqrt((dx * dx + dy * dy).min(axis=1))
 
 
-def _linear(radii, values, x: float) -> float:
-    """The piecewise-linear curve through (radii, values) at ``x``, 0 below
-    radii[0]."""
-    if x < radii[0]:
-        return 0.0
-    for k in range(1, len(radii)):
-        if x <= radii[k]:
-            t = (x - radii[k - 1]) / (radii[k] - radii[k - 1])
-            return values[k - 1] + t * (values[k] - values[k - 1])
-    raise ValueError(f"{x!r} beyond the last radius {radii[-1]!r}")
-
-
-def brute_sup_distance(samples, radii, values) -> float:
-    """Sup distance between the step CDF of ``samples`` and the
-    piecewise-linear curve through (radii, values), taken at every sample
-    against both the count of samples <= x and the count of samples < x."""
+def brute_sup_distance(samples, cdf) -> float:
+    """Sup distance between the step CDF of ``samples`` and a continuous
+    CDF, taken at every distinct sample against both the count of samples
+    <= x and the count of samples < x; ``cdf`` maps the ascending distinct
+    samples to F there."""
     xs = [float(v) for v in samples]
-    radii = [float(r) for r in radii]
-    values = [float(v) for v in values]
+    distinct = sorted(set(xs))
     n = len(xs)
     worst = 0.0
-    for x in xs:
+    for x, f in zip(distinct, cdf(np.array(distinct))):
         at_most = sum(1 for v in xs if v <= x)
         below = sum(1 for v in xs if v < x)
-        f = _linear(radii, values, x)
         worst = max(worst, abs(at_most / n - f), abs(below / n - f))
     return worst
 
@@ -464,6 +452,37 @@ def per_node_eta(case, params: ProcessParams, r: np.ndarray) -> tuple[np.ndarray
     eta[outer] = analytic._removed_pair_correlation(ro, params) * np.exp(dh + tail)
     err[outer] = eta[outer] * (dh_err + tail_err)
     return eta, err
+
+
+def quad_contact_cdf(case, params: ProcessParams, radii) -> np.ndarray:
+    """F at ascending ``radii`` by a route that shares no table with the
+    package: the closed form 1 - exp(-pi lambda_p r**2) for ppp-ppp, and
+    otherwise the hazard density 2 pi u lambda_p eta(u), with eta from
+    :func:`per_node_eta`, integrated by :func:`cumulative_quad` from the
+    lower support, with the radii and the lens breakpoints as edges. A
+    removed observer's F up to delta is 1 minus its per-node void
+    probability, and its integral starts at delta from the hazard there."""
+    lam, d = params.lambda_p, params.delta
+    radii = np.asarray(radii, dtype=float)
+    if case is ContactCase.PPP_TO_PPP:
+        return -np.expm1(-math.pi * lam * radii**2)
+    out = np.zeros(radii.shape)
+    start, offset = (d, 0.0) if case is ContactCase.MHC_TO_MHC else (0.0, 0.0)
+    if case is ContactCase.CMHC_TO_MHC:
+        inner = radii <= d
+        out[inner] = 1.0 - _removed_contact(radii[inner], params)[0]
+        start, offset = d, float(-np.log(_removed_contact(np.array([d]), params)[0][0]))
+    beyond = radii > start
+    if np.any(beyond):
+        cuts = [c for c in (0.5 * d, d, 2.0 * d) if start < c < radii[-1]]
+        edges = np.union1d([start, *cuts], radii[beyond])
+        hazard, _ = cumulative_quad(
+            lambda u: 2.0 * math.pi * lam * u * per_node_eta(case, params, np.array([u]))[0][0],
+            edges,
+        )
+        at = np.searchsorted(edges[1:], radii[beyond])
+        out[beyond] = -np.expm1(-(offset + hazard[at]))
+    return out
 
 
 def serial_pooled_distances(config, on_pattern=None) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -438,19 +439,20 @@ class TestContactCdf:
             for field in ("radii", "values", "abs_error", "hazard", "hazard_error"):
                 assert getattr(first, field).tobytes() == getattr(second, field).tobytes()
 
-    def test_breakpoints_add_radii_without_moving_the_grid_values(self):
-        p = ProcessParams(0.5, 0.25)
-        eta = RetentionFunction(ContactCase.CMHC_TO_MHC, p)
-        grid = default_r_grid(ContactCase.CMHC_TO_MHC, p)
-        plain = contact_cdf(eta, grid)
-        kinked = contact_cdf(eta, grid, breakpoints=True)
-        extra = np.setdiff1d(kinked.radii, grid)
-        assert np.array_equal(extra, [0.125, 0.25, 0.5])
-        on_grid = kinked.restricted(grid)
-        for field in ("radii", "values", "abs_error", "hazard", "hazard_error"):
-            assert getattr(on_grid, field).tobytes() == getattr(plain, field).tobytes()
-        with pytest.raises(ValueError):
-            kinked.restricted(np.array([0.3]))
+    def test_cdf_reads_the_curves_table_at_any_radius(self):
+        # below the support, inside and beyond the grid, and across delta,
+        # where a removed observer's closed form hands over to the table
+        radii = np.array([0.0, 0.1, 0.25, 0.49, 0.5, 0.77, 1.3, 2.0, 9.0])
+        for case in ContactCase:
+            eta = RetentionFunction(case, ProcessParams(1.0, 0.5))
+            curve = contact_cdf(eta, np.linspace(0.6, 1.2, 7))
+            direct = contact_cdf(RetentionFunction(case, eta.params), radii)
+            assert curve.cdf(radii).tobytes() == direct.values.tobytes(), case
+            if case is ContactCase.CMHC_TO_MHC:
+                # a read is held to the curve's tolerance, as its grid is
+                strict = replace(curve, abs_tol=1e-300)
+                with pytest.raises(QuadratureError, match="exceeds the tolerance"):
+                    strict.cdf(np.array([1.0]))
 
     def test_extend_curve_matches_direct_construction(self):
         eta = RetentionFunction(ContactCase.PPP_TO_MHC, P11)
@@ -460,16 +462,6 @@ class TestContactCdf:
         for field in ("radii", "values", "abs_error", "hazard", "hazard_error"):
             assert getattr(extended, field).tobytes() == getattr(direct, field).tobytes()
         assert extend_curve(short, 1.5) is short
-
-    def test_evaluate_interpolates_and_guards_range(self):
-        eta = RetentionFunction(ContactCase.PPP_TO_PPP, P11)
-        curve = contact_cdf(eta, np.linspace(0.0, 2.0, 100))
-        assert curve.evaluate(1.0) == pytest.approx(
-            1.0 - math.exp(-math.pi), abs=1e-4
-        )
-        assert curve.evaluate(-0.5) == 0.0
-        with pytest.raises(ValueError):
-            curve.evaluate(3.0)
 
 
 class TestBatchedQuadrature:
@@ -625,8 +617,8 @@ class TestHazardTable:
                 radii[1:],
             ]
             for grid in grids:
-                for tol, breakpoints in ((1e-6, False), (1e-13, True)):
-                    curve = contact_cdf(RetentionFunction(case, eta.params), grid, tol, breakpoints)
+                for tol in (1e-6, 1e-13):
+                    curve = contact_cdf(RetentionFunction(case, eta.params), grid, tol)
                     at = np.isin(curve.radii, radii)
                     theirs = np.isin(radii, curve.radii)
                     for field in ("hazard", "hazard_error"):
@@ -639,7 +631,6 @@ class TestHazardTable:
             assert value.shape == err.shape == (0,)
         value, err = table.integral(np.zeros(0), np.zeros(0))
         assert value.shape == err.shape == (0,)
-
 
 
 class TestTables:

@@ -203,6 +203,24 @@ def test_compare_flag_overrides_config_file(tmp_path):
     assert json.loads(out.read_text())["reports"][0]["config"]["seed"] == 9
 
 
+@pytest.mark.parametrize("case", [c.value for c in ContactCase])
+def test_compare_sup_does_not_depend_on_the_report_grid(tmp_path, case):
+    # the sup reads F at the pooled samples, not between report radii, so
+    # --points picks the report's radii and nothing else
+    reports = []
+    for points in ("10", "5000"):
+        out = tmp_path / f"r{points}.json"
+        assert main(
+            ["compare", "--case", case, "--delta", "0.5", "--window", "20", "--reps", "2",
+             "--seed", "3", "--points", points, "--threshold", "1", "--out", str(out)]
+        ) == 0
+        reports.append(json.loads(out.read_text())["reports"][0])
+    coarse, fine = reports
+    assert len(coarse["analytic"]["radii"]) == 10 and len(fine["analytic"]["radii"]) == 5000
+    assert coarse["sup_distance"] == fine["sup_distance"] > 0.0
+    assert coarse["sup_radius"] == fine["sup_radius"]
+
+
 def test_density_counts_the_patterns_that_compare_dumps(capsys, tmp_path):
     # both commands draw each replication's pattern by the one seed scheme
     flags = ["--delta", "0.5", "--window", "30", "--reps", "2", "--seed", "6"]

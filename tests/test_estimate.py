@@ -29,18 +29,20 @@ from matern_contact import (
     sample_ppp,
     thin_mhc_type2,
 )
-from matern_contact.analytic import default_r_grid, extend_curve
+from matern_contact.analytic import default_r_grid
 from matern_contact.estimate import (
     empirical_cdf,
     ks_sup_distance,
     pooled_distances,
     replication_patterns,
 )
+from matern_contact.simulate import _periodic_tree
 from oracles import (
     brute_nn_cross,
     brute_nn_within,
     brute_sup_distance,
     on_the_seam,
+    quad_contact_cdf,
     serial_pooled_distances,
 )
 
@@ -165,6 +167,37 @@ class TestNearestNeighbourDistances:
                 off_main = worker.submit(fn, *args).result(timeout=60)
                 assert np.array_equal(off_main, fn(*args))
 
+    def test_queries_that_miss_the_first_bound_are_searched_again(self):
+        # 20 points clustered in a corner of a 100 x 100 torus and one far
+        # off: the first query's bound, 2 mean spacings (~44), holds every
+        # clustered point's neighbour but not the lone point's
+        rng = np.random.default_rng(12)
+        w = Window(100.0, 100.0)
+        x = np.append(rng.uniform(0.0, 3.0, 20), 50.0)
+        y = np.append(rng.uniform(0.0, 3.0, 20), 50.0)
+        tree = _periodic_tree(x, y, w)
+        bounded = tree.query(tree.data, k=[2], distance_upper_bound=44.0)[0][:, 0]
+        assert np.sum(np.isinf(bounded)) == 1
+        within = nn_distances_within(labelled_pattern(w, x, y, [1] * 21), PointLabel.MHC)
+        assert within.tobytes() == tree.query(tree.data, k=[2])[0][:, 0].tobytes()
+        assert np.array_equal(within, brute_nn_within(x, y, w.width, w.height))
+
+    def test_every_query_can_miss_the_first_bound(self):
+        # 100 targets clustered near the origin (bound 2 * 10 = 20) and
+        # sources about 60 away: every source is searched twice
+        rng = np.random.default_rng(13)
+        w = Window(100.0, 100.0)
+        tx, ty = rng.uniform(0.0, 2.0, 100), rng.uniform(0.0, 2.0, 100)
+        sx, sy = rng.uniform(40.0, 60.0, 30), rng.uniform(40.0, 60.0, 30)
+        tree = _periodic_tree(tx, ty, w)
+        queries = np.column_stack((sx, sy))
+        assert np.all(np.isinf(tree.query(queries, distance_upper_bound=20.0)[0]))
+        src = labelled_pattern(w, sx, sy, [0] * 30)
+        tgt = labelled_pattern(w, tx, ty, [1] * 100)
+        cross = nn_distances_cross(src, PointLabel.PARENT, tgt, PointLabel.MHC)
+        assert cross.tobytes() == tree.query(queries)[0].tobytes()
+        assert np.array_equal(cross, brute_nn_cross(sx, sy, tx, ty, w.width, w.height))
+
     def test_window_mismatch(self):
         a = labelled_pattern(Window(10, 10), [1.0], [1.0], [1])
         b = labelled_pattern(Window(12, 10), [1.0], [1.0], [1])
@@ -179,7 +212,6 @@ class TestEmpiricalCdf:
         assert emp.cdf(0.5) == 0.0
         assert emp.cdf(3.0) == 1.0
         assert emp.cdf(99.0) == 1.0
-        assert emp.cdf_left(2.0) == pytest.approx(1.0 / 3.0)
 
     def test_rejects_empty_and_non_finite(self):
         with pytest.raises(InsufficientDataError):
@@ -226,16 +258,16 @@ class TestKsSupDistance:
         assert ks_sup_distance(empirical_cdf(samples), curve) < 0.006
 
     def test_extends_curve_when_samples_overrun(self):
-        from matern_contact.analytic import extend_curve
-
+        # F is read past the curve's grid from its own table, as a curve
+        # built on a longer grid reads it
         eta = RetentionFunction(ContactCase.PPP_TO_PPP, P11)
         curve = contact_cdf(eta, np.linspace(0.0, 1.0, 100))
         emp = empirical_cdf([0.5, 0.9, 1.6])
-        # the extension must agree with a from-scratch curve on the same radii
-        extended = extend_curve(curve, 1.6)
-        direct = contact_cdf(eta, extended.radii)
-        assert ks_sup_distance(emp, curve) == pytest.approx(
-            ks_sup_distance(emp, direct), abs=1e-9
+        direct = contact_cdf(eta, np.linspace(0.0, 2.0, 7))
+        assert ks_sup_distance(emp, curve) == ks_sup_distance(emp, direct)
+        assert ks_sup_distance(emp, curve, with_radius=True) == (
+            pytest.approx(-math.expm1(-math.pi * 0.81) - 1.0 / 3.0, abs=1e-15),
+            0.9,
         )
 
     def test_extends_curve_down_when_samples_underrun(self):
@@ -245,7 +277,27 @@ class TestKsSupDistance:
             RetentionFunction(ContactCase.PPP_TO_PPP, P11), np.linspace(1.0, 2.0, 50)
         )
         d = ks_sup_distance(empirical_cdf([0.5, 1.5]), curve)
-        assert d == pytest.approx(-math.expm1(-math.pi * 0.25), abs=1e-3)
+        assert d == pytest.approx(-math.expm1(-math.pi * 0.25), abs=1e-15)
+
+    def test_a_single_distinct_sample(self):
+        # the step from 0 to 1 at x: the sup is F(x) or 1 - F(x)
+        curve = contact_cdf(PPP_PPP, np.linspace(0.0, 2.0, 5))
+        for x in (0.2, 0.7):
+            f = -math.expm1(-math.pi * x * x)
+            for copies in (1, 7):
+                emp = empirical_cdf([x] * copies)
+                sup, radius = ks_sup_distance(emp, curve, with_radius=True)
+                assert sup == pytest.approx(max(f, 1.0 - f), abs=1e-15)
+                assert radius == x
+
+    def test_ties_report_the_smallest_radius(self):
+        # F is 0 below the hard core and rounds to 1 far out, so both gaps
+        # are exactly 1/2
+        sup, radius = ks_sup_distance(
+            empirical_cdf([50.0, 0.3]), contact_cdf(MHC_MHC, np.linspace(0.5, 2.0, 5)),
+            with_radius=True,
+        )
+        assert (sup, radius) == (0.5, 0.3)
 
 
 def _mutual_nn_distances():
@@ -260,9 +312,21 @@ def _thinned_nn_distances():
     return nn_distances_within(pattern, PointLabel.MHC)
 
 
+def _cross_nn_distances(case):
+    window = Window(20.0, 20.0)
+    thinned = thin_mhc_type2(sample_ppp(1.0, window, 7), 0.5)
+    if case is ContactCase.PPP_TO_MHC:
+        source, label = sample_ppp(1.0, window, 8), PointLabel.PARENT
+    else:
+        source, label = thinned, PointLabel.CMHC
+    return nn_distances_cross(source, label, thinned, PointLabel.MHC)
+
+
 P_HALF = ProcessParams(1.0, 0.5)
 PPP_PPP = RetentionFunction(ContactCase.PPP_TO_PPP, P11)
 MHC_MHC = RetentionFunction(ContactCase.MHC_TO_MHC, P_HALF)
+PPP_MHC = RetentionFunction(ContactCase.PPP_TO_MHC, P_HALF)
+CMHC_MHC = RetentionFunction(ContactCase.CMHC_TO_MHC, P_HALF)
 
 
 @pytest.mark.parametrize(
@@ -281,6 +345,17 @@ MHC_MHC = RetentionFunction(ContactCase.MHC_TO_MHC, P_HALF)
             default_r_grid(ContactCase.MHC_TO_MHC, P_HALF, 50, r_min=0.7),
             _thinned_nn_distances(),
         ),
+        (
+            PPP_MHC,
+            default_r_grid(ContactCase.PPP_TO_MHC, P_HALF, 10),
+            _cross_nn_distances(PPP_MHC.case),
+        ),
+        # samples on both sides of delta, where the closed form hands over
+        (
+            CMHC_MHC,
+            default_r_grid(ContactCase.CMHC_TO_MHC, P_HALF, 10),
+            _cross_nn_distances(CMHC_MHC.case),
+        ),
     ],
     ids=[
         "ties",
@@ -289,16 +364,39 @@ MHC_MHC = RetentionFunction(ContactCase.MHC_TO_MHC, P_HALF)
         "mhc-at-support",
         "mhc-thinned",
         "mhc-below-grid",
+        "ppp-mhc",
+        "cmhc-mhc",
     ],
 )
 def test_sup_distance_matches_the_brute_force_oracle(eta, grid, samples):
-    curve = contact_cdf(eta, grid)
-    full = extend_curve(curve, float(np.max(samples)), float(np.min(samples)))
-    assert float(full.radii[0]) == eta.lower_support
-    # ppp-ppp has the closed form F = 1 - exp(-pi r**2) at the nodes
-    nodes = full.values if eta is MHC_MHC else -np.expm1(-math.pi * full.radii**2)
-    expected = brute_sup_distance(samples, full.radii, nodes)
-    assert ks_sup_distance(empirical_cdf(samples), curve) == pytest.approx(expected, abs=1e-8)
+    # F at every distinct sample from the closed form (ppp-ppp) or from
+    # adaptive quadrature of the per-node eta; no table is shared
+    expected = brute_sup_distance(samples, lambda x: quad_contact_cdf(eta.case, eta.params, x))
+    got = ks_sup_distance(empirical_cdf(samples), contact_cdf(eta, grid))
+    assert got == pytest.approx(expected, abs=1e-12)
+
+
+def _sup_at_every_sample(emp, curve):
+    """The sup distance and its smallest radius from F at every distinct
+    sample, read from the curve's table in one go."""
+    radii, counts = np.unique(emp.samples, return_counts=True)
+    at_most = np.cumsum(counts) / emp.n
+    below = np.append(0.0, at_most[:-1])
+    f = curve.cdf(radii)
+    gaps = np.maximum(np.abs(at_most - f), np.abs(below - f))
+    return float(gaps.max()), float(radii[gaps == gaps.max()].min())
+
+
+@pytest.mark.parametrize("case", list(ContactCase))
+@pytest.mark.parametrize("stride", [estimate.SUP_STRIDE, 2])
+def test_two_stages_equal_f_at_every_sample_bit_for_bit(case, stride, monkeypatch):
+    # stride 2 cuts the samples into many short bins, so that many are
+    # pruned and many searched
+    monkeypatch.setattr(estimate, "SUP_STRIDE", stride)
+    config = ExperimentConfig(case, P_HALF, Window(30.0, 30.0), replications=2, seed=5)
+    emp = pooled_distances(config)
+    curve = contact_cdf(RetentionFunction(case, P_HALF), config.r_grid())
+    assert ks_sup_distance(emp, curve, with_radius=True) == _sup_at_every_sample(emp, curve)
 
 
 class TestExperimentConfig:
@@ -414,7 +512,8 @@ class TestRunExperiment:
 
     def test_sup_distance_sees_the_kink_at_delta(self):
         # a removed observer's F bends sharply at delta; interpolated linearly
-        # between grid radii it read 0.055 here, against 0.021 on a dense grid
+        # between grid radii it read 0.055 here. The sup reads F at the
+        # samples, so the report grid does not move it at all
         config = ExperimentConfig(
             case=ContactCase.CMHC_TO_MHC,
             params=ProcessParams(0.5, 0.25),
@@ -424,7 +523,8 @@ class TestRunExperiment:
         )
         report = run_experiment(config)
         dense = run_experiment(replace(config, r_points=4000))
-        assert abs(report.sup_distance - dense.sup_distance) < 0.005
+        assert report.sup_distance == dense.sup_distance < 0.03
+        assert report.sup_radius == dense.sup_radius
         # the report itself stays on the configured grid
         assert np.array_equal(report.analytic.radii, config.r_grid())
 
@@ -443,6 +543,8 @@ class TestRunExperiment:
         assert len(data["analytic"]["radii"]) == len(data["analytic"]["F"])
         assert "runtime" not in json.dumps(data)
         assert 0.0 <= data["sup_distance"] <= 1.0
+        # the sup is attained at a pooled sample
+        assert data["sup_radius"] in report.empirical.samples
 
 
 # lambda 0.01 on a 20 x 20 torus thins to ~2 points: replication 0 finds its

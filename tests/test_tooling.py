@@ -46,6 +46,7 @@ def test_stage_timing_rows_run_at_toy_sizes():
     script = load_script(ROOT / "scripts" / "stage_timings.py")
     row = script.stage_row(20.0, 1.0)
     assert all(n > 0 for n in row["parents"] + row["survivors"] + row["observers"])
+    assert "sup" in script.STAGES
     for stage in script.STAGES:
         assert row[f"{stage}_s"] >= 0.0 and row[f"{stage}_cpu_s"] >= 0.0
     for case in script.ANALYTIC_CASES:
