@@ -166,14 +166,14 @@ def nn_distances_cross(
 # SUP_STRIDE, at evenly spaced ranks, and at SUP_GRID_MAX + 1 samples at most
 SUP_STRIDE = 32
 SUP_GRID_MAX = 4096
-# F read from a table is monotone only up to rounding; a bin whose bound
-# falls short of the largest gap by less than this is searched all the same
+# F is monotone up to rounding: by construction where it is read from the
+# hazard table, and as tested where cmhc-mhc reads its truncated closed form
+# below delta. A bin whose bound falls short of the largest gap by less than
+# this is searched all the same
 SUP_SLACK = 1e-14
 
 
-def ks_sup_distance(
-    emp: EmpiricalDistribution, curve: CdfCurve, with_radius: bool = False
-) -> float | tuple[float, float]:
+def ks_sup_distance(emp: EmpiricalDistribution, curve: CdfCurve) -> tuple[float, float]:
     """Two-sided sup distance between the step CDF and the analytic curve,
     sup over r of |F_hat(r) - F(r)|, with F read from the curve's own table
     (:meth:`CdfCurve.cdf`) at any radius, inside the curve's grid or not.
@@ -190,8 +190,7 @@ def ks_sup_distance(
     2. F at every sample of the bins whose bound, plus :data:`SUP_SLACK` for
        rounding in F, reaches the largest gap at the grid samples.
 
-    With ``with_radius`` it returns the sup and the smallest sample at which
-    it is attained.
+    Returns the sup and the smallest sample at which it is attained.
     """
     x = emp.samples
     # the last copy of each distinct sample, F_hat there and its left limit
@@ -219,8 +218,6 @@ def ks_sup_distance(
     at = np.concatenate([edges, inside])
     found = np.concatenate([edge_gaps, gaps(inside, curve.cdf(radii[inside]))])
     sup = float(found.max())
-    if not with_radius:
-        return sup
     return sup, float(radii[at[found == sup]].min())
 
 
@@ -408,7 +405,7 @@ def run_experiment(
     emp = pooled_distances(config, on_pattern)
     eta = RetentionFunction(config.case, config.params)
     curve = contact_cdf(eta, config.r_grid(), config.abs_tol)
-    sup, radius = ks_sup_distance(emp, curve, with_radius=True)
+    sup, radius = ks_sup_distance(emp, curve)
     return ComparisonReport(
         config=config, analytic=curve, empirical=emp, sup_distance=sup, sup_radius=radius
     )

@@ -237,14 +237,14 @@ class TestKsSupDistance:
             RetentionFunction(ContactCase.PPP_TO_PPP, P11),
             np.linspace(0.0, float(samples[-1]) * 1.01, 4000),
         )
-        d = ks_sup_distance(empirical_cdf(samples), curve)
+        d, _ = ks_sup_distance(empirical_cdf(samples), curve)
         assert d == pytest.approx(0.5 / n, abs=1e-4)
 
     def test_mass_concentrated_far_in_the_tail(self):
         curve = contact_cdf(
             RetentionFunction(ContactCase.PPP_TO_PPP, P11), np.linspace(0.0, 6.0, 50)
         )
-        d = ks_sup_distance(empirical_cdf([5.0, 5.5, 6.0]), curve)
+        d, _ = ks_sup_distance(empirical_cdf([5.0, 5.5, 6.0]), curve)
         assert d > 0.999
 
     def test_inverse_sampling_self_consistency(self):
@@ -255,7 +255,7 @@ class TestKsSupDistance:
             RetentionFunction(ContactCase.PPP_TO_PPP, P11),
             np.linspace(0.0, float(samples.max()) * 1.01, 2000),
         )
-        assert ks_sup_distance(empirical_cdf(samples), curve) < 0.006
+        assert ks_sup_distance(empirical_cdf(samples), curve)[0] < 0.006
 
     def test_extends_curve_when_samples_overrun(self):
         # F is read past the curve's grid from its own table, as a curve
@@ -265,7 +265,7 @@ class TestKsSupDistance:
         emp = empirical_cdf([0.5, 0.9, 1.6])
         direct = contact_cdf(eta, np.linspace(0.0, 2.0, 7))
         assert ks_sup_distance(emp, curve) == ks_sup_distance(emp, direct)
-        assert ks_sup_distance(emp, curve, with_radius=True) == (
+        assert ks_sup_distance(emp, curve) == (
             pytest.approx(-math.expm1(-math.pi * 0.81) - 1.0 / 3.0, abs=1e-15),
             0.9,
         )
@@ -276,8 +276,9 @@ class TestKsSupDistance:
         curve = contact_cdf(
             RetentionFunction(ContactCase.PPP_TO_PPP, P11), np.linspace(1.0, 2.0, 50)
         )
-        d = ks_sup_distance(empirical_cdf([0.5, 1.5]), curve)
-        assert d == pytest.approx(-math.expm1(-math.pi * 0.25), abs=1e-15)
+        sup, radius = ks_sup_distance(empirical_cdf([0.5, 1.5]), curve)
+        assert sup == pytest.approx(-math.expm1(-math.pi * 0.25), abs=1e-15)
+        assert radius == 0.5
 
     def test_a_single_distinct_sample(self):
         # the step from 0 to 1 at x: the sup is F(x) or 1 - F(x)
@@ -286,7 +287,7 @@ class TestKsSupDistance:
             f = -math.expm1(-math.pi * x * x)
             for copies in (1, 7):
                 emp = empirical_cdf([x] * copies)
-                sup, radius = ks_sup_distance(emp, curve, with_radius=True)
+                sup, radius = ks_sup_distance(emp, curve)
                 assert sup == pytest.approx(max(f, 1.0 - f), abs=1e-15)
                 assert radius == x
 
@@ -294,8 +295,7 @@ class TestKsSupDistance:
         # F is 0 below the hard core and rounds to 1 far out, so both gaps
         # are exactly 1/2
         sup, radius = ks_sup_distance(
-            empirical_cdf([50.0, 0.3]), contact_cdf(MHC_MHC, np.linspace(0.5, 2.0, 5)),
-            with_radius=True,
+            empirical_cdf([50.0, 0.3]), contact_cdf(MHC_MHC, np.linspace(0.5, 2.0, 5))
         )
         assert (sup, radius) == (0.5, 0.3)
 
@@ -372,7 +372,7 @@ def test_sup_distance_matches_the_brute_force_oracle(eta, grid, samples):
     # F at every distinct sample from the closed form (ppp-ppp) or from
     # adaptive quadrature of the per-node eta; no table is shared
     expected = brute_sup_distance(samples, lambda x: quad_contact_cdf(eta.case, eta.params, x))
-    got = ks_sup_distance(empirical_cdf(samples), contact_cdf(eta, grid))
+    got, _ = ks_sup_distance(empirical_cdf(samples), contact_cdf(eta, grid))
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -387,16 +387,47 @@ def _sup_at_every_sample(emp, curve):
     return float(gaps.max()), float(radii[gaps == gaps.max()].min())
 
 
-@pytest.mark.parametrize("case", list(ContactCase))
+# cmhc-mhc at lambda_p 0.5, delta 0.25 has a sharp kink at delta; most of
+# its samples lie between delta/sqrt(3) and delta, where F comes from the
+# truncated closed form
+@pytest.mark.parametrize(
+    "case, params, side",
+    [(case, P_HALF, 30.0) for case in ContactCase]
+    + [(ContactCase.CMHC_TO_MHC, ProcessParams(0.5, 0.25), 60.0)],
+    ids=[case.value for case in ContactCase] + ["cmhc-mhc-sharp-kink"],
+)
 @pytest.mark.parametrize("stride", [estimate.SUP_STRIDE, 2])
-def test_two_stages_equal_f_at_every_sample_bit_for_bit(case, stride, monkeypatch):
+def test_two_stages_equal_f_at_every_sample_bit_for_bit(case, params, side, stride, monkeypatch):
     # stride 2 cuts the samples into many short bins, so that many are
     # pruned and many searched
     monkeypatch.setattr(estimate, "SUP_STRIDE", stride)
-    config = ExperimentConfig(case, P_HALF, Window(30.0, 30.0), replications=2, seed=5)
+    config = ExperimentConfig(case, params, Window(side, side), replications=2, seed=5)
     emp = pooled_distances(config)
-    curve = contact_cdf(RetentionFunction(case, P_HALF), config.r_grid())
-    assert ks_sup_distance(emp, curve, with_radius=True) == _sup_at_every_sample(emp, curve)
+    curve = contact_cdf(RetentionFunction(case, params), config.r_grid())
+    assert ks_sup_distance(emp, curve) == _sup_at_every_sample(emp, curve)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ProcessParams(0.5, 0.25),
+        ProcessParams(1.0, 0.1),
+        P_HALF,
+        ProcessParams(1.0, 1.0),
+        ProcessParams(2.0, 1.25),
+        ProcessParams(1.0, 3.0),
+    ],
+    ids=lambda p: f"lam{p.lambda_p}-delta{p.delta}",
+)
+def test_removed_observer_cdf_is_monotone_where_the_closed_form_truncates(params):
+    # the sup prunes bins on the premise that F is monotone. The table's F is
+    # by construction; cmhc-mhc's closed form below delta drops the triples,
+    # which is exact only up to delta/sqrt(3), so its monotonicity is tested
+    # from there on, across the hand-over to the table at delta
+    d = params.delta
+    curve = contact_cdf(RetentionFunction(ContactCase.CMHC_TO_MHC, params), np.array([d]))
+    f = curve.cdf(np.linspace(d / math.sqrt(3.0), 1.5 * d, 20_001))
+    assert np.diff(f).min() >= -estimate.SUP_SLACK
 
 
 class TestExperimentConfig:
