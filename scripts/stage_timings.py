@@ -8,7 +8,10 @@ lambda_p = 1 on square tori of side 100, 316 and 1000, for delta 0.5 and 1,
 and ``ks_sup_distance`` (``sup``) between the MHC-to-MHC distances and the
 mhc-mhc curve on the default report grid. The sup's best-of-``REPEATS``
 leaves out the first call's growth of the curve's table out to the largest
-distance.
+distance. Thinning is timed on both of its paths, the calling thread alone
+(``thin``) and with a helper thread running the odd row bands
+(``thin_helper``), their calls taking turns, so that the two rows of one file
+compare without the machine's drift between runs.
 Each stage records ``time.perf_counter`` and ``time.process_time``; CPU above
 wall means the stage ran on more than one core. For each of ``SEEDS`` a stage
 takes the best of ``REPEATS`` calls, and a row holds the median over the seeds,
@@ -42,6 +45,7 @@ import os
 import platform
 import statistics
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -62,13 +66,14 @@ from matern_contact import (
     thin_mhc_type2,
 )
 from matern_contact.estimate import empirical_cdf, ks_sup_distance, pooled_distances
+from matern_contact.simulate import _band_count
 
 
 REPEATS = 3
 ANALYTIC_REPEATS = 11
 SEEDS = (5, 6, 7)
 SIDES = (100.0, 316.0, 1000.0)  # ~1e4, 1e5 and 1e6 parents at lambda_p = 1
-STAGES = ("sample", "thin", "nn_within", "nn_cross", "sup")
+STAGES = ("sample", "thin", "thin_helper", "nn_within", "nn_cross", "sup")
 DELTAS = (0.5, 1.0)
 ANALYTIC_CASES = (ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC, ContactCase.CMHC_TO_MHC)
 POINTS = 1000
@@ -91,12 +96,29 @@ def best_of(repeats: int, fn, *args):
     return (wall, cpu), result
 
 
+def best_in_turns(repeats: int, *calls) -> list:
+    """:func:`best_of` for each ``(fn, *args)`` of ``calls``, one call of each
+    in turn, ``repeats`` times over."""
+    best = [best_of(1, *call) for call in calls]
+    for _ in range(repeats - 1):
+        for k, call in enumerate(calls):
+            (wall, cpu), result = best_of(1, *call)
+            best[k] = (min(best[k][0][0], wall), min(best[k][0][1], cpu)), result
+    return best
+
+
 def seed_row(side: float, delta: float, seed: int, repeats: int) -> dict:
     window = Window(side, side)
     mhc = PointLabel.MHC
     times = {}
     times["sample"], parents = best_of(repeats, sample_ppp, 1.0, window, (seed, 0, 0))
-    times["thin"], thinned = best_of(repeats, thin_mhc_type2, parents, delta)
+    with ThreadPoolExecutor(1) as helper:
+        helper.submit(int).result()  # the thread starts before the timing does
+        (times["thin"], thinned), (times["thin_helper"], _) = best_in_turns(
+            repeats,
+            (thin_mhc_type2, parents, delta),
+            (thin_mhc_type2, parents, delta, helper),
+        )
     observers = sample_ppp(1.0, window, (seed, 0, 1))
     times["nn_within"], within = best_of(repeats, nn_distances_within, thinned, mhc)
     times["nn_cross"], _ = best_of(
@@ -107,6 +129,7 @@ def seed_row(side: float, delta: float, seed: int, repeats: int) -> dict:
     times["sup"], _ = best_of(repeats, ks_sup_distance, empirical_cdf(within), curve)
     return {
         "parents": parents.n,
+        "bands": _band_count(parents.n),
         "survivors": thinned.count(mhc),
         "observers": observers.n,
         "times": times,
@@ -118,7 +141,7 @@ def stage_row(side: float, delta: float) -> dict:
     best-of-``REPEATS`` wall (``<stage>_s``) and CPU (``<stage>_cpu_s``)."""
     per_seed = [seed_row(side, delta, seed, REPEATS) for seed in SEEDS]
     row = {"side": side, "delta": delta, "seeds": list(SEEDS)}
-    for count in ("parents", "survivors", "observers"):
+    for count in ("parents", "bands", "survivors", "observers"):
         row[count] = [r[count] for r in per_seed]
     for stage in STAGES:
         for k, suffix in enumerate(("s", "cpu_s")):

@@ -172,9 +172,17 @@ def _resolve(ns: argparse.Namespace) -> dict:
 
 
 def _require_case(data: dict) -> ContactCase:
+    """The case of a command that needs one, checked against every delta
+    before the first one runs."""
     if data["case"] is None:
         raise UsageError("--case is required for this command")
-    return ContactCase(data["case"])
+    case = ContactCase(data["case"])
+    if case is ContactCase.CMHC_TO_MHC and 0 in data["delta"]:
+        raise UsageError(
+            "--delta 0 with --case cmhc-mhc: thinning at delta 0 removes no point, "
+            "so there is no removed observer"
+        )
+    return case
 
 
 def _check_file_names(data: dict, *paths: Path | None) -> None:

@@ -9,7 +9,9 @@ pattern's (spatial) point order.
 :func:`replication_patterns` is the one recipe for the patterns of a
 replication: the seeds of ``SEED_SCHEME`` and the thinning each case calls
 for. :func:`pooled_distances` and the command line's ``density`` both use it;
-the former overlaps each replication's NN search with the next one's thinning.
+the former overlaps each replication's NN search with the next one's thinning
+on one helper thread, which also takes the odd row bands of replication 0's
+thinning.
 Wall-clock times stay out of everything here, so that reports of the same
 config and seed are byte-identical.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -47,6 +49,9 @@ from .simulate import (
     sample_ppp,
     thin_mhc_type2,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 __all__ = [
     "ComparisonReport",
@@ -286,14 +291,18 @@ class ExperimentConfig:
 PatternSink = Callable[[int, str, MarkedPattern], None]
 
 
-def replication_patterns(config: ExperimentConfig, rep: int) -> dict[str, MarkedPattern]:
+def replication_patterns(
+    config: ExperimentConfig, rep: int, executor: Executor | None = None
+) -> dict[str, MarkedPattern]:
     """The patterns replication ``rep`` of ``config`` generates, by role.
 
     Parent pattern ``i`` of the replication is drawn from
     ``SeedSequence((config.seed, rep, i))``, as ``SEED_SCHEME`` states.
     ppp-ppp uses one unthinned pattern, ppp-mhc an unthinned source (i = 0)
     and a thinned target (i = 1), drawn in that order, and mhc-mhc and
-    cmhc-mhc one thinned pattern (i = 0).
+    cmhc-mhc one thinned pattern (i = 0). ``executor``, when given, runs
+    half of the thinning's row bands (:func:`thin_mhc_type2`); the patterns
+    are the same, to the bit, without it.
     """
     case, params = config.case, config.params
 
@@ -303,8 +312,8 @@ def replication_patterns(config: ExperimentConfig, rep: int) -> dict[str, Marked
     if case is ContactCase.PPP_TO_PPP:
         return {"pattern": parents(0)}
     if case is ContactCase.PPP_TO_MHC:
-        return {"source": parents(0), "target": thin_mhc_type2(parents(1), params.delta)}
-    return {"pattern": thin_mhc_type2(parents(0), params.delta)}
+        return {"source": parents(0), "target": thin_mhc_type2(parents(1), params.delta, executor)}
+    return {"pattern": thin_mhc_type2(parents(0), params.delta, executor)}
 
 
 def _case_distances(case: ContactCase, patterns: dict[str, MarkedPattern]) -> np.ndarray:
@@ -358,7 +367,11 @@ def pooled_distances(
     While the calling thread draws and thins replication r + 1, replication
     r's NN search runs on the lane, one helper thread living for this call.
     The last replication runs on the calling thread: nothing is left to
-    overlap it with, and one replication starts no thread.
+    overlap it with. Replication 0 is thinned while the lane is still idle,
+    so the lane takes the odd row bands of its large patterns
+    (:func:`thin_mhc_type2`); later replications are thinned on the calling
+    thread alone. So a single replication starts a thread only when one of
+    its patterns has two or more bands.
 
     ``on_pattern`` receives every generated pattern (replication index, role,
     pattern) on the calling thread, in replication order, after that
@@ -387,7 +400,8 @@ def pooled_distances(
     with ThreadPoolExecutor(1) as lane:
         on_lane = None  # (rep, patterns, future) of the replication on the lane
         for rep in range(config.replications):
-            patterns = replication_patterns(config, rep)
+            # the lane is idle only before replication 0's search is on it
+            patterns = replication_patterns(config, rep, lane if on_lane is None else None)
             if on_lane is not None:
                 pool(on_lane[0], on_lane[1], on_lane[2].result())
             if rep + 1 < config.replications:

@@ -2,8 +2,10 @@
 
 The wrap-around metric realises a stationary process exactly on a finite
 window, so no edge correction is ever needed downstream. Thinning pairs come
-from a plain k-d tree padded with ghost copies across the seams, and :mod:`.estimate`
-searches neighbours on a periodic one; both match a brute-force minimum-image scan.
+from plain k-d trees padded with ghost copies across the seams, one per row
+band of a large pattern, with the odd bands on a caller's executor when it
+passes one; :mod:`.estimate` searches neighbours on a periodic tree. Both
+match a brute-force minimum-image scan, on any band count and thread.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import numpy as np
 from .analytic import ProcessParams
 
 if TYPE_CHECKING:
+    from concurrent.futures import Executor
+
     from scipy.spatial import cKDTree
 
 __all__ = [
@@ -38,6 +42,12 @@ SeedLike = int | tuple[int, ...]
 _MAX_EXPECTED_POINTS = 1e8
 # window sides must cover this many hard-core distances before thinning
 _MIN_SIDES_PER_DELTA = 10.0
+# thinning splits a pattern into row bands of about BAND_PARENTS parents each,
+# at most MAX_BANDS; a band's tree reaches HALO_DELTAS x delta above its own
+# rows, more than delta, so that no pair within delta is lost at a band edge
+BAND_PARENTS = 30_000
+MAX_BANDS = 8
+HALO_DELTAS = 1.25
 
 
 class CapacityError(ValueError):
@@ -181,7 +191,16 @@ def sample_ppp(lam: float, window: Window, seed: SeedLike) -> MarkedPattern:
     return MarkedPattern(window, x[order], y[order], mark[order], label, seed)
 
 
-def thin_mhc_type2(pattern: MarkedPattern, delta: float) -> MarkedPattern:
+def _band_count(n: int) -> int:
+    """Row bands for ``n`` parents: one per :data:`BAND_PARENTS`, rounded down
+    to an even count, so that two threads share them equally, and at most
+    :data:`MAX_BANDS`; a single band below twice :data:`BAND_PARENTS`."""
+    return max(1, 2 * min(MAX_BANDS // 2, n // (2 * BAND_PARENTS)))
+
+
+def thin_mhc_type2(
+    pattern: MarkedPattern, delta: float, executor: Executor | None = None
+) -> MarkedPattern:
     """Dependent thinning: a point keeps the MHC label iff its mark is the
     strict minimum among all points within toroidal distance ``delta``; every
     other point becomes CMHC. All flags are decided against the full parent
@@ -191,8 +210,17 @@ def thin_mhc_type2(pattern: MarkedPattern, delta: float) -> MarkedPattern:
     The result shares the input's coordinate and mark arrays; only its labels
     are new.
 
-    Pairs come from a plain k-d tree over the points and ghost copies, shifted
+    Pairs come from plain k-d trees over the points and ghost copies, shifted
     by a side, of those within ``delta`` of the low seam: along x, then y (x ghosts too).
+    A large pattern is split into horizontal row bands (:func:`_band_count`);
+    each band's tree holds its own rows and a halo, :data:`HALO_DELTAS` x
+    ``delta`` high, of the rows just above them, so every pair lies whole in
+    the tree of its lower point's band. A band marks its losers and frees its
+    tree and pairs before the next band starts. Given an ``executor``, the odd
+    bands run on it while the calling thread runs the even ones; the call
+    returns once every band has ended, and raises what any band raised.
+    Labels depend only on the set of pairs found, so they are the same, to the
+    bit, for any band count, with or without an executor.
     """
     delta = float(delta)
     if not (math.isfinite(delta) and delta >= 0.0):
@@ -211,16 +239,48 @@ def thin_mhc_type2(pattern: MarkedPattern, delta: float) -> MarkedPattern:
             near = np.flatnonzero(coords[:, axis] <= delta)
             coords = np.concatenate((coords, coords[near] + shift))
             owner = np.concatenate((owner, owner[near]))
-        # closed-ball pairs, never a point with its own ghost (window floor); each pair,
-        # even one seen twice, removes its larger-mark point, or larger index on a tie
-        tree = cKDTree(coords, balanced_tree=False, compact_nodes=False)
-        pairs = tree.query_pairs(delta, output_type="ndarray")
-        i, j = np.take(owner, pairs, out=pairs, mode="clip").T
-        del tree, coords, owner  # freed before the per-pair arrays, which set peak memory
-        mi = pattern.mark[i]
-        mj = pattern.mark[j]
-        loser = np.where((mj > mi) | ((mj == mi) & (j > i)), j, i)
-        label[loser] = int(PointLabel.CMHC)
+        bands = _band_count(n)
+        edges = np.linspace(0.0, sides[1], bands + 1)
+        edges[-1] = np.inf  # the top band holds the ghost rows above the seam
+        halo = HALO_DELTAS * delta
+
+        def thin_band(k: int) -> None:
+            band, band_owner = coords, owner
+            if bands > 1:
+                y = coords[:, 1]
+                # a difference rounds relative to itself, so no pair within delta
+                # of a row below the edge escapes the halo, however small delta is
+                rows = np.flatnonzero((y >= edges[k]) & (y - edges[k + 1] < halo))
+                band, band_owner = coords[rows], owner[rows]
+            # closed-ball pairs, never a point with its own ghost (window floor); each pair,
+            # even one seen twice, removes its larger-mark point, or larger index on a tie
+            tree = cKDTree(band, balanced_tree=False, compact_nodes=False)
+            pairs = tree.query_pairs(delta, output_type="ndarray")
+            i, j = np.take(band_owner, pairs, out=pairs, mode="clip").T
+            del tree, band, band_owner  # freed before the per-pair arrays: those set the peak
+            mi = pattern.mark[i]
+            mj = pattern.mark[j]
+            loser = np.where((mj > mi) | ((mj == mi) & (j > i)), j, i)
+            label[loser] = int(PointLabel.CMHC)  # both threads write this value only
+
+        if executor is None or bands == 1:
+            for k in range(bands):
+                thin_band(k)
+        else:
+            from concurrent.futures import wait  # ~10 ms of import time; see estimate
+
+            helpers = [executor.submit(thin_band, k) for k in range(1, bands, 2)]
+            try:
+                for k in range(0, bands, 2):
+                    thin_band(k)
+            except BaseException:
+                for future in helpers:
+                    future.cancel()
+                raise
+            finally:
+                wait(helpers)  # no band outlives the call
+            for future in helpers:
+                future.result()
     return replace(pattern, label=label)
 
 

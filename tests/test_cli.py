@@ -372,6 +372,29 @@ def test_an_empty_radius_range_stops_every_delta_before_the_first_runs(capsys, t
         assert not list(tmp_path.iterdir()), argv
 
 
+def test_cmhc_mhc_at_delta_zero_exits_two_before_any_delta_runs(capsys, tmp_path):
+    # at delta 0 no point is removed: a sweep used to run its first delta in
+    # full and then fail on replication 0, and analytic printed the Poisson curve
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"case": "cmhc-mhc", "delta": [0.5, 0]}))
+    small = ["--window", "20", "--reps", "2", "--points", "3"]
+    for argv in (
+        ["compare", "--case", "cmhc-mhc", "--delta", "0.5", "0", *small],
+        ["simulate", "--case", "cmhc-mhc", "--delta", "0", "0.5", *small],
+        ["analytic", "--case", "cmhc-mhc", "--delta", "0", "--points", "3"],
+        ["analytic", "--config", str(config), "--points", "3"],
+        ["compare", "--config", str(config), *small],
+    ):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, (argv, captured)
+        assert captured.err.startswith("error: --delta 0 with --case cmhc-mhc: "), argv
+        assert not (tmp_path / "out").exists(), argv
+    # delta 0 stays valid for the other cases
+    assert main(["analytic", "--case", "mhc-mhc", "--delta", "0", "--points", "3"]) == 0
+    capsys.readouterr()
+
+
 def test_deltas_that_share_a_file_name_exit_two(capsys, tmp_path):
     small = ["--points", "5", "--window", "20", "--reps", "1"]
     dump = ["--dump-patterns", str(tmp_path / "dumps")]

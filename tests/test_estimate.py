@@ -27,6 +27,7 @@ from matern_contact import (
     nn_distances_within,
     run_experiment,
     sample_ppp,
+    simulate,
     thin_mhc_type2,
 )
 from matern_contact.analytic import default_r_grid
@@ -36,7 +37,7 @@ from matern_contact.estimate import (
     pooled_distances,
     replication_patterns,
 )
-from matern_contact.simulate import _periodic_tree
+from matern_contact.simulate import _band_count, _periodic_tree
 from oracles import (
     brute_nn_cross,
     brute_nn_within,
@@ -541,6 +542,19 @@ class TestRunExperiment:
             for column in ("x", "y", "mark", "label"):
                 assert np.array_equal(getattr(got, column), getattr(want, column))
 
+    @pytest.mark.parametrize("case", [ContactCase.PPP_TO_MHC, ContactCase.CMHC_TO_MHC])
+    def test_replication_patterns_are_the_same_on_bands_and_a_helper(self, case, monkeypatch):
+        config = ExperimentConfig(case, P11, Window(30.0, 30.0), replications=1, seed=8)
+        one = replication_patterns(config, 0)
+        monkeypatch.setattr(simulate, "BAND_PARENTS", 50)
+        with ThreadPoolExecutor(1) as helper:
+            runs = [replication_patterns(config, 0), replication_patterns(config, 0, helper)]
+        for banded in runs:
+            assert list(banded) == list(one)
+            for role, pattern in banded.items():
+                assert _band_count(pattern.n) == 8
+                assert np.array_equal(pattern.label, one[role].label)
+
     def test_sup_distance_sees_the_kink_at_delta(self):
         # a removed observer's F bends sharply at delta; interpolated linearly
         # between grid radii it read 0.055 here. The sup reads F at the
@@ -646,6 +660,48 @@ class TestPooledDistances:
         pooled_distances(replace(config, replications=1),
                          lambda rep, role, pat: alive.append(threading.active_count()))
         assert alive == [before] * 2
+
+    @pytest.mark.parametrize("case", list(ContactCase))
+    @pytest.mark.parametrize("reps", [1, 3])
+    def test_banded_thinning_pools_the_serial_loop_distances(self, case, reps, monkeypatch):
+        config = ExperimentConfig(case, P11, Window(30.0, 30.0), replications=reps, seed=12)
+        serial = serial_pooled_distances(config)  # one band per pattern
+        monkeypatch.setattr(simulate, "BAND_PARENTS", 50)
+        pooled = []
+
+        def recording(samples):
+            pooled.append(samples)
+            return empirical_cdf(samples)
+
+        monkeypatch.setattr(estimate, "empirical_cdf", recording)
+        pooled_distances(config)
+        assert np.array_equal(pooled[0], serial)
+
+    def test_only_replication_0_thins_on_the_lane(self, monkeypatch):
+        # later replications are thinned while the lane searches the one before
+        executors = []
+        thin = estimate.thin_mhc_type2
+
+        def recording(pattern, delta, executor=None):
+            executors.append(executor)
+            return thin(pattern, delta, executor)
+
+        monkeypatch.setattr(estimate, "thin_mhc_type2", recording)
+        config = ExperimentConfig(ContactCase.PPP_TO_MHC, P11, Window(30.0, 30.0),
+                                  replications=3, seed=15)
+        pooled_distances(config)
+        assert isinstance(executors[0], ThreadPoolExecutor)
+        assert executors[1:] == [None, None]
+
+    def test_one_banded_replication_starts_the_lane_for_the_call_only(self, monkeypatch):
+        monkeypatch.setattr(simulate, "BAND_PARENTS", 50)
+        before = threading.active_count()
+        config = ExperimentConfig(ContactCase.PPP_TO_MHC, P11, Window(30.0, 30.0),
+                                  replications=1, seed=15)
+        alive = []
+        pooled_distances(config, lambda rep, role, pat: alive.append(threading.active_count()))
+        assert alive == [before + 1] * 2
+        assert threading.active_count() == before
 
     def test_no_thread_outlives_the_call(self):
         before = threading.active_count()

@@ -1,9 +1,14 @@
 """Tests for Poisson sampling, type-II thinning, and pattern dump round trips."""
 
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 from matern_contact import (
     CapacityError,
@@ -13,10 +18,11 @@ from matern_contact import (
     Window,
     load_pattern,
     sample_ppp,
+    simulate,
     thin_mhc_type2,
 )
 from matern_contact.analytic import mhc_retention
-from matern_contact.simulate import _periodic_tree, _spatial_order, dump_pattern
+from matern_contact.simulate import _band_count, _periodic_tree, _spatial_order, dump_pattern
 from oracles import brute_mhc_mask, brute_nn_within, on_the_seam
 
 W100 = Window(100.0, 100.0)
@@ -237,6 +243,164 @@ class TestThinning:
             out = thin_mhc_type2(pat, 1.0)
             fractions.append(out.count(PointLabel.MHC) / pat.n)
         assert abs(np.mean(fractions) - rho) < 0.01
+
+
+@pytest.fixture
+def helper():
+    """A one-thread executor whose thread has started, as the lane's has."""
+    with ThreadPoolExecutor(1) as executor:
+        executor.submit(int).result()
+        yield executor
+
+
+def banded(monkeypatch, band_parents: int, max_bands: int = simulate.MAX_BANDS) -> None:
+    """Split even small patterns into row bands of about ``band_parents``."""
+    monkeypatch.setattr(simulate, "BAND_PARENTS", band_parents)
+    monkeypatch.setattr(simulate, "MAX_BANDS", max_bands)
+
+
+class TestRowBands:
+    def test_band_count_follows_the_pattern_size(self):
+        floor = 2 * simulate.BAND_PARENTS
+        assert [_band_count(n) for n in (0, 2, floor - 1)] == [1] * 3
+        assert _band_count(floor) == _band_count(2 * floor - 1) == 2
+        assert _band_count(3 * floor) == 6
+        assert _band_count(10**6) == _band_count(10**8) == simulate.MAX_BANDS == 8
+        # compare's 100 x 100 torus and the large 500 x 500 one at lambda_p 1
+        assert _band_count(10_000) == 1 and _band_count(250_000) == 8
+
+    @pytest.mark.parametrize("band_parents, max_bands", [(1, 8), (3, 8), (10, 8), (1, 32)])
+    @pytest.mark.parametrize("threaded", [False, True], ids=["serial", "helper"])
+    def test_matches_one_band_and_brute_force(self, monkeypatch, helper, band_parents,
+                                              max_bands, threaded):
+        rng = np.random.default_rng(31)
+        for k in range(12):
+            width, height = 12.0, float(rng.choice([10.0, 15.0]))
+            n = int(rng.integers(2, 150))
+            x, ox = on_the_seam(rng, rng.uniform(0, width, n), width)
+            y, oy = on_the_seam(rng, rng.uniform(0, height, n), height)
+            mark = rng.random(n)
+            if k % 2:  # four mark values: ties go to the lower index
+                mark = np.floor(mark * 4.0) / 4.0
+            pat = make_pattern(Window(width, height), x, y, mark)
+            delta = float(rng.uniform(0.2, 1.0))
+            one = thin_mhc_type2(pat, delta).label
+            with monkeypatch.context() as m:
+                banded(m, band_parents, max_bands)
+                assert _band_count(n) > 1 or n < 2 * band_parents
+                out = thin_mhc_type2(pat, delta, helper if threaded else None)
+            assert np.array_equal(out.label, one)
+            keep = brute_mhc_mask(ox, oy, mark, width, height, delta)
+            assert np.array_equal(out.label == int(PointLabel.MHC), keep)
+
+    @pytest.mark.parametrize("threaded", [False, True], ids=["serial", "helper"])
+    def test_a_sampled_pattern_thins_alike_on_eight_bands(self, monkeypatch, helper, threaded):
+        pat = sample_ppp(1.0, W50, 21)
+        one = thin_mhc_type2(pat, 1.0).label
+        banded(monkeypatch, 300)
+        assert _band_count(pat.n) == 8
+        out = thin_mhc_type2(pat, 1.0, helper if threaded else None)
+        assert np.array_equal(out.label, one)
+        assert np.array_equal(out.label == int(PointLabel.MHC),
+                              brute_mhc_mask(pat.x, pat.y, pat.mark, 50.0, 50.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "band_parents, max_bands", [(10**6, 8), (1, 8), (1, 32)], ids=["1", "8", "12"]
+    )
+    @pytest.mark.parametrize("threaded", [False, True], ids=["serial", "helper"])
+    def test_pairs_exactly_delta_apart_at_band_edges_and_the_seam(
+        self, monkeypatch, helper, band_parents, max_bands, threaded
+    ):
+        # a 10 x 10 torus at delta 1, the window floor: with 12 points, eight
+        # bands have their edges at the multiples of 1.25. One pair per
+        # column, each exactly delta apart: straddling the edge at 5, from
+        # the edge at 2.5 up, from below up to the edge at 7.5 and at 8.75,
+        # and across the y seam, which is the lowest band's edge, from y = 0
+        # and from y = 9.5. The columns sit 1.5 apart, the first on the x seam
+        columns = [(4.5, 5.5), (2.5, 3.5), (6.5, 7.5), (0.0, 9.0), (9.5, 0.5), (7.75, 8.75)]
+        x = np.repeat(1.5 * np.arange(len(columns)), 2)
+        y = np.ravel(columns)
+        mark = np.random.default_rng(3).permutation(len(y)) / len(y)
+        pat = make_pattern(Window(10.0, 10.0), x, y, mark)
+        banded(monkeypatch, band_parents, max_bands)
+        out = thin_mhc_type2(pat, 1.0, helper if threaded else None)
+        # in each pair the larger mark loses, and nothing else
+        loses = (mark.reshape(-1, 2) == mark.reshape(-1, 2).max(axis=1, keepdims=True)).ravel()
+        assert np.array_equal(out.label, np.where(loses, PointLabel.CMHC, PointLabel.MHC))
+        assert np.array_equal(~loses, brute_mhc_mask(x, y, mark, 10.0, 10.0, 1.0))
+
+    def test_bands_on_many_threads_lose_no_label(self, monkeypatch):
+        # every band writes into one label array; with more threads than
+        # cores and a short switch interval, a lost write would show
+        pat = sample_ppp(1.0, W50, 9)
+        one = thin_mhc_type2(pat, 1.0).label
+        banded(monkeypatch, 150)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                for _ in range(20):
+                    assert np.array_equal(thin_mhc_type2(pat, 1.0, pool).label, one)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_failing_helper_band_raises_in_the_caller(self, monkeypatch, helper):
+        class BandFailure(Exception):
+            pass
+
+        real = scipy.spatial.cKDTree
+
+        def tree(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise BandFailure("helper band")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", tree)
+        banded(monkeypatch, 100)
+        with pytest.raises(BandFailure, match="helper band"):
+            thin_mhc_type2(sample_ppp(1.0, W50, 5), 1.0, helper)
+        # the helper is free again, and the serial path never calls it
+        assert helper.submit(int).result() == 0
+        assert thin_mhc_type2(sample_ppp(1.0, W50, 5), 1.0).count(PointLabel.CMHC) > 0
+
+    def test_a_failing_calling_thread_band_ends_every_helper_band_first(
+        self, monkeypatch, helper
+    ):
+        class BandFailure(Exception):
+            pass
+
+        real = scipy.spatial.cKDTree
+        helper_bands = []  # [ended] per band started on the helper
+        started = threading.Event()
+
+        def tree(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                # fail while the helper is inside its first band
+                assert started.wait(timeout=30)
+                raise BandFailure("calling thread band")
+            ended = [False]
+            helper_bands.append(ended)
+            started.set()
+            time.sleep(0.2)
+            ended[0] = True
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", tree)
+        banded(monkeypatch, 100)
+        with pytest.raises(BandFailure, match="calling thread band"):
+            thin_mhc_type2(sample_ppp(1.0, W50, 5), 1.0, helper)
+        # the band under way ended before the call did; the helper's three
+        # others were dropped
+        assert [ended for ended, in helper_bands] == [True]
+
+    def test_starts_no_thread_of_its_own(self, monkeypatch, helper):
+        banded(monkeypatch, 100)
+        pat = sample_ppp(1.0, W50, 5)
+        before = threading.active_count()
+        thin_mhc_type2(pat, 1.0)
+        assert threading.active_count() == before
+        thin_mhc_type2(pat, 1.0, helper)
+        assert threading.active_count() == before
 
 
 class TestDump:
