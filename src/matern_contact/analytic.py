@@ -14,10 +14,12 @@ lambda_p * eta(r) = lambda_t * g(r) * P^{o,x}(void) / P^{o}(void), with the
 pair correlation g in closed form and the void ratio from a one-step closure
 on the first-order hazard (see :class:`RetentionFunction`).
 
-The kernels below :class:`RetentionFunction` are array-only building blocks
-for delta > 0: they take node arrays of any shape and return arrays of the
-same shape. :class:`RetentionFunction` is the one place that takes scalars and
-handles delta = 0, where every case is a plain Poisson process.
+Every case's eta and F depend on (r, lambda_p, delta) only through r / delta
+and lambda_p * delta**2, so the kernels below :class:`RetentionFunction`
+work in delta units, on radii rho = r / delta and one parameter
+``lam`` = lambda_p * delta * delta (exposure lam * pi). They take node arrays
+of any shape and return the same shape. Only :class:`RetentionFunction` and
+:class:`_Hazard` know delta, take scalars, and read Poisson curves.
 """
 
 from __future__ import annotations
@@ -92,11 +94,6 @@ class ProcessParams:
         object.__setattr__(self, "lambda_p", lam)
         object.__setattr__(self, "delta", delta)
 
-    @property
-    def ball_area(self) -> float:
-        """Area of the hard-core disk, pi * delta**2."""
-        return math.pi * self.delta**2
-
 
 class ContactCase(str, Enum):
     """Source -> target process pair of a contact-distance experiment."""
@@ -124,7 +121,7 @@ def expm1_ratio(x: FloatOrArray) -> FloatOrArray:
 def mhc_retention(params: ProcessParams) -> float:
     """Probability that a parent point survives the type-II thinning,
     (1 - exp(-lambda_p * pi * delta**2)) / (lambda_p * pi * delta**2)."""
-    return float(expm1_ratio(params.lambda_p * params.ball_area))
+    return float(expm1_ratio(params.lambda_p * (math.pi * params.delta**2)))
 
 
 def mhc_intensity(params: ProcessParams) -> float:
@@ -133,56 +130,53 @@ def mhc_intensity(params: ProcessParams) -> float:
     return params.lambda_p * mhc_retention(params)
 
 
-def _pair_retention_active(r: np.ndarray, params: ProcessParams) -> np.ndarray:
-    """Joint survival probability for r strictly above the hard-core distance."""
-    lam = params.lambda_p
-    ball = params.ball_area
-    l1 = lens_symmetric(r, params.delta)
-    l2 = lens_asymmetric(r, params.delta)
-    # on r > delta, l1 <= l2 < ball, so this bounds all four denominators
-    # below; the lens areas cancel at r >> delta and can break it
-    if not np.all(ball - l2 > 1e-14 * ball):
-        raise ValueError(
-            f"lens areas lost their precision at radii up to {float(np.max(r))!r} "
-            f"(lambda_p = {lam!r}, delta = {params.delta!r})"
-        )
-    a = lam * ball  # reference-point exposure
-    b = lam * (ball - l2)  # candidate exposure when its mark is the lower one
-    c = lam * (ball + l1 - l2)  # candidate exposure when its mark is the higher one
-    d = lam * (ball - l1)  # reference exposure outside the shared lens
-    low = _quotient(expm1_ratio, _E_SERIES, a, b, _SPARSE)
-    high = _quotient(expm1_ratio, _E_SERIES, c, d, _SPARSE)
-    return low + high
-
-
-def pair_retention(r: np.ndarray, params: ProcessParams) -> np.ndarray:
+def pair_retention(r: np.ndarray, lam: float) -> np.ndarray:
     """Probability that a candidate point at distance ``r`` and the reference
     point both survive thinning, given the annulus between the hard-core disk
-    and the candidate is void of parent points. Exactly 0 for r <= delta;
-    over :func:`mhc_retention`, the first-order mhc-mhc profile."""
-    return piecewise(r > params.delta, lambda x: _pair_retention_active(x, params), r)
+    and the candidate is void of parent points. Exactly 0 for r <= 1; over
+    :func:`mhc_retention`, the first-order mhc-mhc profile."""
+
+    def active(r):
+        l1 = lens_symmetric(r, 1.0)
+        l2 = lens_asymmetric(r, 1.0)
+        # on r > 1, l1 <= l2 < pi, so this bounds all four denominators
+        # below; the lens areas cancel at r >> 1 and can break it
+        if not np.all(math.pi - l2 > 1e-14 * math.pi):
+            raise ValueError(
+                f"lens areas lost their precision at radii up to {float(np.max(r))!r} delta "
+                f"(lambda_p * delta**2 = {lam!r})"
+            )
+        a = lam * math.pi  # reference-point exposure
+        b = lam * (math.pi - l2)  # candidate exposure when its mark is the lower one
+        c = lam * (math.pi + l1 - l2)  # candidate exposure when its mark is the higher one
+        d = lam * (math.pi - l1)  # reference exposure outside the shared lens
+        low = _quotient(expm1_ratio, _E_SERIES, a, b, _SPARSE)
+        high = _quotient(expm1_ratio, _E_SERIES, c, d, _SPARSE)
+        return low + high
+
+    return piecewise(r > 1.0, active, r)
 
 
-def _void_lens(r: np.ndarray, delta: float) -> np.ndarray:
-    """lens_asymmetric(r, delta), and 0 at r = 0, where it is undefined."""
-    return piecewise(r > 0.0, lambda x: lens_asymmetric(x, delta), r)
+def _void_lens(r: np.ndarray) -> np.ndarray:
+    """lens_asymmetric(r, 1), and 0 at r = 0, where it is undefined."""
+    return piecewise(r > 0.0, lambda x: lens_asymmetric(x, 1.0), r)
 
 
-def retention_ppp_to_mhc(r: np.ndarray, params: ProcessParams) -> np.ndarray:
+def retention_ppp_to_mhc(r: np.ndarray, lam: float) -> np.ndarray:
     """Conditional retention probability of a candidate at distance ``r`` from
     an independent observer whose ball of radius ``r`` is void of parent
     points. Tends to the unconditional retention probability as r -> 0."""
-    return expm1_ratio(params.lambda_p * (params.ball_area - _void_lens(r, params.delta)))
+    return expm1_ratio(lam * (math.pi - _void_lens(r)))
 
 
-def _pair_free(l1: np.ndarray, params: ProcessParams) -> np.ndarray:
-    """Matern II two-point retention k(r) for r > delta, from the shared lens
-    area ``l1`` = lens_symmetric(r, delta): the probability that two parent
+def _pair_free(l1: np.ndarray, lam: float) -> np.ndarray:
+    """Matern II two-point retention k(r) for r > 1, from the shared lens
+    area ``l1`` = lens_symmetric(r, 1): the probability that two parent
     points at distance r both survive thinning, with no void conditioning.
-    k(r) is 0 for r <= delta and mhc_retention**2 once the competition disks
-    separate (r > 2 * delta, l1 = 0)."""
-    a = params.lambda_p * params.ball_area
-    b = params.lambda_p * (params.ball_area - l1)
+    k(r) is 0 for r <= 1 and mhc_retention**2 once the competition disks
+    separate (r > 2, l1 = 0)."""
+    a = lam * math.pi
+    b = lam * (math.pi - l1)
     return 2.0 * _quotient(expm1_ratio, _E_SERIES, a, b, _SPARSE)
 
 
@@ -238,31 +232,31 @@ def _quotient(f, coeffs: np.ndarray, x: FloatOrArray, y: np.ndarray, switch: flo
     return value
 
 
-def cmhc_pair_retention(s: np.ndarray, params: ProcessParams) -> np.ndarray:
+def cmhc_pair_retention(s: np.ndarray, lam: float) -> np.ndarray:
     """Probability that two parent points at distance ``s``, both within
-    ``delta`` of a third parent o, survive thinning while o competes with
+    distance 1 of a third parent o, survive thinning while o competes with
     each: 2 * (W(a) - W(a + b)) / b with W the rival-mark average
-    (c - 1 + exp(-c)) / c**2, a = lambda_p * pi * delta**2 and
-    b = lambda_p * (pi * delta**2 - lens_symmetric(s, delta)). Exactly 0 for
-    s <= delta, where the two points compete with each other."""
-    a = params.lambda_p * params.ball_area
+    (c - 1 + exp(-c)) / c**2, a = lam * pi and
+    b = lam * (pi - lens_symmetric(s, 1)). Exactly 0 for s <= 1, where the
+    two points compete with each other."""
+    a = lam * math.pi
 
     def active(s):
-        b = params.lambda_p * (params.ball_area - lens_symmetric(s, params.delta))
+        b = lam * (math.pi - lens_symmetric(s, 1.0))
         return 2.0 * _quotient(_below_rival, _W_SERIES, a, b, 1.0)
 
-    return piecewise(s > params.delta, active, s)
+    return piecewise(s > 1.0, active, s)
 
 
-def _removed_pair_correlation(u: np.ndarray, params: ProcessParams) -> np.ndarray:
-    """(p - k(u)) / (1 - p) for u > delta: the density of survivors at
-    distance u from a removed point, over lambda_p. Equals p once the
-    competition disks separate (u >= 2 delta), where k = p**2."""
-    p = mhc_retention(params)
-    a = params.lambda_p * params.ball_area
+def _removed_pair_correlation(u: np.ndarray, lam: float) -> np.ndarray:
+    """(p - k(u)) / (1 - p) for u > 1: the density of survivors at
+    distance u from a removed point, over lam. Equals p once the
+    competition disks separate (u >= 2), where k = p**2."""
+    p = expm1_ratio(lam * math.pi)
+    a = lam * math.pi
 
     def near(u):
-        b = params.lambda_p * (params.ball_area - lens_symmetric(u, params.delta))
+        b = lam * (math.pi - lens_symmetric(u, 1.0))
         z = a + b
         diff = p - 2.0 * (expm1_ratio(a) - expm1_ratio(z)) / b
         small = z <= 1.0
@@ -275,7 +269,7 @@ def _removed_pair_correlation(u: np.ndarray, params: ProcessParams) -> np.ndarra
         # 1 - p = a * W(a) keeps its precision at small a
         return diff / (a * _below_rival(a))
 
-    return piecewise(u < 2.0 * params.delta, near, u, other=lambda u: np.full(u.shape, p))
+    return piecewise(u < 2.0, near, u, other=lambda u: np.full(u.shape, p))
 
 
 def _weighted_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -508,123 +502,117 @@ class _Table:
 _MOMENT_X, _MOMENT_W = leggauss(24)
 
 
-def _moment_density(rho: np.ndarray, params: ProcessParams) -> np.ndarray:
+def _moment_density(rho: np.ndarray, lam: float) -> np.ndarray:
     """m2'(rho) / 2 for the second factorial moment m2 of :func:`_removed_cdf`,
-    0 for rho <= delta/2, where no pair fits. The pair distance s runs in
+    0 for rho <= 1/2, where no pair fits. The pair distance s runs in
     v = sqrt(2 rho - s), which smooths the lens edge at s = 2 rho."""
-    lam, d = params.lambda_p, params.delta
-    # 1 - p = a * W(a) keeps its precision at small a
-    a = lam * params.ball_area
-    scale = lam * lam / (a * _below_rival(a))
+    # 1 - p = a * W(a) keeps its precision at small a; lam * lam underflows
+    # below lam ~ 1e-154, and lam / (pi W(a)) is the same scale
+    a = lam * math.pi
+    w = _below_rival(a)
+    scale = lam * lam / (a * w) if lam > 1e-150 else lam / (math.pi * w)
 
     def pairs(rho):
-        half = 0.5 * np.sqrt(2.0 * rho - d)
+        half = 0.5 * np.sqrt(2.0 * rho - 1.0)
         v = half[:, None] * (1.0 + _MOMENT_X)
         s = 2.0 * rho[:, None] - v * v
         # d/drho lens_symmetric(s, rho) = 4 rho arccos(s / (2 rho))
         arc = np.arccos(np.minimum(s / (2.0 * rho[:, None]), 1.0))
-        weight = scale * 2.0 * v * TWO_PI * s * cmhc_pair_retention(s, params)
+        weight = scale * 2.0 * v * TWO_PI * s * cmhc_pair_retention(s, lam)
         return 0.5 * half * _weighted_rows(weight * 4.0 * rho[:, None] * arc, _MOMENT_W)
 
-    return piecewise(rho > 0.5 * d, pairs, rho)
+    return piecewise(rho > 0.5, pairs, rho)
 
 
-def _case_tables(case: ContactCase, params: ProcessParams) -> dict[str, _Table]:
-    """The unbuilt tables of one case: "h0", the density of the first-order
-    hazard in eta's void ratio, or for a removed observer "tail", the density
-    2 pi u lambda_p g(u) beyond delta, and "moment", :func:`_moment_density`.
-    A moment panel runs about delta/2 below 3 delta/4 and about delta above:
-    the moment has a (delta - rho)**3 log(delta - rho) term, which a panel in
-    v = sqrt(rho - delta/2) resolves only after eight bisections."""
-    lam, d = params.lambda_p, params.delta
+def _case_tables(case: ContactCase, lam: float) -> dict[str, _Table]:
+    """The unbuilt tables of one hard-core case: "h0", the density of the
+    first-order hazard in eta's void ratio, or for a removed observer "tail",
+    the density 2 pi u lam g(u) beyond 1, and "moment", :func:`_moment_density`.
+    A moment panel runs about 1/2 below 3/4 and about 1 above: the moment has
+    a (1 - rho)**3 log(1 - rho) term, which a panel in v = sqrt(rho - 1/2)
+    resolves only after eight bisections."""
     if case is ContactCase.PPP_TO_MHC:
-        h0 = lambda u: TWO_PI * lam * u * retention_ppp_to_mhc(u, params)  # noqa: E731
-        return {"h0": _Table(h0, (0.0, 0.5 * d, d, 2.0 * d), (0.5 * d,))}
+        h0 = lambda u: TWO_PI * lam * u * retention_ppp_to_mhc(u, lam)  # noqa: E731
+        return {"h0": _Table(h0, (0.0, 0.5, 1.0, 2.0), (0.5,))}
     if case is ContactCase.MHC_TO_MHC:
-        p = mhc_retention(params)
-        h0 = lambda u: TWO_PI * lam * u * (pair_retention(u, params) / p)  # noqa: E731
-        return {"h0": _Table(h0, (d, 2.0 * d), (2.0 * d,))}
-    if case is ContactCase.CMHC_TO_MHC:
-        tail = lambda u: TWO_PI * lam * u * _removed_pair_correlation(u, params)  # noqa: E731
-        moment = lambda rho: _moment_density(rho, params)  # noqa: E731
-        return {
-            "tail": _Table(tail, (d, 2.0 * d), (2.0 * d,)),
-            "moment": _Table(moment, (0.0, 0.5 * d, 0.75 * d, d), (0.5 * d, 0.5 * d, d)),
-        }
-    return {}
+        p = expm1_ratio(lam * math.pi)
+        h0 = lambda u: TWO_PI * lam * u * (pair_retention(u, lam) / p)  # noqa: E731
+        return {"h0": _Table(h0, (1.0, 2.0), (2.0,))}
+    tail = lambda u: TWO_PI * lam * u * _removed_pair_correlation(u, lam)  # noqa: E731
+    moment = lambda rho: _moment_density(rho, lam)  # noqa: E731
+    return {
+        "tail": _Table(tail, (1.0, 2.0), (2.0,)),
+        "moment": _Table(moment, (0.0, 0.5, 0.75, 1.0), (0.5, 0.5, 1.0)),
+    }
 
 
-def _eta_ppp_to_mhc(r: np.ndarray, params: ProcessParams, tables: dict[str, _Table]):
+def _eta_ppp_to_mhc(r: np.ndarray, lam: float, tables: dict[str, _Table]):
     """p * exp(H0(r) - H0(r_e)): pair correlation 1, and the void ratio from
     the first-order hazard H0 over the part of the ball that the candidate's
     own disk does not already keep free of survivors (area pi * r_e**2)."""
-    d = params.delta
-    r_e = np.sqrt(np.maximum(r * r - _void_lens(r, d) / math.pi, 0.0))
+    r_e = np.sqrt(np.maximum(r * r - _void_lens(r) / math.pi, 0.0))
     dh, dh_err = tables["h0"].integral(r, r_e)
-    eta = mhc_retention(params) * np.exp(dh)
+    eta = expm1_ratio(lam * math.pi) * np.exp(dh)
     return eta, eta * dh_err
 
 
-def _eta_mhc_to_mhc(r: np.ndarray, params: ProcessParams, tables: dict[str, _Table]):
-    """(k(r) / p) * exp(H0(r) - H0(r_e)) above delta, 0 below: pair
-    correlation from the unconditional two-point retention, and the void
-    ratio over the part of the annulus outside both hard-core disks."""
-    d = params.delta
+def _eta_mhc_to_mhc(r: np.ndarray, lam: float, tables: dict[str, _Table]):
+    """(k(r) / p) * exp(H0(r) - H0(r_e)) above 1, 0 below: pair correlation
+    from the unconditional two-point retention, and the void ratio over the
+    part of the annulus outside both hard-core disks."""
     eta = np.zeros(r.shape)
     err = np.zeros(r.shape)
-    active = r > d
+    active = r > 1.0
     if not np.any(active):  # speed guard
         return eta, err
     ra = r[active]
-    l1 = lens_symmetric(ra, d)
-    l2 = lens_asymmetric(ra, d)
-    r_e = np.sqrt(np.maximum(ra * ra - (l2 - l1) / math.pi, d * d))
+    l1 = lens_symmetric(ra, 1.0)
+    l2 = lens_asymmetric(ra, 1.0)
+    r_e = np.sqrt(np.maximum(ra * ra - (l2 - l1) / math.pi, 1.0))
     dh, dh_err = tables["h0"].integral(ra, r_e)
-    eta[active] = _pair_free(l1, params) / mhc_retention(params) * np.exp(dh)
+    eta[active] = _pair_free(l1, lam) / expm1_ratio(lam * math.pi) * np.exp(dh)
     err[active] = eta[active] * dh_err
     return eta, err
 
 
-def _removed_cdf(rho: np.ndarray, params: ProcessParams, moment: _Table):
+def _removed_cdf(rho: np.ndarray, moment: _Table):
     """Contact CDF F(rho) of a removed point, its void probability 1 - F(rho)
-    and their error estimate, for 0 <= rho <= delta.
+    and their error estimate, for 0 <= rho <= 1.
 
-    Every survivor within delta of a removed point o beats o's mark, so the
-    survivor count N in b(o, rho) has mean (rho/delta)**2 exactly, and
+    Every survivor within distance 1 of a removed point o beats o's mark, so
+    the survivor count N in b(o, rho) has mean rho**2 exactly, and
     F = E[N] - E[N(N-1)]/2 up to the rare triples. The second factorial
-    moment m2 is the pair density lambda_p**2 * cmhc_pair_retention / (1 - p)
+    moment m2 is the pair density lam**2 * cmhc_pair_retention / (1 - p)
     integrated over point pairs in the ball: over their distance s in
-    (delta, 2 rho) with weight 2 pi s * lens_symmetric(s, rho). ``moment``
+    (1, 2 rho) with weight 2 pi s * lens_symmetric(s, rho). ``moment``
     tabulates m2'(rho) / 2 (:func:`_moment_density`).
     """
-    d = params.delta
     half_m2, err = moment.integral(rho)
-    # the void factored so that it keeps full relative precision as rho -> delta
-    return (rho / d) ** 2 - half_m2, (d - rho) * (d + rho) / (d * d) + half_m2, err
+    # the void factored so that it keeps full relative precision as rho -> 1
+    return rho**2 - half_m2, (1.0 - rho) * (1.0 + rho) + half_m2, err
 
 
-def _eta_cmhc_to_mhc(r: np.ndarray, params: ProcessParams, tables: dict[str, _Table]):
-    """Removed observer. Up to delta, the hazard F'(r) / (1 - F(r)) of
+def _eta_cmhc_to_mhc(r: np.ndarray, lam: float, tables: dict[str, _Table]):
+    """Removed observer. Up to 1, the hazard F'(r) / (1 - F(r)) of
     :func:`_removed_cdf`. Beyond it, g(r) * exp(H0(r) - H0(r_e)) with the
     exact pair correlation lambda_t * g / lambda_p = (p - k(r)) / (1 - p) of
     a removed point and a survivor, and H0 the zeroth-order hazard: that of
-    :func:`_removed_cdf` up to delta, then 2 pi u lambda_p g(u)."""
-    lam, d = params.lambda_p, params.delta
+    :func:`_removed_cdf` up to 1, then 2 pi u lam g(u)."""
     moment = tables["moment"]
     eta = np.empty(r.shape)
     err = np.zeros(r.shape)
-    inner = r <= d
+    inner = r <= 1.0
     if np.any(inner):  # speed guard
         ri = r[inner]
-        _, void, void_err = _removed_cdf(ri, params, moment)
+        _, void, void_err = _removed_cdf(ri, moment)
         half_dm2, fp_err = moment.value(ri)
-        fp = 2.0 * ri / (d * d) - half_dm2
-        # F'(r) / (2 pi r lambda_p), whose limit at r = 0 is 1 / (lambda_p pi delta**2)
+        fp = 2.0 * ri - half_dm2
+        # F'(r) / (2 pi r lam), whose limit at r = 0 is 1 / (lam pi)
         positive = ri > 0.0
         rate = np.where(
             positive,
             fp / (TWO_PI * lam * np.where(positive, ri, 1.0)),
-            1.0 / (lam * params.ball_area),
+            1.0 / (lam * math.pi),
         )
         eta[inner] = rate / void
         fp_rel = np.divide(fp_err, fp, out=np.zeros(fp.shape), where=fp_err > 0.0)
@@ -632,17 +620,17 @@ def _eta_cmhc_to_mhc(r: np.ndarray, params: ProcessParams, tables: dict[str, _Ta
     outer = ~inner
     if np.any(outer):  # speed guard
         ro = r[outer]
-        r_e = np.sqrt(np.maximum(ro * ro - lens_asymmetric(ro, d) / math.pi, 0.0))
+        r_e = np.sqrt(np.maximum(ro * ro - lens_asymmetric(ro, 1.0) / math.pi, 0.0))
         dh = np.zeros(ro.shape)
         dh_err = np.zeros(ro.shape)
-        back = r_e < d
+        back = r_e < 1.0
         if np.any(back):  # speed guard
-            # H0(delta) = -log(1 - F(delta)), then back down to r_e
-            _, void, void_err = _removed_cdf(np.append(r_e[back], d), params, moment)
+            # H0(1) = -log(1 - F(1)), then back down to r_e
+            _, void, void_err = _removed_cdf(np.append(r_e[back], 1.0), moment)
             dh[back] = -np.log(void[-1]) + np.log(void[:-1])
             dh_err[back] = void_err[-1] / void[-1] + void_err[:-1] / void[:-1]
-        tail, tail_err = tables["tail"].integral(ro, np.maximum(r_e, d))
-        g = _removed_pair_correlation(ro, params)
+        tail, tail_err = tables["tail"].integral(ro, np.maximum(r_e, 1.0))
+        g = _removed_pair_correlation(ro, lam)
         eta[outer] = g * np.exp(dh + tail)
         err[outer] = eta[outer] * (dh_err + tail_err)
     return eta, err
@@ -653,6 +641,12 @@ _EVALUATORS = {
     ContactCase.PPP_TO_MHC: _eta_ppp_to_mhc,
     ContactCase.CMHC_TO_MHC: _eta_cmhc_to_mhc,
 }
+
+
+def _check_case(case: ContactCase, params: ProcessParams) -> None:
+    """Raise ValueError for cmhc-mhc at delta 0, where no point is removed."""
+    if case is ContactCase.CMHC_TO_MHC and params.delta == 0.0:
+        raise ValueError("cmhc-mhc needs delta > 0: thinning at delta 0 removes no point")
 
 
 @dataclass(frozen=True)
@@ -674,28 +668,38 @@ class RetentionFunction:
     :func:`_removed_cdf`). eta is a hazard ratio, not a probability, and
     exceeds 1 where the source attracts targets (removed observers).
 
-    The inner integrals, H0 and the removed observer's second factorial
-    moment, depend on one radius each, so every instance tabulates them on
-    first use, as piecewise Chebyshev series out to the largest radius asked
-    for (see :class:`_Table`), and eta looks them up. The tables belong to
-    the instance and their layout depends on (case, params) only, so eta is
-    a pure function of (r, case, params), whatever the order of the calls.
-    :func:`contact_cdf` tabulates the hazard density 2 pi r lambda_p eta(r)
-    the same way, from eta's values at the table's nodes, and reads the
-    removed observer's CDF below delta from the moment table directly.
+    eta is a pure function of (r / delta, case, lambda_p delta**2), so an
+    instance at delta != 1 holds its delta-unit twin, the instance at
+    (lambda_p * delta * delta, 1), and eta(r) is the twin's eta at r / delta.
+    The twin tabulates the inner integrals, H0 and the removed observer's
+    second factorial moment, which depend on one radius each, on first use
+    as piecewise Chebyshev series out to the largest radius asked for (see
+    :class:`_Table`), and eta looks them up, whatever the order of the calls.
 
     ``eta(r)`` takes a scalar or an array of any shape and is 1 for ppp-ppp
-    and at delta = 0; ``eta(r, with_error=True)`` also returns an error
-    estimate: the tail estimates of the table panels that its lookups touch,
-    propagated to eta. :func:`contact_cdf` integrates it into ``abs_error``.
+    and at delta = 0, which have no twin; ``eta(r, with_error=True)`` also
+    returns an error estimate: the tail estimates of the table panels that
+    its lookups touch, propagated to eta. :func:`contact_cdf` integrates it
+    into ``abs_error``.
+
+    Raises:
+        ValueError: for cmhc-mhc at delta = 0, which has no removed observer.
     """
 
     case: ContactCase
     params: ProcessParams
+    # the delta-unit twin: this instance at delta = 1, None for a Poisson curve
+    _unit: RetentionFunction | None = field(init=False, repr=False, compare=False)
     _tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_tables", _case_tables(self.case, self.params))
+        _check_case(self.case, self.params)
+        lam, d = self.params.lambda_p, self.params.delta
+        unit = None if self.case is ContactCase.PPP_TO_PPP or d == 0.0 else self
+        if unit is not None and d != 1.0:
+            unit = RetentionFunction(self.case, ProcessParams(lam * d * d, 1.0))
+        object.__setattr__(self, "_unit", unit)
+        object.__setattr__(self, "_tables", _case_tables(self.case, lam) if unit is self else {})
 
     @property
     def lower_support(self) -> float:
@@ -714,11 +718,13 @@ class RetentionFunction:
     def __call__(self, r: FloatOrArray, with_error: bool = False):
         scalar = np.ndim(r) == 0
         flat = np.atleast_1d(np.asarray(r, dtype=float)).ravel()
-        if self.case is ContactCase.PPP_TO_PPP or self.params.delta == 0.0:
+        if self._unit is None:
             values, errors = np.ones(flat.shape), np.zeros(flat.shape)
-        else:
+        elif self._unit is self:
             evaluate = _EVALUATORS[self.case]
-            values, errors = evaluate(flat, self.params, self._tables)
+            values, errors = evaluate(flat, self.params.lambda_p, self._tables)
+        else:
+            values, errors = self._unit(flat / self.params.delta, with_error=True)
         if scalar:
             values, errors = float(values[0]), float(errors[0])
         else:
@@ -780,82 +786,79 @@ class CdfCurve:
 
 # The radii, in delta units, where eta is not smooth in any case: the lens
 # breakpoints 1/2, 1 and 2, and the radii whose r_e reaches them, where
-# r_e**2 = r**2 - lens_asymmetric(r, delta) / pi and H0(r_e) changes form
+# r_e**2 = r**2 - lens_asymmetric(r, 1) / pi and H0(r_e) changes form
 _KINKS = (0.5, 0.7793057626307204, 1.0, 1.186981892266404, 2.0, 2.1093627037391927)
 
+# Dense mhc-mhc and ppp-mhc curves saturate: the curves at exposures 1e4 to
+# 1e150 lie within 2.2e-16 of the exposure-60 curve (50 is 5.6e-15 away), and
+# near 3e200 the mhc-mhc closed forms lose every digit and F reads 0. So both
+# read the exposure-60 curve beyond it; cmhc-mhc does not saturate.
+_SATURATED_EXPOSURE = 60.0
 
-def _lens_breakpoints(params: ProcessParams, lo: float, hi: float) -> list[float]:
-    """The lens breakpoints delta/2, delta and 2 delta strictly between lo and hi."""
-    d = params.delta
-    return sorted(c for c in (0.5 * d, d, 2.0 * d) if lo < c < hi)
-
-
-def _hazard_table(eta: RetentionFunction, start: float) -> _Table:
-    """Table of the hazard density 2 pi u lambda_p eta(u) from ``start`` on.
-
-    Its edges are eta's kinks above ``start`` (a Poisson curve has none, and
-    its first edges sit at the mean spacing), and each stretch between two
-    of them is split at its midpoint, so that every top-level panel runs in
-    sqrt(|u - c|) about its singular end c."""
-    params = eta.params
-    lam, d = params.lambda_p, params.delta
-    if eta.case is ContactCase.PPP_TO_PPP or d == 0.0:
-        kinks = [1.0 / math.sqrt(lam)]
-    else:
-        kinks = [k * d for k in _KINKS]
-    points = [start] + [k for k in kinks if k > start]
-    edges, cuts = [start], []
-    for a, b in zip(points[:-1], points[1:]):
-        edges += [0.5 * (a + b), b]
-        cuts += [a, b]
-
-    def density(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values, errors = eta(u, with_error=True)
-        return TWO_PI * lam * u * values, TWO_PI * lam * u * errors
-
-    return _Table(density, tuple(edges), tuple(cuts), density_error=True)
-
-
-def _removed_hazard(rho: np.ndarray, params: ProcessParams, moment: _Table):
-    """Hazard -log(1 - F(rho)) of a removed point and its error estimate, for
-    0 <= rho <= delta, with F in closed form (:func:`_removed_cdf`)."""
-    f, void, err = _removed_cdf(rho, params, moment)
-    # log1p keeps the relative precision of a small F, log that of a small void
-    hazard = -np.log(void)
-    small = f < 0.5
-    hazard[small] = -np.log1p(-f[small])
-    return hazard, err / void
+# The largest r / delta a curve is read at: beyond it, the doubling table
+# panels and the squares of their radii leave the range of doubles. Default
+# grids reach it only at exposures below about 1e-304.
+_MAX_RHO = 1e153
 
 
 class _Hazard:
-    """The hazard H(r) of one curve and its error estimate at any radii,
-    read from one table of the hazard density (:func:`_hazard_table`) that
-    grows out to the largest radius read. H starts at the case's lower
-    support. A removed observer (cmhc-mhc) needs no table up to delta: there
-    H is read in closed form (:func:`_removed_hazard`), and the table starts
-    at delta from H(delta)."""
+    """The hazard H(r) of one curve and its error estimate at any radii.
+
+    A Poisson curve has no delta to scale by: H = lambda_p pi r**2, with error
+    estimate 0. Any other is H(r) = H1(r / delta), from one table of the
+    hazard density 2 pi u lam eta1(u) of eta's delta-unit twin (at exposure
+    _SATURATED_EXPOSURE for dense mhc-mhc and ppp-mhc), grown out to the
+    largest radius read. It starts at the twin's lower support, with edges at
+    the kinks above it and the midpoints between them, so that every
+    top-level panel runs in sqrt(|u - c|) about its singular end c. A removed
+    observer needs no table up to 1: there H1 = -log(1 - F) with F in closed
+    form (:func:`_removed_cdf`), and the table starts at 1 from H1(1)."""
 
     def __init__(self, eta: RetentionFunction):
         self._params = eta.params
-        self._start = eta.lower_support
-        self._moment = None
-        if eta.case is ContactCase.CMHC_TO_MHC and eta.params.delta > 0.0:
-            self._start = eta.params.delta
-            self._moment = eta._tables["moment"]
-        self._table = _hazard_table(eta, self._start)
+        self._table = None
+        unit = eta._unit
+        if unit is None:
+            return
+        dense = unit.params.lambda_p * math.pi > _SATURATED_EXPOSURE
+        if dense and eta.case is not ContactCase.CMHC_TO_MHC:
+            unit = RetentionFunction(eta.case, ProcessParams(_SATURATED_EXPOSURE / math.pi, 1.0))
+        lam = unit.params.lambda_p
+        self._moment = unit._tables.get("moment")
+        self._start = 1.0 if self._moment is not None else unit.lower_support
+        points = [self._start] + [k for k in _KINKS if k > self._start]
+        edges, cuts = [self._start], []
+        for a, b in zip(points[:-1], points[1:]):
+            edges += [0.5 * (a + b), b]
+            cuts += [a, b]
+
+        def density(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            values, errors = unit(u, with_error=True)
+            return TWO_PI * lam * u * values, TWO_PI * lam * u * errors
+
+        self._table = _Table(density, tuple(edges), tuple(cuts), density_error=True)
 
     def __call__(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        hazard = np.zeros(radii.shape)
-        herr = np.zeros(radii.shape)
+        if self._table is None:
+            return math.pi * self._params.lambda_p * radii * radii, np.zeros(radii.shape)
+        rho = radii / self._params.delta
+        if rho.size and rho.max() > _MAX_RHO:
+            raise ValueError(f"r / delta = {rho.max():.3g} is beyond the model's {_MAX_RHO:g}")
+        hazard = np.zeros(rho.shape)
+        herr = np.zeros(rho.shape)
         offset = offset_err = 0.0
         if self._moment is not None:
-            inner = (radii > 0.0) & (radii <= self._start)
-            at = np.append(radii[inner], self._start)
-            h, e = _removed_hazard(at, self._params, self._moment)
+            inner = (rho > 0.0) & (rho <= 1.0)
+            f, void, err = _removed_cdf(np.append(rho[inner], 1.0), self._moment)
+            # log1p keeps the relative precision of a small F, log that of a small void
+            h = -np.log(void)
+            small = f < 0.5
+            h[small] = -np.log1p(-f[small])
+            e = err / void
             hazard[inner], herr[inner] = h[:-1], e[:-1]
             offset, offset_err = h[-1], e[-1]
-        outer = radii > self._start
-        h, e = self._table.integral(radii[outer])
+        outer = rho > self._start
+        h, e = self._table.integral(rho[outer])
         hazard[outer] = offset + h
         herr[outer] = offset_err + e
         return hazard, herr
@@ -879,17 +882,14 @@ def contact_cdf(eta: RetentionFunction, r_grid: FloatOrArray, abs_tol: float = 1
 
     H starts at the case's lower support (the hard-core distance when both
     endpoints live in the thinned process, zero otherwise), so the returned
-    curve is monotone by construction. One piecewise Chebyshev table of the
-    hazard density (:class:`_Table`), with edges at eta's kinks (the lens
-    breakpoints delta/2, delta, 2 delta and the radii whose r_e reaches
-    them), is built out to the last radius, and H is read from it at every
-    radius in one lookup. A removed observer (cmhc-mhc) needs no hazard up
-    to delta: there F = (r/delta)**2 - m2/2 in closed form
-    (:func:`_removed_cdf`), and the table starts at delta from H(delta). The
-    table's layout depends on (case, params) alone, so F at a radius is the
-    same, to the bit, on any grid that holds it and at any tolerance. The
-    curve keeps its table, and :meth:`CdfCurve.cdf` reads F at any other
-    radii from it.
+    curve is monotone by construction. A Poisson curve (ppp-ppp, or mhc-mhc
+    and ppp-mhc at delta = 0) is the closed form H = lambda_p pi R**2; any
+    other is H1(R / delta), with H1 the hazard at (lambda_p delta**2, 1) read
+    in one lookup from one table of its density (see :class:`_Hazard`). The
+    table's layout depends on (case, lambda_p delta**2) alone, so F at a
+    radius is the same, to the bit, on any grid that holds it and at any
+    tolerance. The curve keeps its table, and :meth:`CdfCurve.cdf` reads F at
+    any other radii from it.
 
     ``abs_error`` is exp(-H) times the error estimate of H: the tails of the
     table panels up to each radius, plus the integral of eta's own error
@@ -937,7 +937,8 @@ def extend_curve(curve: CdfCurve, r_max: float, r_min: float | None = None) -> C
     first, last = float(radii[0]), float(radii[-1])
     if r_min is not None and float(r_min) < first and first > eta.lower_support:
         below = _spaced(eta.lower_support, first, step)[:-1]
-        cuts = _lens_breakpoints(curve.params, eta.lower_support, last)
+        d = curve.params.delta
+        cuts = [c for c in (0.5 * d, d, 2.0 * d) if eta.lower_support < c < last]
         radii = np.union1d(np.concatenate([below, radii]), cuts)
     if float(r_max) > last:
         radii = np.concatenate([radii, _spaced(last, float(r_max), step)[1:]])

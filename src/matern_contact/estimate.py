@@ -34,6 +34,7 @@ from .analytic import (
     ContactCase,
     ProcessParams,
     RetentionFunction,
+    _check_case,
     contact_cdf,
     default_r_grid,
     # unused here, but perfbench's tracer wraps estimate.extend_curve
@@ -249,6 +250,7 @@ class ExperimentConfig:
             raise ValueError(f"abs_tol must be > 0, got {self.abs_tol!r}")
         # the patterns every replication generates must fit, so a config
         # that cannot run fails here and not in its first replication
+        _check_case(self.case, self.params)
         _check_point_cap(self.params.lambda_p, self.window)
         if self.case is not ContactCase.PPP_TO_PPP:
             _check_window_floor(self.window, self.params.delta)

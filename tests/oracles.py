@@ -82,7 +82,7 @@ def pair_retention_quadrature(
     if r <= params.delta:
         return 0.0
     lam = params.lambda_p
-    ball = params.ball_area
+    ball = math.pi * params.delta**2
     l1 = lens_area_two_circles(r, params.delta, params.delta)
     # the candidate's disk against the void ball, its centre on the boundary
     l2 = lens_area_two_circles(r, r, params.delta)
@@ -365,23 +365,25 @@ def _split_integral(fn, lo, hi, cut: float, singular_above: bool):
     return value, err
 
 
-def _removed_contact(rho: np.ndarray, params: ProcessParams):
+def _removed_contact(rho: np.ndarray, lam: float):
     """1 - F(rho) and F'(rho) of a removed point with their error estimates,
-    the second factorial moment and its derivative integrated point by point."""
-    lam, d = params.lambda_p, params.delta
-    void = (d - rho) * (d + rho) / (d * d)
-    fp = 2.0 * rho / (d * d)
+    in delta units (``lam`` = lambda_p delta**2), the second factorial moment
+    and its derivative integrated point by point."""
+    void = (1.0 - rho) * (1.0 + rho)
+    fp = 2.0 * rho
     void_err = np.zeros(rho.shape)
     fp_err = np.zeros(rho.shape)
-    pairs = rho > 0.5 * d
+    pairs = rho > 0.5
     if np.any(pairs):
         rp = rho[pairs]
-        v, half = _INNER.nodes(np.zeros(rp.shape), np.sqrt(2.0 * rp - d))
+        v, half = _INNER.nodes(np.zeros(rp.shape), np.sqrt(2.0 * rp - 1.0))
         s = 2.0 * rp[:, None] - v * v
-        a = lam * params.ball_area
+        a = lam * math.pi
         scale = lam * lam / (a * analytic._below_rival(a))
-        weight = scale * 2.0 * v * analytic.TWO_PI * s * analytic.cmhc_pair_retention(s, params)
-        m2, m2_err = _INNER.integral(weight * analytic.lens_symmetric(s, rp[:, None]), half)
+        weight = scale * 2.0 * v * analytic.TWO_PI * s * analytic.cmhc_pair_retention(s, lam)
+        # lens_symmetric(s, rho) = rho**2 lens_symmetric(s / rho, 1)
+        lens = rp[:, None] ** 2 * analytic.lens_symmetric(s / rp[:, None], 1.0)
+        m2, m2_err = _INNER.integral(weight * lens, half)
         arc = np.arccos(np.minimum(s / (2.0 * rp[:, None]), 1.0))
         dm2, dm2_err = _INNER.integral(weight * 4.0 * rp[:, None] * arc, half)
         void[pairs] += 0.5 * m2
@@ -395,61 +397,62 @@ def per_node_eta(case, params: ProcessParams, r: np.ndarray) -> tuple[np.ndarray
     """eta(r) of a curved case at delta > 0, and its error estimate, with
     every inner integral taken at each node by the fixed 12/8 Gauss pair:
     the package's rule before it tabulated them. It shares the closed-form
-    kernels with the package, so it judges only the tables."""
-    lam, d = params.lambda_p, params.delta
-    p = analytic.mhc_retention(params)
-    r = np.asarray(r, dtype=float)
+    kernels with the package, so it judges only the tables. Like them, it
+    works in delta units: at r / delta, with lam = lambda_p delta**2."""
+    lam = params.lambda_p * params.delta * params.delta
+    p = analytic.expm1_ratio(lam * math.pi)
+    r = np.asarray(r, dtype=float) / params.delta
     if case is analytic.ContactCase.PPP_TO_MHC:
-        r_e = np.sqrt(np.maximum(r * r - analytic._void_lens(r, d) / math.pi, 0.0))
+        r_e = np.sqrt(np.maximum(r * r - analytic._void_lens(r) / math.pi, 0.0))
         dh, dh_err = _split_integral(
-            lambda u: analytic.TWO_PI * lam * u * analytic.retention_ppp_to_mhc(u, params),
-            r_e, r, 0.5 * d, True,
+            lambda u: analytic.TWO_PI * lam * u * analytic.retention_ppp_to_mhc(u, lam),
+            r_e, r, 0.5, True,
         )
         eta = p * np.exp(dh)
         return eta, eta * dh_err
     eta = np.zeros(r.shape)
     err = np.zeros(r.shape)
     if case is analytic.ContactCase.MHC_TO_MHC:
-        active = r > d
+        active = r > 1.0
         ra = r[active]
-        l1 = analytic.lens_symmetric(ra, d)
-        l2 = analytic.lens_asymmetric(ra, d)
-        r_e = np.sqrt(np.maximum(ra * ra - (l2 - l1) / math.pi, d * d))
+        l1 = analytic.lens_symmetric(ra, 1.0)
+        l2 = analytic.lens_asymmetric(ra, 1.0)
+        r_e = np.sqrt(np.maximum(ra * ra - (l2 - l1) / math.pi, 1.0))
         dh, dh_err = _split_integral(
-            lambda u: analytic.TWO_PI * lam * u * (analytic.pair_retention(u, params) / p),
-            r_e, ra, 2.0 * d, False,
+            lambda u: analytic.TWO_PI * lam * u * (analytic.pair_retention(u, lam) / p),
+            r_e, ra, 2.0, False,
         )
-        eta[active] = analytic._pair_free(l1, params) / p * np.exp(dh)
+        eta[active] = analytic._pair_free(l1, lam) / p * np.exp(dh)
         err[active] = eta[active] * dh_err
         return eta, err
-    inner = r <= d
+    inner = r <= 1.0
     ri = r[inner]
-    void, fp, void_err, fp_err = _removed_contact(ri, params)
+    void, fp, void_err, fp_err = _removed_contact(ri, lam)
     positive = ri > 0.0
     rate = np.where(
         positive,
         fp / (analytic.TWO_PI * lam * np.where(positive, ri, 1.0)),
-        1.0 / (lam * params.ball_area),
+        1.0 / (lam * math.pi),
     )
     eta[inner] = rate / void
     fp_rel = np.divide(fp_err, fp, out=np.zeros(fp.shape), where=fp_err > 0.0)
     err[inner] = eta[inner] * (fp_rel + void_err / void)
     outer = ~inner
     ro = r[outer]
-    r_e = np.sqrt(np.maximum(ro * ro - analytic.lens_asymmetric(ro, d) / math.pi, 0.0))
-    void_d, _, void_d_err, _ = _removed_contact(np.array([d]), params)
+    r_e = np.sqrt(np.maximum(ro * ro - analytic.lens_asymmetric(ro, 1.0) / math.pi, 0.0))
+    void_d, _, void_d_err, _ = _removed_contact(np.array([1.0]), lam)
     h_delta, h_delta_err = float(-np.log(void_d[0])), float(void_d_err[0] / void_d[0])
     dh = np.zeros(ro.shape)
     dh_err = np.zeros(ro.shape)
-    back = r_e < d
-    void, _, void_err, _ = _removed_contact(r_e[back], params)
+    back = r_e < 1.0
+    void, _, void_err, _ = _removed_contact(r_e[back], lam)
     dh[back] = h_delta + np.log(void)
     dh_err[back] = h_delta_err + void_err / void
     tail, tail_err = _split_integral(
-        lambda u: analytic.TWO_PI * lam * u * analytic._removed_pair_correlation(u, params),
-        np.maximum(r_e, d), ro, 2.0 * d, False,
+        lambda u: analytic.TWO_PI * lam * u * analytic._removed_pair_correlation(u, lam),
+        np.maximum(r_e, 1.0), ro, 2.0, False,
     )
-    eta[outer] = analytic._removed_pair_correlation(ro, params) * np.exp(dh + tail)
+    eta[outer] = analytic._removed_pair_correlation(ro, lam) * np.exp(dh + tail)
     err[outer] = eta[outer] * (dh_err + tail_err)
     return eta, err
 
@@ -470,8 +473,9 @@ def quad_contact_cdf(case, params: ProcessParams, radii) -> np.ndarray:
     start, offset = (d, 0.0) if case is ContactCase.MHC_TO_MHC else (0.0, 0.0)
     if case is ContactCase.CMHC_TO_MHC:
         inner = radii <= d
-        out[inner] = 1.0 - _removed_contact(radii[inner], params)[0]
-        start, offset = d, float(-np.log(_removed_contact(np.array([d]), params)[0][0]))
+        unit = lam * d * d
+        out[inner] = 1.0 - _removed_contact(radii[inner] / d, unit)[0]
+        start, offset = d, float(-np.log(_removed_contact(np.array([1.0]), unit)[0][0]))
     beyond = radii > start
     if np.any(beyond):
         cuts = [c for c in (0.5 * d, d, 2.0 * d) if start < c < radii[-1]]

@@ -104,7 +104,7 @@ def test_criterion_04_pair_retention_oracle_equivalence():
         for delta in (0.25, 0.5, 1.0, 2.0):
             for lam in (0.5, 1.0, 4.0):
                 params = ProcessParams(lam, delta)
-                closed = pair_retention(np.array([ratio * delta]), params)[0]
+                closed = pair_retention(np.array([ratio]), lam * delta * delta)[0]
                 numeric = pair_retention_quadrature(ratio * delta, params)
                 worst = max(worst, abs(closed - numeric))
     report(4, "closed form vs 2-D quadrature on the 72-point grid",

@@ -1,5 +1,6 @@
 """Unit and property tests for the retention probabilities and CDF machinery."""
 
+import json
 import math
 import time
 from dataclasses import replace
@@ -122,25 +123,24 @@ class TestIntensityAndRetention:
 
 class TestPairRetention:
     def test_zero_on_hard_core_range(self):
-        assert np.array_equal(pair_retention(np.array([0.5, 1.0]), P11), [0.0, 0.0])
+        assert np.array_equal(pair_retention(np.array([0.5, 1.0]), 1.0), [0.0, 0.0])
 
     def test_matches_quadrature_on_subset(self):
+        # the kernel in delta units against the oracle in radii
         for r_ratio in (1.01, 1.5, 3.0):
             for delta in (0.5, 1.0):
                 for lam in (1.0, 4.0):
                     p = ProcessParams(lam, delta)
-                    closed = pair_retention(np.array([r_ratio * delta]), p)[0]
+                    closed = pair_retention(np.array([r_ratio]), lam * delta * delta)[0]
                     numeric = pair_retention_quadrature(r_ratio * delta, p)
                     assert abs(closed - numeric) < 1e-8
 
     def test_far_field_approaches_independent_product(self):
         # at huge separation the joint survival factorises; the shared lens is
         # gone and the void ball removes half of the candidate's disk
-        lam, delta = 1.0, 1.0
-        p = ProcessParams(lam, delta)
-        ball = math.pi * delta**2
-        limit = expm1_ratio(lam * ball) * expm1_ratio(lam * ball / 2.0)
-        near, far, farther = pair_retention(np.array([1e3, 1e4, 1e5]), p)
+        lam = 1.0
+        limit = expm1_ratio(lam * math.pi) * expm1_ratio(lam * math.pi / 2.0)
+        near, far, farther = pair_retention(np.array([1e3, 1e4, 1e5]), lam)
         assert far == pytest.approx(limit, abs=1e-4)
         assert abs(farther - limit) < abs(near - limit)
 
@@ -154,39 +154,42 @@ class TestRetentionProfiles:
         # zero on the hard-core range; just above delta the void ratio is 1,
         # so eta is the pair-correlation ratio k(r) / p there
         r = np.array([0.9, 1.0, 1.0 + 1e-12])
-        assert np.array_equal((pair_retention(r, P11) / mhc_retention(P11))[:2], [0.0, 0.0])
+        assert np.array_equal((pair_retention(r, 1.0) / mhc_retention(P11))[:2], [0.0, 0.0])
         eta = RetentionFunction(ContactCase.MHC_TO_MHC, P11)(r)
         assert np.array_equal(eta[:2], [0.0, 0.0])
-        ratio = _pair_free(lens_symmetric(r[2:], 1.0), P11)[0] / mhc_retention(P11)
+        ratio = _pair_free(lens_symmetric(r[2:], 1.0), 1.0)[0] / mhc_retention(P11)
         assert eta[2] == pytest.approx(ratio, rel=1e-9)
 
     def test_ppp_small_r_limit_is_retention(self):
-        assert retention_ppp_to_mhc(np.array([1e-12]), P11)[0] == pytest.approx(
+        assert retention_ppp_to_mhc(np.array([1e-12]), 1.0)[0] == pytest.approx(
             mhc_retention(P11), rel=1e-9
         )
 
     def test_ppp_unit_value_against_oracle(self):
         l2 = lens_asymmetric(1.0, 1.0)
         oracle = mark_integral_oracle(math.pi - l2)
-        value = retention_ppp_to_mhc(np.array([1.0]), P11)[0]
+        value = retention_ppp_to_mhc(np.array([1.0]), 1.0)[0]
         assert value == pytest.approx(oracle, rel=1e-12)
         assert value == pytest.approx(ETA_PPP_MHC_AT_UNIT, rel=1e-12)
 
     def test_ppp_dominates_unconditional_retention(self):
         r = np.linspace(1e-3, 8.0, 200)
         rho = mhc_retention(P11)
-        assert np.all(retention_ppp_to_mhc(r, P11) >= rho - 1e-12)
+        assert np.all(retention_ppp_to_mhc(r, 1.0) >= rho - 1e-12)
 
     def test_zero_delta_degenerates_to_one(self):
-        # delta = 0 is a plain Poisson process in every case; eta returns
-        # ones before any kernel runs
+        # delta = 0 is a plain Poisson process in every case that has a model
+        # there; eta returns ones before any kernel runs. cmhc-mhc has none:
+        # thinning at delta 0 removes no point
         p = ProcessParams(2.0, 0.0)
         r = np.linspace(0.0, 3.0, 12).reshape(3, 4)
         reference = contact_cdf(
             RetentionFunction(ContactCase.PPP_TO_PPP, p),
             default_r_grid(ContactCase.PPP_TO_PPP, p),
         )
-        for case in ContactCase:
+        with pytest.raises(ValueError, match="cmhc-mhc needs delta > 0"):
+            RetentionFunction(ContactCase.CMHC_TO_MHC, p)
+        for case in (ContactCase.PPP_TO_PPP, ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC):
             eta = RetentionFunction(case, p)
             values, errors = eta(r, with_error=True)
             assert values.shape == r.shape and np.all(values == 1.0) and np.all(errors == 0.0)
@@ -217,8 +220,9 @@ class TestRetentionProfiles:
         # where the source attracts targets (removed observers), so it is
         # only held to being a finite, non-negative hazard profile
         p = ProcessParams(lam, delta)
-        r = np.array([ratio * delta])
-        for profile in (pair_retention(r, p) / mhc_retention(p), retention_ppp_to_mhc(r, p)):
+        rho, unit = np.array([ratio]), lam * delta * delta
+        profiles = (pair_retention(rho, unit) / mhc_retention(p), retention_ppp_to_mhc(rho, unit))
+        for profile in profiles:
             assert -1e-12 <= profile[0] <= 1.0 + 1e-12
         for case in ContactCase:
             value, error = RetentionFunction(case, p)(ratio * delta, with_error=True)
@@ -229,13 +233,13 @@ class TestRetentionProfiles:
 def test_single_branch_arrays_match_mixed_ones():
     # a kernel computes straight on an array whose elements all take one
     # branch; each element must get the bits it gets inside a mixed array
-    p = ProcessParams(1.0, 0.5)
+    lam = 0.25  # lambda_p 1 at delta 0.5, in delta units
     kernels = [
         # (kernel, elements on the computed branch, elements on the other)
-        (lambda r: pair_retention(r, p), np.linspace(0.5001, 3.0, 41), [0.0, 0.2, 0.5]),
-        (lambda r: _void_lens(r, p.delta), np.linspace(0.01, 3.0, 41), [0.0]),
-        (lambda s: cmhc_pair_retention(s, p), np.linspace(0.5001, 1.0, 41), [0.3, 0.5]),
-        (lambda u: _removed_pair_correlation(u, p), np.linspace(0.5001, 0.999, 41), [1.0, 2.5]),
+        (lambda r: pair_retention(r, lam), np.linspace(1.0002, 6.0, 41), [0.0, 0.4, 1.0]),
+        (_void_lens, np.linspace(0.02, 6.0, 41), [0.0]),
+        (lambda s: cmhc_pair_retention(s, lam), np.linspace(1.0002, 2.0, 41), [0.6, 1.0]),
+        (lambda u: _removed_pair_correlation(u, lam), np.linspace(1.0002, 1.998, 41), [2.0, 5.0]),
     ]
     for kernel, branch, other in kernels:
         mixed = kernel(np.concatenate([other, branch]))
@@ -285,10 +289,9 @@ class TestSparseProcesses:
         # k(r) = p**2 exactly beyond 2 delta; the difference quotient behind
         # k cancels unless it is summed from its series at small exposure
         for a in self.EXPOSURES:
-            p = ProcessParams(1.0, math.sqrt(a / math.pi))
-            r = np.array([2.0 + 1e-9, 3.0, 1e3]) * p.delta
-            k = _pair_free(lens_symmetric(r, p.delta), p)
-            assert np.max(np.abs(k / mhc_retention(p) ** 2 - 1.0)) <= 1e-14, a
+            lam = a / math.pi
+            k = _pair_free(lens_symmetric(np.array([2.0 + 1e-9, 3.0, 1e3]), 1.0), lam)
+            assert np.max(np.abs(k / expm1_ratio(lam * math.pi) ** 2 - 1.0)) <= 1e-14, a
 
 
 class TestPairCorrelationTerms:
@@ -300,29 +303,29 @@ class TestPairCorrelationTerms:
         for ratio in (1.01, 1.1, 1.5, 1.99, 2.5):
             for delta in (0.25, 1.0, 2.0):
                 for lam in (0.5, 1.0, 4.0):
-                    r = ratio * delta
-                    l1 = lens_symmetric(np.array([r]), delta)
-                    closed = _pair_free(l1, ProcessParams(lam, delta))[0]
-                    worst = max(worst, abs(closed - pair_survival_quadrature(r, lam, delta)))
+                    l1 = lens_symmetric(np.array([ratio]), 1.0)
+                    closed = _pair_free(l1, lam * delta * delta)[0]
+                    oracle = pair_survival_quadrature(ratio * delta, lam, delta)
+                    worst = max(worst, abs(closed - oracle))
         assert worst < 1e-9
 
     def test_unconditional_pair_retention_limits(self):
         # k = p**2 once the competition disks separate and share no lens
         p = ProcessParams(1.5, 0.8)
-        l1 = lens_symmetric(np.array([1.7]), 0.8)
+        l1 = lens_symmetric(np.array([1.7 / 0.8]), 1.0)
         assert l1[0] == 0.0
-        assert _pair_free(l1, p)[0] == pytest.approx(mhc_retention(p) ** 2, rel=1e-14)
+        k = _pair_free(l1, 1.5 * 0.8 * 0.8)[0]
+        assert k == pytest.approx(mhc_retention(p) ** 2, rel=1e-14)
 
     def test_rival_pair_retention_against_monte_carlo(self):
         rng = np.random.default_rng(20260808)
         for lam, delta, s in ((1.0, 1.0, 1.2), (1.0, 1.0, 1.8), (2.0, 0.5, 0.7)):
-            p = ProcessParams(lam, delta)
             trials = 100_000
             estimate = rival_pair_survival_monte_carlo(s, lam, delta, trials, rng)
-            closed = cmhc_pair_retention(np.array([s]), p)[0]
+            closed = cmhc_pair_retention(np.array([s / delta]), lam * delta * delta)[0]
             stderr = math.sqrt(closed * (1.0 - closed) / trials)
             assert abs(estimate - closed) < 4.0 * stderr
-        assert cmhc_pair_retention(np.array([0.9]), P11)[0] == 0.0
+        assert cmhc_pair_retention(np.array([0.9]), 1.0)[0] == 0.0
 
     def test_removed_observer_is_exact_below_half_delta(self):
         # at most one survivor fits in a disk of radius delta/2, and every
@@ -417,18 +420,15 @@ class TestContactCdf:
             contact_cdf(eta, np.array([0.0, 1.0]), abs_tol=0.0)
 
     def test_quadrature_failure_is_reported(self):
-        class NoisyEta:
-            case = ContactCase.PPP_TO_PPP
-            params = P11
-            lower_support = 0.0
-
+        # a hard-core case: a Poisson curve is a closed form and builds no table
+        class NoisyEta(RetentionFunction):
             def __call__(self, r, with_error=False):
                 rng = np.random.default_rng(len(np.atleast_1d(r)))
                 values = rng.random(np.shape(r))
                 return (values, np.zeros(np.shape(r))) if with_error else values
 
         with pytest.raises(QuadratureError):
-            contact_cdf(NoisyEta(), np.array([0.0, 1.0]), abs_tol=1e-12)
+            contact_cdf(NoisyEta(ContactCase.PPP_TO_MHC, P11), np.array([0.0, 1.0]), abs_tol=1e-12)
 
     def test_deterministic_across_calls(self):
         p = ProcessParams(1.0, 0.5)
@@ -548,7 +548,7 @@ def assert_matches_quadrature(eta, radii, values, bound: float = 2e-13):
         d = eta.params.delta
         at_delta = contact_cdf(eta, np.array([d])).hazard[0]
         checks = [(radii > d, d, at_delta)]
-        if eta.params.lambda_p * eta.params.ball_area >= 1e-3:
+        if eta.params.lambda_p * math.pi * eta.params.delta**2 >= 1e-3:
             checks.append(((radii > 0.0) & (radii <= d), 0.0, 0.0))
     for mask, lo, offset in checks:
         if mask.any():
@@ -631,6 +631,65 @@ class TestHazardTable:
             assert value.shape == err.shape == (0,)
         value, err = table.integral(np.zeros(0), np.zeros(0))
         assert value.shape == err.shape == (0,)
+
+
+class TestDeltaUnits:
+    """Every curve is solved at delta = 1: eta(r) and H(r) are the twin's at
+    (lambda_p delta**2, 1), read at r / delta."""
+
+    @pytest.mark.parametrize("case", CURVED)
+    def test_curves_and_eta_equal_their_delta_unit_twins_bit_for_bit(self, case):
+        for lam in (1.0, 2.5):
+            for delta in (0.5, 0.75, 0.981234, 7.3):
+                p = ProcessParams(lam, delta)
+                twin = ProcessParams(lam * delta * delta, 1.0)
+                r = np.concatenate([[0.0], default_r_grid(case, p, points=300)[1:]])
+                rho = r / delta
+                curve = contact_cdf(RetentionFunction(case, p), r, 1e-12)
+                unit = contact_cdf(RetentionFunction(case, twin), rho, 1e-12)
+                for field in ("values", "abs_error"):
+                    got, want = getattr(curve, field), getattr(unit, field)
+                    assert got.tobytes() == want.tobytes(), (case, lam, delta, field)
+                values, errors = RetentionFunction(case, p)(r, with_error=True)
+                unit_values, unit_errors = RetentionFunction(case, twin)(rho, with_error=True)
+                assert values.tobytes() == unit_values.tobytes(), (case, lam, delta)
+                assert errors.tobytes() == unit_errors.tobytes(), (case, lam, delta)
+
+    def test_poisson_curves_are_the_closed_form(self):
+        # ppp-ppp, and mhc-mhc and ppp-mhc at delta 0, have no delta to scale by
+        # and no table: H = lambda_p pi r**2 with error estimate 0
+        r = np.linspace(0.0, 3.0, 50)
+        for case, p in (
+            (ContactCase.PPP_TO_PPP, ProcessParams(2.5, 0.7)),
+            (ContactCase.MHC_TO_MHC, ProcessParams(2.5, 0.0)),
+        ):
+            curve = contact_cdf(RetentionFunction(case, p), r)
+            assert curve._hazard_at._table is None
+            assert curve.hazard.tobytes() == (math.pi * 2.5 * r * r).tobytes()
+            assert np.all(curve.hazard_error == 0.0) and np.all(curve.abs_error == 0.0)
+
+    def test_dense_curves_read_the_saturated_curve(self, capsys, monkeypatch):
+        from matern_contact.cli import main
+
+        # exposure 3e200: mhc-mhc used to print F = 0 at every radius
+        argv = ["analytic", "--case", "mhc-mhc", "--points", "3", "--delta", "1e100"]
+        assert main(argv + ["--format", "json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        radii = np.array(printed["radii"])
+        saturated = ProcessParams(analytic._SATURATED_EXPOSURE / math.pi, 1.0)
+        curve = contact_cdf(RetentionFunction(ContactCase.MHC_TO_MHC, saturated), radii / 1e100)
+        assert printed["F"] == curve.values.tolist()
+        assert printed["F"][1:] == [1.0, 1.0]
+        # the clamp against direct evaluation at two larger exposures
+        for case in (ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC):
+            rho = np.linspace(RetentionFunction(case, saturated).lower_support, 6.0, 2000)
+            clamped = contact_cdf(RetentionFunction(case, saturated), rho).values
+            with monkeypatch.context() as patch:
+                patch.setattr(analytic, "_SATURATED_EXPOSURE", math.inf)
+                for a in (1e4, 1e8):
+                    eta = RetentionFunction(case, ProcessParams(a / math.pi, 1.0))
+                    gap = np.max(np.abs(contact_cdf(eta, rho).values - clamped))
+                    assert gap <= np.finfo(float).eps, (case, a, gap)
 
 
 class TestTables:

@@ -466,6 +466,11 @@ def test_compare_with_rmin_above_the_smallest_distance(capsys, case, delta, rmin
         ["analytic", "--case", "mhc-mhc", "--points", "3", "--delta", "1e154"],
         ["analytic", "--case", "mhc-mhc", "--points", "3", "--delta", "1e155"],
         ["analytic", "--case", "cmhc-mhc", "--delta", "1e-300", "--points", "3"],
+        # in delta units, lambda_p delta**2 squared underflows at exposure 3e-200,
+        # and the radii r / delta of a default grid at exposure 3e-306 overflow
+        # when squared
+        ["analytic", "--case", "cmhc-mhc", "--points", "3", "--delta", "1e-100"],
+        ["analytic", "--case", "ppp-mhc", "--points", "3", "--delta", "1e-153"],
         ["compare", "--case", "mhc-mhc", "--delta", "1e-160", "--window", "20",
          "--reps", "1", "--points", "3"],
     ],

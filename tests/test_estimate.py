@@ -471,6 +471,25 @@ class TestExperimentConfig:
         # no thinning, no floor
         ExperimentConfig(case=ContactCase.PPP_TO_PPP, params=P11, window=small)
 
+    def test_cmhc_mhc_at_delta_zero_fails_before_any_pattern_is_drawn(self, monkeypatch):
+        # thinning at delta 0 removes no point, so there is no removed
+        # observer: the config used to build, and its run failed on
+        # replication 0 after drawing the pattern, while eta was Poisson
+        def draw(*args):
+            raise AssertionError("a pattern was drawn")
+
+        monkeypatch.setattr(estimate, "sample_ppp", draw)
+        params = ProcessParams(1.0, 0.0)
+        for build in (
+            lambda: RetentionFunction(ContactCase.CMHC_TO_MHC, params),
+            lambda: ExperimentConfig(ContactCase.CMHC_TO_MHC, params, Window(20.0, 20.0), 1),
+            lambda: run_experiment(
+                ExperimentConfig(ContactCase.CMHC_TO_MHC, params, Window(20.0, 20.0), 1)
+            ),
+        ):
+            with pytest.raises(ValueError, match="cmhc-mhc needs delta > 0"):
+                build()
+
 
 class TestRunExperiment:
     def test_ppp_case_is_accurate_and_deterministic(self):

@@ -127,18 +127,14 @@ def test_array_inputs_match_scalars():
         assert same_bits(lens_symmetric(r.reshape(-1, 1), 1.0), sym.reshape(-1, 1)), name
 
 
-@pytest.mark.parametrize("mixed", [False, True])
-def test_broadcast_delta_matches_scalars(mixed):
-    # lens_symmetric(s, rho[:, None]), as the removed-observer moments call it
-    rho = np.array([0.6, 0.8, 1.0])
-    s = np.array([[0.1, 0.7, 1.1], [0.5, 1.2, 1.6], [1.0, 1.5, 2.0]])
-    if mixed:
-        s[0, 2] = 1.3  # beyond 2 rho: this lens vanishes
-    area = lens_symmetric(s, rho[:, None])
-    assert area.shape == s.shape
-    for (i, j), sij in np.ndenumerate(s):
-        assert same_bits(area[i, j], lens_symmetric(float(sij), float(rho[i])))
-    assert (area[0, 2] == 0.0) == mixed
+def test_array_delta_is_rejected():
+    # the analytic kernels call the lenses at delta 1 only, and nothing
+    # broadcasts a delta array against the radii
+    for lens in (lens_symmetric, lens_asymmetric):
+        for delta in (np.array([1.0]), np.array([[0.6], [0.8]])):
+            with pytest.raises(DomainError, match="delta must be a scalar"):
+                lens(np.array([0.5, 1.0]), delta)
+        assert same_bits(lens(np.array([0.5]), np.float64(1.0)), lens(np.array([0.5]), 1.0))
 
 
 def test_unit_range_clamps_roundoff_and_rejects_the_rest():

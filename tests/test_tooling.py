@@ -1,6 +1,8 @@
 """Tests that the repository's tooling still fits the package."""
 
 import ast
+import json
+import math
 import types
 from pathlib import Path
 
@@ -55,3 +57,28 @@ def test_stage_timing_rows_run_at_toy_sizes():
     for case in script.POOLED_CASES:
         pooled = script.pooled_row(case, 1.0, 20.0, 1)
         assert pooled["samples"] > 0 and pooled["pooled_s"] > 0.0, pooled
+
+
+def test_report_diff_compares_hand_made_outputs():
+    script = load_script(ROOT / "scripts" / "report_diff.py")
+
+    def report(f_last: float) -> str:
+        entry = {
+            "config": {"case": "mhc-mhc", "delta": 0.5},
+            "sup_distance": 0.01,
+            "within_threshold": True,
+            "empirical": {"pooled_samples": 10, "F_hat": [0.0, 0.5]},
+            "analytic": {"radii": [0.5, 1.0], "F": [0.0, f_last], "abs_error": [0.0, 1e-17]},
+        }
+        return json.dumps({"reports": [entry]}, indent=2)
+
+    same = script.compare((0, report(0.5)), (0, report(0.5)))
+    assert same["identical"] and same["mismatched"] == []
+    assert same["F"] == same["abs_error"] == same["sup_distance"] == 0.0
+    ulp = script.compare((0, report(0.5)), (0, report(math.nextafter(0.5, 1.0))))
+    assert not ulp["identical"] and ulp["mismatched"] == []
+    assert ulp["F"] == math.ulp(0.5) and ulp["abs_error"] == 0.0
+    csv = "r,F,abs_error\n0.5,0.0,0.0\n1.0,0.5,1e-17\n"
+    codes = script.compare((0, csv), (2, ""))
+    assert codes["codes"] == (0, 2) and not codes["identical"]
+    assert codes["mismatched"] == ["exit code", "radii"] and codes["F"] == math.inf
