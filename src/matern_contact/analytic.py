@@ -70,7 +70,8 @@ class ProcessParams:
 
     ``delta = 0`` degenerates to a plain Poisson process (no thinning). A
     ``delta > 0`` must leave pi * delta**2 and lambda_p * pi * delta**2
-    finite normal doubles, which every closed form divides by.
+    finite normal doubles: the closed forms work in delta units and divide
+    by the exposure lambda_p * pi * delta**2.
     """
 
     lambda_p: float
@@ -137,8 +138,8 @@ def pair_retention(r: np.ndarray, lam: float) -> np.ndarray:
     :func:`mhc_retention`, the first-order mhc-mhc profile."""
 
     def active(r):
-        l1 = lens_symmetric(r, 1.0)
-        l2 = lens_asymmetric(r, 1.0)
+        l1 = lens_symmetric(r)
+        l2 = lens_asymmetric(r)
         # on r > 1, l1 <= l2 < pi, so this bounds all four denominators
         # below; the lens areas cancel at r >> 1 and can break it
         if not np.all(math.pi - l2 > 1e-14 * math.pi):
@@ -157,21 +158,16 @@ def pair_retention(r: np.ndarray, lam: float) -> np.ndarray:
     return piecewise(r > 1.0, active, r)
 
 
-def _void_lens(r: np.ndarray) -> np.ndarray:
-    """lens_asymmetric(r, 1), and 0 at r = 0, where it is undefined."""
-    return piecewise(r > 0.0, lambda x: lens_asymmetric(x, 1.0), r)
-
-
 def retention_ppp_to_mhc(r: np.ndarray, lam: float) -> np.ndarray:
     """Conditional retention probability of a candidate at distance ``r`` from
     an independent observer whose ball of radius ``r`` is void of parent
     points. Tends to the unconditional retention probability as r -> 0."""
-    return expm1_ratio(lam * (math.pi - _void_lens(r)))
+    return expm1_ratio(lam * (math.pi - lens_asymmetric(r)))
 
 
 def _pair_free(l1: np.ndarray, lam: float) -> np.ndarray:
     """Matern II two-point retention k(r) for r > 1, from the shared lens
-    area ``l1`` = lens_symmetric(r, 1): the probability that two parent
+    area ``l1`` = lens_symmetric(r): the probability that two parent
     points at distance r both survive thinning, with no void conditioning.
     k(r) is 0 for r <= 1 and mhc_retention**2 once the competition disks
     separate (r > 2, l1 = 0)."""
@@ -237,12 +233,12 @@ def cmhc_pair_retention(s: np.ndarray, lam: float) -> np.ndarray:
     distance 1 of a third parent o, survive thinning while o competes with
     each: 2 * (W(a) - W(a + b)) / b with W the rival-mark average
     (c - 1 + exp(-c)) / c**2, a = lam * pi and
-    b = lam * (pi - lens_symmetric(s, 1)). Exactly 0 for s <= 1, where the
+    b = lam * (pi - lens_symmetric(s)). Exactly 0 for s <= 1, where the
     two points compete with each other."""
     a = lam * math.pi
 
     def active(s):
-        b = lam * (math.pi - lens_symmetric(s, 1.0))
+        b = lam * (math.pi - lens_symmetric(s))
         return 2.0 * _quotient(_below_rival, _W_SERIES, a, b, 1.0)
 
     return piecewise(s > 1.0, active, s)
@@ -256,7 +252,7 @@ def _removed_pair_correlation(u: np.ndarray, lam: float) -> np.ndarray:
     a = lam * math.pi
 
     def near(u):
-        b = lam * (math.pi - lens_symmetric(u, 1.0))
+        b = lam * (math.pi - lens_symmetric(u))
         z = a + b
         diff = p - 2.0 * (expm1_ratio(a) - expm1_ratio(z)) / b
         small = z <= 1.0
@@ -516,7 +512,7 @@ def _moment_density(rho: np.ndarray, lam: float) -> np.ndarray:
         half = 0.5 * np.sqrt(2.0 * rho - 1.0)
         v = half[:, None] * (1.0 + _MOMENT_X)
         s = 2.0 * rho[:, None] - v * v
-        # d/drho lens_symmetric(s, rho) = 4 rho arccos(s / (2 rho))
+        # d/drho rho**2 lens_symmetric(s / rho) = 4 rho arccos(s / (2 rho))
         arc = np.arccos(np.minimum(s / (2.0 * rho[:, None]), 1.0))
         weight = scale * 2.0 * v * TWO_PI * s * cmhc_pair_retention(s, lam)
         return 0.5 * half * _weighted_rows(weight * 4.0 * rho[:, None] * arc, _MOMENT_W)
@@ -550,7 +546,7 @@ def _eta_ppp_to_mhc(r: np.ndarray, lam: float, tables: dict[str, _Table]):
     """p * exp(H0(r) - H0(r_e)): pair correlation 1, and the void ratio from
     the first-order hazard H0 over the part of the ball that the candidate's
     own disk does not already keep free of survivors (area pi * r_e**2)."""
-    r_e = np.sqrt(np.maximum(r * r - _void_lens(r) / math.pi, 0.0))
+    r_e = np.sqrt(np.maximum(r * r - lens_asymmetric(r) / math.pi, 0.0))
     dh, dh_err = tables["h0"].integral(r, r_e)
     eta = expm1_ratio(lam * math.pi) * np.exp(dh)
     return eta, eta * dh_err
@@ -566,8 +562,8 @@ def _eta_mhc_to_mhc(r: np.ndarray, lam: float, tables: dict[str, _Table]):
     if not np.any(active):  # speed guard
         return eta, err
     ra = r[active]
-    l1 = lens_symmetric(ra, 1.0)
-    l2 = lens_asymmetric(ra, 1.0)
+    l1 = lens_symmetric(ra)
+    l2 = lens_asymmetric(ra)
     r_e = np.sqrt(np.maximum(ra * ra - (l2 - l1) / math.pi, 1.0))
     dh, dh_err = tables["h0"].integral(ra, r_e)
     eta[active] = _pair_free(l1, lam) / expm1_ratio(lam * math.pi) * np.exp(dh)
@@ -584,8 +580,9 @@ def _removed_cdf(rho: np.ndarray, moment: _Table):
     F = E[N] - E[N(N-1)]/2 up to the rare triples. The second factorial
     moment m2 is the pair density lam**2 * cmhc_pair_retention / (1 - p)
     integrated over point pairs in the ball: over their distance s in
-    (1, 2 rho) with weight 2 pi s * lens_symmetric(s, rho). ``moment``
-    tabulates m2'(rho) / 2 (:func:`_moment_density`).
+    (1, 2 rho) with weight 2 pi s * rho**2 lens_symmetric(s / rho), the lens
+    of two disks of radius rho. ``moment`` tabulates m2'(rho) / 2
+    (:func:`_moment_density`).
     """
     half_m2, err = moment.integral(rho)
     # the void factored so that it keeps full relative precision as rho -> 1
@@ -620,7 +617,7 @@ def _eta_cmhc_to_mhc(r: np.ndarray, lam: float, tables: dict[str, _Table]):
     outer = ~inner
     if np.any(outer):  # speed guard
         ro = r[outer]
-        r_e = np.sqrt(np.maximum(ro * ro - lens_asymmetric(ro, 1.0) / math.pi, 0.0))
+        r_e = np.sqrt(np.maximum(ro * ro - lens_asymmetric(ro) / math.pi, 0.0))
         dh = np.zeros(ro.shape)
         dh_err = np.zeros(ro.shape)
         back = r_e < 1.0
@@ -786,14 +783,21 @@ class CdfCurve:
 
 # The radii, in delta units, where eta is not smooth in any case: the lens
 # breakpoints 1/2, 1 and 2, and the radii whose r_e reaches them, where
-# r_e**2 = r**2 - lens_asymmetric(r, 1) / pi and H0(r_e) changes form
+# r_e**2 = r**2 - lens_asymmetric(r) / pi and H0(r_e) changes form
 _KINKS = (0.5, 0.7793057626307204, 1.0, 1.186981892266404, 2.0, 2.1093627037391927)
 
-# Dense mhc-mhc and ppp-mhc curves saturate: the curves at exposures 1e4 to
+# Dense curves saturate, so each case reads the curve at its saturation
+# exposure beyond it. mhc-mhc and ppp-mhc: the curves at exposures 1e4 to
 # 1e150 lie within 2.2e-16 of the exposure-60 curve (50 is 5.6e-15 away), and
-# near 3e200 the mhc-mhc closed forms lose every digit and F reads 0. So both
-# read the exposure-60 curve beyond it; cmhc-mhc does not saturate.
-_SATURATED_EXPOSURE = 60.0
+# near 3e200 the mhc-mhc closed forms lose every digit and F reads 0.
+# cmhc-mhc approaches its limit as ~0.133 / exposure: every curve from 1e16
+# to 1e150 lies within 1.2e-16 of the exposure-1e150 curve, and from 1e154
+# the rival-mark average overflows.
+_SATURATED_EXPOSURE = {
+    ContactCase.MHC_TO_MHC: 60.0,
+    ContactCase.PPP_TO_MHC: 60.0,
+    ContactCase.CMHC_TO_MHC: 1e16,
+}
 
 # The largest r / delta a curve is read at: beyond it, the doubling table
 # panels and the squares of their radii leave the range of doubles. Default
@@ -807,7 +811,7 @@ class _Hazard:
     A Poisson curve has no delta to scale by: H = lambda_p pi r**2, with error
     estimate 0. Any other is H(r) = H1(r / delta), from one table of the
     hazard density 2 pi u lam eta1(u) of eta's delta-unit twin (at exposure
-    _SATURATED_EXPOSURE for dense mhc-mhc and ppp-mhc), grown out to the
+    _SATURATED_EXPOSURE of its case for dense curves), grown out to the
     largest radius read. It starts at the twin's lower support, with edges at
     the kinks above it and the midpoints between them, so that every
     top-level panel runs in sqrt(|u - c|) about its singular end c. A removed
@@ -820,9 +824,9 @@ class _Hazard:
         unit = eta._unit
         if unit is None:
             return
-        dense = unit.params.lambda_p * math.pi > _SATURATED_EXPOSURE
-        if dense and eta.case is not ContactCase.CMHC_TO_MHC:
-            unit = RetentionFunction(eta.case, ProcessParams(_SATURATED_EXPOSURE / math.pi, 1.0))
+        saturated = _SATURATED_EXPOSURE[eta.case]
+        if unit.params.lambda_p * math.pi > saturated:
+            unit = RetentionFunction(eta.case, ProcessParams(saturated / math.pi, 1.0))
         lam = unit.params.lambda_p
         self._moment = unit._tables.get("moment")
         self._start = 1.0 if self._moment is not None else unit.lower_support

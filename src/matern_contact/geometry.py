@@ -1,10 +1,12 @@
-"""Closed-form areas of planar two-disk intersections (lenses).
+"""Closed-form areas of planar two-disk intersections (lenses), for unit disks.
 
 Every conditional retention probability in this package reduces to the area
 cut out of a competition disk by a void region, so two lens shapes carry all
 of the geometry: the equal-radius lens between two hard-core disks, and the
-mixed-radius lens between a void ball of radius r and a competition disk of
-radius delta whose centre sits on the void ball's boundary.
+mixed-radius lens between a void ball of radius r and a competition disk
+whose centre sits on the void ball's boundary. Both take radii in units of
+the hard-core distance delta, so the competition disks have radius 1; a
+caller at a general delta passes r / delta and scales the area by delta**2.
 """
 
 from __future__ import annotations
@@ -15,38 +17,17 @@ __all__ = ["DomainError", "lens_symmetric", "lens_asymmetric"]
 
 FloatOrArray = float | np.ndarray
 
-# arccos arguments may overshoot +/-1 by a few ulp at branch boundaries;
-# anything beyond this slack is a genuine domain violation, not roundoff.
-_ACOS_SLACK = 4.0 * np.finfo(float).eps
-
 
 class DomainError(ValueError):
-    """Raised for non-finite or non-positive geometric inputs."""
+    """Raised for negative or non-finite geometric inputs."""
 
 
-def _validated(name: str, value: FloatOrArray) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
+def _validated(r: FloatOrArray) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(r, dtype=float))
     # NaN fails both comparisons
-    if arr.size and not (arr.min() > 0.0 and arr.max() < np.inf):
-        raise DomainError(f"{name} must be finite and positive, got {value!r}")
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < np.inf):
+        raise DomainError(f"r must be finite and non-negative, got {r!r}")
     return arr
-
-
-def _operands(r: FloatOrArray, delta: float) -> tuple[np.ndarray, float]:
-    """Validated radius array and scalar delta."""
-    if np.ndim(delta) != 0:
-        raise DomainError(f"delta must be a scalar, got shape {np.shape(delta)}")
-    return _validated("r", r), float(_validated("delta", delta)[0])
-
-
-def _check_unit_range(x: np.ndarray) -> np.ndarray:
-    """x, clamped to [-1, 1] when roundoff took it out by at most _ACOS_SLACK."""
-    if not x.size:
-        return x
-    excess = max(float(x.max()), -float(x.min())) - 1.0
-    if excess > _ACOS_SLACK:
-        raise DomainError(f"inverse-trig argument outside [-1, 1] by {excess:.3e}")
-    return x if excess <= 0.0 else np.minimum(np.maximum(x, -1.0), 1.0)
 
 
 def piecewise(mask: np.ndarray, fn, *args, other=None) -> np.ndarray:
@@ -65,58 +46,60 @@ def piecewise(mask: np.ndarray, fn, *args, other=None) -> np.ndarray:
     return out
 
 
-def _symmetric(r: np.ndarray, d: float) -> np.ndarray:
-    # factored root (2d - r)(2d + r) = 4 d**2 - r**2 avoids cancellation at the
+# The arccos and arcsin arguments below, r / 2 on 0 <= r <= 2 and 1 / (2 r)
+# on r >= 1/2, lie in [0, 1] in floating point too: halving is exact, and a
+# correctly rounded 1 / x with x >= 1 is at most 1.
+
+
+def _symmetric(r: np.ndarray) -> np.ndarray:
+    # factored root (2 - r)(2 + r) = 4 - r**2 avoids cancellation at the
     # vanishing-lens boundary
-    root = np.sqrt(np.maximum((2.0 * d - r) * (2.0 * d + r), 0.0))
-    return 2.0 * d**2 * np.arccos(_check_unit_range(r / (2.0 * d))) - 0.5 * r * root
+    root = np.sqrt(np.maximum((2.0 - r) * (2.0 + r), 0.0))
+    return 2.0 * np.arccos(r / 2.0) - 0.5 * r * root
 
 
-def _two_arc(r: np.ndarray, d: float) -> np.ndarray:
-    """2 r**2 arcsin(q) + d**2 arccos(q) - d/2 sqrt((2r - d)(2r + d)), q = d/(2r),
+def _two_arc(r: np.ndarray) -> np.ndarray:
+    """2 r**2 arcsin(q) + arccos(q) - sqrt((2r - 1)(2r + 1)) / 2, q = 1/(2r),
     in place and in the order written: one ratio feeds both arcs."""
-    # arccos(1 - d**2/(2 r**2)) == 2 arcsin(d/(2 r)); the arcsin form stays
-    # well-conditioned when r >> delta
+    # arccos(1 - 1/(2 r**2)) == 2 arcsin(1/(2 r)); the arcsin form stays
+    # well-conditioned when r >> 1
     two_r = 2.0 * r
-    q = _check_unit_range(d / two_r)
-    root = two_r - d
-    two_r += d
+    q = 1.0 / two_r
+    root = two_r - 1.0
+    two_r += 1.0
     root *= two_r
     np.sqrt(np.maximum(root, 0.0, out=root), out=root)
     area = np.square(r)
     area *= 2.0
     arc = np.arcsin(q)
     area *= arc
-    arc = np.arccos(q, out=arc)
-    arc *= d**2
-    area += arc
-    root *= 0.5 * d
+    area += np.arccos(q, out=arc)
+    root *= 0.5
     area -= root
     return area
 
 
-def lens_symmetric(r: FloatOrArray, delta: float) -> FloatOrArray:
-    """Intersection area of two disks of radius ``delta`` with centres ``r`` apart.
+def lens_symmetric(r: FloatOrArray) -> FloatOrArray:
+    """Intersection area of two unit disks with centres ``r`` apart.
 
-    Exactly zero once the disks separate (r > 2*delta); tends to the full disk
-    area pi*delta**2 as r -> 0.
+    Exactly zero once the disks separate (r > 2); the full disk area pi at
+    r = 0.
     """
     scalar = np.ndim(r) == 0
-    r_arr, d = _operands(r, delta)
-    area = piecewise(r_arr <= 2.0 * d, _symmetric, r_arr, d)
+    r_arr = _validated(r)
+    area = piecewise(r_arr <= 2.0, _symmetric, r_arr)
     return float(area[0]) if scalar else area
 
 
-def lens_asymmetric(r: FloatOrArray, delta: float) -> FloatOrArray:
-    """Intersection area of a disk of radius ``r`` and a disk of radius ``delta``
-    whose centre lies on the first disk's boundary (centres ``r`` apart).
+def lens_asymmetric(r: FloatOrArray) -> FloatOrArray:
+    """Intersection area of a disk of radius ``r`` and a unit disk whose
+    centre lies on the first disk's boundary (centres ``r`` apart).
 
-    Equals the full pi*r**2 while the radius-r disk is contained
-    (r < delta/2) and approaches half the delta-disk, pi*delta**2/2, as
-    r grows and the big boundary straightens through the small disk's centre.
+    Equals the full pi*r**2 while the radius-r disk is contained (r < 1/2),
+    so 0 at r = 0, and approaches half the unit disk, pi/2, as r grows and
+    the big boundary straightens through the small disk's centre.
     """
     scalar = np.ndim(r) == 0
-    r_arr, d = _operands(r, delta)
-    contained = r_arr < 0.5 * d
-    area = piecewise(contained, lambda r, d: np.pi * r**2, r_arr, d, other=_two_arc)
+    r_arr = _validated(r)
+    area = piecewise(r_arr < 0.5, lambda r: np.pi * r**2, r_arr, other=_two_arc)
     return float(area[0]) if scalar else area

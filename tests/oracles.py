@@ -381,8 +381,8 @@ def _removed_contact(rho: np.ndarray, lam: float):
         a = lam * math.pi
         scale = lam * lam / (a * analytic._below_rival(a))
         weight = scale * 2.0 * v * analytic.TWO_PI * s * analytic.cmhc_pair_retention(s, lam)
-        # lens_symmetric(s, rho) = rho**2 lens_symmetric(s / rho, 1)
-        lens = rp[:, None] ** 2 * analytic.lens_symmetric(s / rp[:, None], 1.0)
+        # the lens of two disks of radius rho at distance s
+        lens = rp[:, None] ** 2 * analytic.lens_symmetric(s / rp[:, None])
         m2, m2_err = _INNER.integral(weight * lens, half)
         arc = np.arccos(np.minimum(s / (2.0 * rp[:, None]), 1.0))
         dm2, dm2_err = _INNER.integral(weight * 4.0 * rp[:, None] * arc, half)
@@ -403,7 +403,7 @@ def per_node_eta(case, params: ProcessParams, r: np.ndarray) -> tuple[np.ndarray
     p = analytic.expm1_ratio(lam * math.pi)
     r = np.asarray(r, dtype=float) / params.delta
     if case is analytic.ContactCase.PPP_TO_MHC:
-        r_e = np.sqrt(np.maximum(r * r - analytic._void_lens(r) / math.pi, 0.0))
+        r_e = np.sqrt(np.maximum(r * r - analytic.lens_asymmetric(r) / math.pi, 0.0))
         dh, dh_err = _split_integral(
             lambda u: analytic.TWO_PI * lam * u * analytic.retention_ppp_to_mhc(u, lam),
             r_e, r, 0.5, True,
@@ -415,8 +415,8 @@ def per_node_eta(case, params: ProcessParams, r: np.ndarray) -> tuple[np.ndarray
     if case is analytic.ContactCase.MHC_TO_MHC:
         active = r > 1.0
         ra = r[active]
-        l1 = analytic.lens_symmetric(ra, 1.0)
-        l2 = analytic.lens_asymmetric(ra, 1.0)
+        l1 = analytic.lens_symmetric(ra)
+        l2 = analytic.lens_asymmetric(ra)
         r_e = np.sqrt(np.maximum(ra * ra - (l2 - l1) / math.pi, 1.0))
         dh, dh_err = _split_integral(
             lambda u: analytic.TWO_PI * lam * u * (analytic.pair_retention(u, lam) / p),
@@ -439,7 +439,7 @@ def per_node_eta(case, params: ProcessParams, r: np.ndarray) -> tuple[np.ndarray
     err[inner] = eta[inner] * (fp_rel + void_err / void)
     outer = ~inner
     ro = r[outer]
-    r_e = np.sqrt(np.maximum(ro * ro - analytic.lens_asymmetric(ro, 1.0) / math.pi, 0.0))
+    r_e = np.sqrt(np.maximum(ro * ro - analytic.lens_asymmetric(ro) / math.pi, 0.0))
     void_d, _, void_d_err, _ = _removed_contact(np.array([1.0]), lam)
     h_delta, h_delta_err = float(-np.log(void_d[0])), float(void_d_err[0] / void_d[0])
     dh = np.zeros(ro.shape)

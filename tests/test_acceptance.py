@@ -178,8 +178,9 @@ def test_criterion_10_lens_area_oracles():
     for _ in range(200):
         delta = float(rng.uniform(0.3, 2.5))
         r = float(rng.uniform(1e-3, 4.0)) * delta
-        sym = lens_symmetric(r, delta)
-        asym = lens_asymmetric(r, delta)
+        # a lens between disks of radius delta is delta**2 times the unit lens
+        sym = delta * delta * lens_symmetric(r / delta)
+        asym = delta * delta * lens_asymmetric(r / delta)
         worst_raster = max(
             worst_raster,
             abs(sym - lens_area_raster(r, delta, delta, cells=2400)),
@@ -200,8 +201,8 @@ def test_criterion_10_lens_area_oracles():
         contained = math.pi * half * half
         worst_continuity = max(
             worst_continuity,
-            abs(lens_asymmetric(half, delta) - contained) / contained,
-            lens_symmetric(2.0 * delta, delta) / (math.pi * delta * delta),
+            abs(delta * delta * lens_asymmetric(half / delta) - contained) / contained,
+            delta * delta * lens_symmetric(2.0 * delta / delta) / (math.pi * delta * delta),
         )
     report(10, "lens areas vs rasterisation, generic formula, and branch continuity",
            worst_raster < 1e-3 and worst_generic < 1e-12 and worst_continuity < 1e-12,

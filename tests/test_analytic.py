@@ -20,7 +20,6 @@ from matern_contact.analytic import (
     RetentionFunction,
     _pair_free,
     _removed_pair_correlation,
-    _void_lens,
     cmhc_pair_retention,
     contact_cdf,
     default_r_grid,
@@ -157,7 +156,7 @@ class TestRetentionProfiles:
         assert np.array_equal((pair_retention(r, 1.0) / mhc_retention(P11))[:2], [0.0, 0.0])
         eta = RetentionFunction(ContactCase.MHC_TO_MHC, P11)(r)
         assert np.array_equal(eta[:2], [0.0, 0.0])
-        ratio = _pair_free(lens_symmetric(r[2:], 1.0), 1.0)[0] / mhc_retention(P11)
+        ratio = _pair_free(lens_symmetric(r[2:]), 1.0)[0] / mhc_retention(P11)
         assert eta[2] == pytest.approx(ratio, rel=1e-9)
 
     def test_ppp_small_r_limit_is_retention(self):
@@ -166,7 +165,7 @@ class TestRetentionProfiles:
         )
 
     def test_ppp_unit_value_against_oracle(self):
-        l2 = lens_asymmetric(1.0, 1.0)
+        l2 = lens_asymmetric(1.0)
         oracle = mark_integral_oracle(math.pi - l2)
         value = retention_ppp_to_mhc(np.array([1.0]), 1.0)[0]
         assert value == pytest.approx(oracle, rel=1e-12)
@@ -237,7 +236,7 @@ def test_single_branch_arrays_match_mixed_ones():
     kernels = [
         # (kernel, elements on the computed branch, elements on the other)
         (lambda r: pair_retention(r, lam), np.linspace(1.0002, 6.0, 41), [0.0, 0.4, 1.0]),
-        (_void_lens, np.linspace(0.02, 6.0, 41), [0.0]),
+        (lens_asymmetric, np.linspace(0.02, 6.0, 41), [0.0, 0.2]),
         (lambda s: cmhc_pair_retention(s, lam), np.linspace(1.0002, 2.0, 41), [0.6, 1.0]),
         (lambda u: _removed_pair_correlation(u, lam), np.linspace(1.0002, 1.998, 41), [2.0, 5.0]),
     ]
@@ -290,7 +289,7 @@ class TestSparseProcesses:
         # k cancels unless it is summed from its series at small exposure
         for a in self.EXPOSURES:
             lam = a / math.pi
-            k = _pair_free(lens_symmetric(np.array([2.0 + 1e-9, 3.0, 1e3]), 1.0), lam)
+            k = _pair_free(lens_symmetric(np.array([2.0 + 1e-9, 3.0, 1e3])), lam)
             assert np.max(np.abs(k / expm1_ratio(lam * math.pi) ** 2 - 1.0)) <= 1e-14, a
 
 
@@ -303,7 +302,7 @@ class TestPairCorrelationTerms:
         for ratio in (1.01, 1.1, 1.5, 1.99, 2.5):
             for delta in (0.25, 1.0, 2.0):
                 for lam in (0.5, 1.0, 4.0):
-                    l1 = lens_symmetric(np.array([ratio]), 1.0)
+                    l1 = lens_symmetric(np.array([ratio]))
                     closed = _pair_free(l1, lam * delta * delta)[0]
                     oracle = pair_survival_quadrature(ratio * delta, lam, delta)
                     worst = max(worst, abs(closed - oracle))
@@ -312,7 +311,7 @@ class TestPairCorrelationTerms:
     def test_unconditional_pair_retention_limits(self):
         # k = p**2 once the competition disks separate and share no lens
         p = ProcessParams(1.5, 0.8)
-        l1 = lens_symmetric(np.array([1.7 / 0.8]), 1.0)
+        l1 = lens_symmetric(np.array([1.7 / 0.8]))
         assert l1[0] == 0.0
         k = _pair_free(l1, 1.5 * 0.8 * 0.8)[0]
         assert k == pytest.approx(mhc_retention(p) ** 2, rel=1e-14)
@@ -508,14 +507,14 @@ CURVED = (ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC, ContactCase.CMHC_TO_MH
 
 def r_e_preimage(c: float) -> float:
     """The radius rho > delta/2, in delta units, at which
-    r_e(rho)**2 = rho**2 - lens_asymmetric(rho, 1) / pi reaches c**2, by
+    r_e(rho)**2 = rho**2 - lens_asymmetric(rho) / pi reaches c**2, by
     bisection until the bracket is one ulp wide."""
     lo, hi = 0.5, 4.0
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return mid
-        if mid * mid - lens_asymmetric(mid, 1.0) / math.pi < c * c:
+        if mid * mid - lens_asymmetric(mid) / math.pi < c * c:
             lo = mid
         else:
             hi = mid
@@ -567,7 +566,7 @@ class TestHazardTable:
         # delta, so its preimage of 2 delta is the same
         rho = KINKS[-1]
         r_e_squared = rho * rho - (
-            lens_asymmetric(rho, 1.0) - lens_symmetric(rho, 1.0)
+            lens_asymmetric(rho) - lens_symmetric(rho)
         ) / math.pi
         assert r_e_squared == pytest.approx(4.0, rel=1e-14)
 
@@ -676,17 +675,26 @@ class TestDeltaUnits:
         assert main(argv + ["--format", "json"]) == 0
         printed = json.loads(capsys.readouterr().out)
         radii = np.array(printed["radii"])
-        saturated = ProcessParams(analytic._SATURATED_EXPOSURE / math.pi, 1.0)
-        curve = contact_cdf(RetentionFunction(ContactCase.MHC_TO_MHC, saturated), radii / 1e100)
+        saturated = {
+            case: ProcessParams(exposure / math.pi, 1.0)
+            for case, exposure in analytic._SATURATED_EXPOSURE.items()
+        }
+        unit = RetentionFunction(ContactCase.MHC_TO_MHC, saturated[ContactCase.MHC_TO_MHC])
+        curve = contact_cdf(unit, radii / 1e100)
         assert printed["F"] == curve.values.tolist()
         assert printed["F"][1:] == [1.0, 1.0]
         # the clamp against direct evaluation at two larger exposures
-        for case in (ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC):
-            rho = np.linspace(RetentionFunction(case, saturated).lower_support, 6.0, 2000)
-            clamped = contact_cdf(RetentionFunction(case, saturated), rho).values
+        for case, exposures in (
+            (ContactCase.MHC_TO_MHC, (1e4, 1e8)),
+            (ContactCase.PPP_TO_MHC, (1e4, 1e8)),
+            (ContactCase.CMHC_TO_MHC, (1e30, 1e100)),
+        ):
+            unit = RetentionFunction(case, saturated[case])
+            rho = np.linspace(unit.lower_support, 6.0, 2000)
+            clamped = contact_cdf(unit, rho).values
             with monkeypatch.context() as patch:
-                patch.setattr(analytic, "_SATURATED_EXPOSURE", math.inf)
-                for a in (1e4, 1e8):
+                patch.setattr(analytic, "_SATURATED_EXPOSURE", dict.fromkeys(ContactCase, math.inf))
+                for a in exposures:
                     eta = RetentionFunction(case, ProcessParams(a / math.pi, 1.0))
                     gap = np.max(np.abs(contact_cdf(eta, rho).values - clamped))
                     assert gap <= np.finfo(float).eps, (case, a, gap)

@@ -473,6 +473,8 @@ def test_compare_with_rmin_above_the_smallest_distance(capsys, case, delta, rmin
         ["analytic", "--case", "ppp-mhc", "--points", "3", "--delta", "1e-153"],
         ["compare", "--case", "mhc-mhc", "--delta", "1e-160", "--window", "20",
          "--reps", "1", "--points", "3"],
+        # the rival-mark average overflows from exposure 1e154
+        ["analytic", "--case", "cmhc-mhc", "--points", "3", "--delta", "1e100"],
     ],
 )
 def test_extreme_lambda_and_delta_exit_without_a_traceback(capsys, argv):
