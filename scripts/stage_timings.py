@@ -30,8 +30,8 @@ replications of mhc-mhc and ppp-mhc at lambda_p = 1 on the side-100 torus,
 delta 0.5 and 1: every stage above, replication after replication, as
 ``compare`` runs them. Rows hold the median and quartiles of
 ``POOLED_REPEATS`` calls; CPU above wall means a second core worked, in
-scipy's query threads or in a replication's search overlapping the next
-replication's draw.
+scipy's query threads or in two replications running at once, on the calling
+thread and the lane.
 Writes ``BENCH_<label>.json`` and prints one line per row:
 
     PYTHONPATH=src python scripts/stage_timings.py --label after

@@ -844,7 +844,10 @@ class _Hazard:
 
     def __call__(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self._table is None:
-            return math.pi * self._params.lambda_p * radii * radii, np.zeros(radii.shape)
+            # an overflow to inf is exact: F = 1 there, with error 0
+            with np.errstate(over="ignore"):
+                hazard = math.pi * self._params.lambda_p * radii * radii
+            return hazard, np.zeros(radii.shape)
         rho = radii / self._params.delta
         if rho.size and rho.max() > _MAX_RHO:
             raise ValueError(f"r / delta = {rho.max():.3g} is beyond the model's {_MAX_RHO:g}")

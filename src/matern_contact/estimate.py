@@ -2,16 +2,18 @@
 Monte-Carlo comparison pipeline.
 
 Nearest-neighbour distances on the torus come from scipy's periodic k-d tree,
-queried on every core (on one off the main thread), and equal a brute-force
-minimum-image scan bit for bit whatever the core count. They keep the
-pattern's (spatial) point order.
+queried on every core unless :func:`pooled_distances` has set the thread to
+one, and equal a brute-force minimum-image scan bit for bit whatever the core
+count. They keep the pattern's (spatial) point order.
 
 :func:`replication_patterns` is the one recipe for the patterns of a
 replication: the seeds of ``SEED_SCHEME`` and the thinning each case calls
-for. :func:`pooled_distances` and the command line's ``density`` both use it;
-the former overlaps each replication's NN search with the next one's thinning
-on one helper thread, which also takes the odd row bands of replication 0's
-thinning.
+for. :func:`pooled_distances` and the command line's ``density`` both use it.
+The former runs two or more replications on two workers, the calling thread
+and one helper thread (the lane), each taking whole replications in turn;
+:func:`run_experiment` hands it the analytic curve as one more task. A single
+replication runs on the calling thread, with the lane taking the odd row
+bands of its thinning.
 Wall-clock times stay out of everything here, so that reports of the same
 config and seed are byte-identical.
 
@@ -103,10 +105,15 @@ def empirical_cdf(samples) -> EmpiricalDistribution:
     return EmpiricalDistribution(arr)
 
 
+# the NN query threads of the thread that runs a replication; only
+# pooled_distances sets them
+_query_threads = threading.local()
+
+
 def _query_workers() -> int:
-    """scipy query threads: every core on the main thread, else one, as on
-    :func:`pooled_distances`' lane while the caller thins the next pattern."""
-    return -1 if threading.current_thread() is threading.main_thread() else 1
+    """scipy query threads: every core, unless :func:`pooled_distances` has
+    set this thread to one while the other thread runs a replication too."""
+    return getattr(_query_threads, "workers", -1)
 
 
 # The first NN query of a point searches out to this many mean target
@@ -366,61 +373,113 @@ def pooled_distances(
     """Generate the patterns each case calls for and pool their
     nearest-neighbour distances across replications, in replication order.
 
-    While the calling thread draws and thins replication r + 1, replication
-    r's NN search runs on the lane, one helper thread living for this call.
-    The last replication runs on the calling thread: nothing is left to
-    overlap it with. Replication 0 is thinned while the lane is still idle,
-    so the lane takes the odd row bands of its large patterns
-    (:func:`thin_mhc_type2`); later replications are thinned on the calling
-    thread alone. So a single replication starts a thread only when one of
-    its patterns has two or more bands.
+    Two or more replications run on two workers: the calling thread and the
+    lane, one helper thread living for this call. Each worker takes the next
+    whole replication (draw, thin, search) until none is left. A replication
+    queries on one core, as the other worker is busy too; the last one
+    queries on every core. A single replication runs on the calling thread,
+    which queries on every core, while the lane takes the odd row bands of
+    its large patterns (:func:`thin_mhc_type2`). So it starts a thread only
+    when one of its patterns has two or more bands.
 
     ``on_pattern`` receives every generated pattern (replication index, role,
     pattern) on the calling thread, in replication order, after that
-    replication's distances — used for optional pattern dumps. A replication
-    with too few points raises :class:`InsufficientDataError` naming its index.
+    replication's distances — used for optional pattern dumps. A pattern is
+    kept only until the sink has it. A replication with too few points raises
+    :class:`InsufficientDataError` naming its index; of several, the lowest,
+    once every replication below it has reached the sink.
     """
+    return _pooled(config, on_pattern)[0]
 
-    def distances(rep: int, patterns: dict[str, MarkedPattern]) -> np.ndarray:
+
+def _pooled(
+    config: ExperimentConfig,
+    on_pattern: PatternSink | None,
+    then: Callable[[], object] | None = None,
+) -> tuple[EmpiricalDistribution, object]:
+    """:func:`pooled_distances`, and the result of ``then``, run as one more
+    task after the last replication by whichever worker is free first. The
+    first failing task, in task order, is raised; ``then`` fails last."""
+    reps = config.replications
+    tasks = iter(range(reps + (then is not None)))
+    take = threading.Lock()
+    results: list = [None] * (reps + 1)  # each replication's distances, then then()'s result
+    failed: dict[int, Exception] = {}
+    kept: list[dict[str, MarkedPattern] | None] = [None] * reps  # until the sink has them
+    sunk = 0
+    halted = False
+
+    def replication(rep: int) -> None:
+        _query_threads.workers = -1 if rep + 1 == reps else 1
         try:
-            return _case_distances(config.case, patterns)
-        except InsufficientDataError as exc:
-            raise InsufficientDataError(f"replication {rep} failed: {exc}") from exc
-
-    chunks: list[np.ndarray] = []
-
-    def pool(rep: int, patterns: dict[str, MarkedPattern], chunk: np.ndarray) -> None:
-        chunks.append(chunk)
+            # a single replication is all the caller runs: the lane helps thin it
+            patterns = replication_patterns(config, rep, lane if reps == 1 else None)
+            try:
+                results[rep] = _case_distances(config.case, patterns)
+            except InsufficientDataError as exc:
+                raise InsufficientDataError(f"replication {rep} failed: {exc}") from exc
+        finally:
+            del _query_threads.workers
         if on_pattern is not None:
-            for role, pattern in patterns.items():
-                on_pattern(rep, role, pattern)
+            kept[rep] = patterns
+
+    def sink() -> None:
+        nonlocal sunk
+        while sunk < reps and kept[sunk] is not None:
+            for role, pattern in kept[sunk].items():
+                on_pattern(sunk, role, pattern)
+            kept[sunk] = None
+            sunk += 1
+
+    def work(caller: bool) -> None:
+        # every task below a failed one has been taken, so stopping here
+        # still finds the first failure
+        while not (halted or failed):
+            with take:
+                task = next(tasks, None)
+            if task is None:
+                return
+            try:
+                if task < reps:
+                    replication(task)
+                else:
+                    results[task] = then()
+            except Exception as exc:
+                failed[task] = exc
+                return
+            if caller:
+                sink()
 
     # imported here: concurrent.futures is ~10 ms of the package's import
     # time, and the analytic side never pools
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1) as lane:
-        on_lane = None  # (rep, patterns, future) of the replication on the lane
-        for rep in range(config.replications):
-            # the lane is idle only before replication 0's search is on it
-            patterns = replication_patterns(config, rep, lane if on_lane is None else None)
-            if on_lane is not None:
-                pool(on_lane[0], on_lane[1], on_lane[2].result())
-            if rep + 1 < config.replications:
-                on_lane = rep, patterns, lane.submit(distances, rep, patterns)
-            else:
-                pool(rep, patterns, distances(rep, patterns))
-    return empirical_cdf(np.concatenate(chunks))
+        helper = lane.submit(work, False) if reps > 1 else None
+        try:
+            work(True)
+        finally:
+            halted = True
+        if helper is not None:
+            helper.result()
+    sink()
+    if failed:
+        raise failed[min(failed)]
+    return empirical_cdf(np.concatenate(results[:reps])), results[reps]
 
 
 def run_experiment(
     config: ExperimentConfig, on_pattern: PatternSink | None = None
 ) -> ComparisonReport:
     """Pool nearest-neighbour distances as :func:`pooled_distances` does and
-    compare them against the analytic curve."""
-    emp = pooled_distances(config, on_pattern)
-    eta = RetentionFunction(config.case, config.params)
-    curve = contact_cdf(eta, config.r_grid(), config.abs_tol)
+    compare them against the analytic curve, built as the task after the
+    last replication."""
+
+    def build() -> CdfCurve:
+        eta = RetentionFunction(config.case, config.params)
+        return contact_cdf(eta, config.r_grid(), config.abs_tol)
+
+    emp, curve = _pooled(config, on_pattern, build)
     sup, radius = ks_sup_distance(emp, curve)
     return ComparisonReport(
         config=config, analytic=curve, empirical=emp, sup_distance=sup, sup_radius=radius

@@ -475,6 +475,12 @@ def test_compare_with_rmin_above_the_smallest_distance(capsys, case, delta, rmin
          "--reps", "1", "--points", "3"],
         # the rival-mark average overflows from exposure 1e154
         ["analytic", "--case", "cmhc-mhc", "--points", "3", "--delta", "1e100"],
+        # a Poisson curve's hazard lambda_p pi r**2 overflows; the sup reads
+        # F through it too (threshold 1: one small replication misses 0.01)
+        ["analytic", "--case", "ppp-ppp", "--points", "2", "--rmax", "1e200"],
+        ["analytic", "--case", "ppp-mhc", "--delta", "0", "--points", "2", "--rmax", "1e200"],
+        ["compare", "--case", "ppp-ppp", "--window", "30", "--reps", "1", "--points", "2",
+         "--rmax", "1e200", "--threshold", "1"],
     ],
 )
 def test_extreme_lambda_and_delta_exit_without_a_traceback(capsys, argv):

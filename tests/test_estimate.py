@@ -4,6 +4,7 @@ the experiment pipeline."""
 import json
 import math
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -622,6 +623,30 @@ SPARSE = ExperimentConfig(
 )
 
 
+def record_threads(monkeypatch, on_search=lambda: None):
+    """Lists filled by pooled_distances' calls: (replication, thread ident,
+    query workers) per NN search, and the executor of each thinning call."""
+    searches, executors = [], []
+    thin = estimate.thin_mhc_type2
+
+    def thinning(pattern, delta, executor=None):
+        executors.append(executor)
+        return thin(pattern, delta, executor)
+
+    def searching(search):
+        def recorded(source, *args):
+            searches.append((source.seed[1], threading.get_ident(), estimate._query_workers()))
+            on_search()
+            return search(source, *args)
+
+        return recorded
+
+    monkeypatch.setattr(estimate, "thin_mhc_type2", thinning)
+    for name in ("nn_distances_within", "nn_distances_cross"):
+        monkeypatch.setattr(estimate, name, searching(getattr(estimate, name)))
+    return searches, executors
+
+
 class TestPooledDistances:
     @pytest.mark.parametrize("case", list(ContactCase))
     @pytest.mark.parametrize("reps", [1, 2, 3, 5])
@@ -667,18 +692,53 @@ class TestPooledDistances:
             pooled_distances(config)
         assert str(pooled.value) == str(serial.value)
 
-    def test_the_lane_lives_only_when_a_replication_follows(self):
-        # the lane is alive, idle, while the calling thread pools and sinks
+    def test_a_failure_on_the_other_thread_does_not_hide_an_earlier_one(self, monkeypatch):
+        # replication 4 draws replication 3's too-sparse patterns and fails on
+        # one thread while replication 3 waits on the other; 3 fails after it
+        later_failed = threading.Event()
+        patterns_of, within = estimate.replication_patterns, estimate.nn_distances_within
+
+        def delayed(config, rep, executor=None):
+            if rep == 3:
+                later_failed.wait(timeout=30)
+                time.sleep(0.05)  # while the other thread records its failure
+            return patterns_of(config, 3 if rep == 4 else rep, executor)
+
+        def flagging(pattern, label):
+            try:
+                return within(pattern, label)
+            except InsufficientDataError:
+                later_failed.set()
+                raise
+
+        monkeypatch.setattr(estimate, "replication_patterns", delayed)
+        monkeypatch.setattr(estimate, "nn_distances_within", flagging)
+        with pytest.raises(InsufficientDataError, match="^replication 3 failed:"):
+            pooled_distances(SPARSE)
+        assert later_failed.is_set()
+
+    def test_replications_run_whole_on_the_caller_and_the_lane(self, monkeypatch):
         before = threading.active_count()
+        arrived, both = set(), threading.Barrier(2, timeout=30)
+
+        def meet():  # each thread's first search waits for the other's
+            if threading.get_ident() not in arrived:
+                arrived.add(threading.get_ident())
+                both.wait()
+
+        searches, executors = record_threads(monkeypatch, meet)
         config = ExperimentConfig(ContactCase.PPP_TO_MHC, P11, Window(30.0, 30.0),
-                                  replications=2, seed=15)
-        alive = []
-        pooled_distances(config, lambda rep, role, pat: alive.append(threading.active_count()))
-        assert alive == [before + 1] * 4
-        alive.clear()
-        pooled_distances(replace(config, replications=1),
-                         lambda rep, role, pat: alive.append(threading.active_count()))
-        assert alive == [before] * 2
+                                  replications=4, seed=15)
+        pooled_distances(config)
+        # no thinning call gets the lane: it is busy with its own replications
+        assert executors == [None] * 4
+        idents = {ident for _, ident, _ in searches}
+        assert len(idents) == 2 and threading.get_ident() in idents
+        # one query core each, but for the last replication
+        assert sorted((rep, workers) for rep, _, workers in searches) == [
+            (0, 1), (1, 1), (2, 1), (3, -1)]
+        assert estimate._query_workers() == -1
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("case", list(ContactCase))
     @pytest.mark.parametrize("reps", [1, 3])
@@ -696,31 +756,39 @@ class TestPooledDistances:
         pooled_distances(config)
         assert np.array_equal(pooled[0], serial)
 
-    def test_only_replication_0_thins_on_the_lane(self, monkeypatch):
-        # later replications are thinned while the lane searches the one before
-        executors = []
-        thin = estimate.thin_mhc_type2
-
-        def recording(pattern, delta, executor=None):
-            executors.append(executor)
-            return thin(pattern, delta, executor)
-
-        monkeypatch.setattr(estimate, "thin_mhc_type2", recording)
+    def test_a_single_replication_thins_with_the_lane_and_queries_on_every_core(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(simulate, "BAND_PARENTS", 50)
+        before = threading.active_count()
+        searches, executors = record_threads(monkeypatch)
         config = ExperimentConfig(ContactCase.PPP_TO_MHC, P11, Window(30.0, 30.0),
-                                  replications=3, seed=15)
+                                  replications=1, seed=15)
         pooled_distances(config)
-        assert isinstance(executors[0], ThreadPoolExecutor)
-        assert executors[1:] == [None, None]
+        assert len(executors) == 1 and isinstance(executors[0], ThreadPoolExecutor)
+        assert searches == [(0, threading.get_ident(), -1)]
+        assert threading.active_count() == before
 
     def test_one_banded_replication_starts_the_lane_for_the_call_only(self, monkeypatch):
-        monkeypatch.setattr(simulate, "BAND_PARENTS", 50)
         before = threading.active_count()
         config = ExperimentConfig(ContactCase.PPP_TO_MHC, P11, Window(30.0, 30.0),
                                   replications=1, seed=15)
         alive = []
         pooled_distances(config, lambda rep, role, pat: alive.append(threading.active_count()))
+        assert alive == [before] * 2  # one band per pattern: no thread at all
+        monkeypatch.setattr(simulate, "BAND_PARENTS", 50)
+        alive.clear()
+        pooled_distances(config, lambda rep, role, pat: alive.append(threading.active_count()))
         assert alive == [before + 1] * 2
         assert threading.active_count() == before
+
+    def test_a_failing_replication_is_raised_before_a_failing_curve(self):
+        # r / delta = 1e200 is beyond the model, so the curve task fails too
+        beyond = replace(SPARSE, r_max=1e200)
+        with pytest.raises(InsufficientDataError, match="^replication 3 failed:"):
+            run_experiment(beyond)
+        with pytest.raises(ValueError, match="beyond the model"):
+            run_experiment(replace(beyond, replications=3))
 
     def test_no_thread_outlives_the_call(self):
         before = threading.active_count()
