@@ -8,7 +8,8 @@ whether the two outputs are byte-identical, and the largest differences in
 ``F``, ``abs_error`` and ``sup_distance``. Exits 1 if an exit code,
 ``within_threshold``, a config echo, the radii, ``F_hat``,
 ``pooled_samples`` or a plain-text output (``density``'s table) differs,
-and 0 otherwise.
+and 0 otherwise. The last line sums up every invocation: how many outputs
+are byte-identical, and the largest differences over them all.
 
 The invocations: the benchmark's argvs at seed 11 (read through
 ``perfbench/workloads.py``), the argv of acceptance criterion 11,
@@ -138,22 +139,35 @@ def compare(parent: tuple[int, str], change: tuple[int, str]) -> dict:
     return result
 
 
+def summary(results: list[dict]) -> str:
+    """One line over the results of :func:`compare`: the byte-identical
+    outputs, k of n, and the largest difference of each NUMERIC output."""
+    identical = sum(result["identical"] for result in results)
+    largest = {key: max((result[key] for result in results), default=0.0) for key in NUMERIC}
+    return (
+        f"summary: byte-identical outputs {identical} of {len(results)}, "
+        f"max|dF| {largest['F']:.2e}, max|d abs_error| {largest['abs_error']:.2e}, "
+        f"max|d sup| {largest['sup_distance']:.2e}"
+    )
+
+
 def main(args: list[str]) -> int:
     if len(args) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    failed = False
+    results = []
     print("codes  identical  max|dF|  max|d abs_error|  max|d sup|  mismatched  argv")
     for argv in argvs():
         result = compare(run(args[0], argv), run(args[1], argv))
-        failed = failed or bool(result["mismatched"])
+        results.append(result)
         print(
             f"{result['codes'][0]}/{result['codes'][1]}  {result['identical']!s:9}  "
             f"{result['F']:.2e}  {result['abs_error']:.2e}  {result['sup_distance']:.2e}  "
             f"{','.join(result['mismatched']) or '-'}  {' '.join(argv)}",
             flush=True,
         )
-    return 1 if failed else 0
+    print(summary(results))
+    return 1 if any(result["mismatched"] for result in results) else 0
 
 
 if __name__ == "__main__":

@@ -32,6 +32,14 @@ delta 0.5 and 1: every stage above, replication after replication, as
 ``POOLED_REPEATS`` calls; CPU above wall means a second core worked, in
 scipy's query threads or in two replications running at once, on the calling
 thread and the lane.
+
+The serialisation section times what the command line writes: the CSV of
+an ``analytic`` curve of ``POINTS`` radii (``CdfCurve.to_dict`` and
+``cli._csv``), and the JSON of a ``compare`` report (``to_dict`` and
+``json.dumps`` as ``cli.cmd_compare`` calls it) for mhc-mhc at delta 1 on the
+side-100 torus, ``POOLED_REPS`` replications, the README experiment's size.
+Rows hold the median and quartiles of ``SERIAL_REPEATS`` calls, each on the
+same curve or report, built once before the timing.
 Writes ``BENCH_<label>.json`` and prints one line per row:
 
     PYTHONPATH=src python scripts/stage_timings.py --label after
@@ -65,7 +73,13 @@ from matern_contact import (
     sample_ppp,
     thin_mhc_type2,
 )
-from matern_contact.estimate import empirical_cdf, ks_sup_distance, pooled_distances
+from matern_contact.cli import _csv
+from matern_contact.estimate import (
+    empirical_cdf,
+    ks_sup_distance,
+    pooled_distances,
+    run_experiment,
+)
 from matern_contact.simulate import _band_count
 
 
@@ -82,6 +96,7 @@ POOLED_CASES = (ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC)
 POOLED_REPS = 5
 POOLED_REPEATS = 11
 POOLED_SIDE = 100.0
+SERIAL_REPEATS = 21
 
 
 def best_of(repeats: int, fn, *args):
@@ -189,6 +204,32 @@ def pooled_row(case: ContactCase, delta: float, side: float, repeats: int) -> di
             "seed": SEEDS[0], "samples": emp.n, "repeats": repeats, **times}
 
 
+def serialisation_rows(points: int, side: float, repeats: int) -> list[dict]:
+    """Median and quartiles of the wall and CPU times of ``repeats`` writes
+    of one mhc-mhc curve of ``points`` radii as CSV (``format`` "csv") and
+    of one compare report on a torus of side ``side`` as JSON ("json")."""
+    params = ProcessParams(1.0, 1.0)
+    case = ContactCase.MHC_TO_MHC
+    curve = contact_cdf(RetentionFunction(case, params), default_r_grid(case, params, points), TOL)
+
+    def write_csv() -> str:
+        table = curve.to_dict()
+        return _csv("r,F,abs_error", table["radii"], table["F"], table["abs_error"])
+
+    config = ExperimentConfig(case, params, Window(side, side), replications=POOLED_REPS,
+                              seed=SEEDS[0])
+    report = run_experiment(config)
+
+    def write_json() -> str:
+        return json.dumps({"reports": [report.to_dict()]}, sort_keys=True, indent=2)
+
+    rows = []
+    for name, write in (("csv", write_csv), ("json", write_json)):
+        times, text = quartiles_of("write", repeats, write)
+        rows.append({"format": name, "bytes": len(text), "repeats": repeats, **times})
+    return rows
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -228,6 +269,13 @@ def main() -> None:
                 f"(cpu {row['pooled_cpu_s']:.4f})",
                 flush=True,
             )
+    serialisation = serialisation_rows(POINTS, POOLED_SIDE, SERIAL_REPEATS)
+    for row in serialisation:
+        print(
+            f"{row['format']}  {row['bytes']} bytes  write {row['write_s']:.4f} s "
+            f"[{row['write_q1_s']:.4f}-{row['write_q3_s']:.4f}] (cpu {row['write_cpu_s']:.4f})",
+            flush=True,
+        )
     record = {
         "label": args.label,
         "repeats": REPEATS,
@@ -243,6 +291,8 @@ def main() -> None:
         "rows": rows,
         "analytic": {"points": POINTS, "tol": TOL, "repeats": ANALYTIC_REPEATS, "rows": analytic},
         "pooled": {"replications": POOLED_REPS, "repeats": POOLED_REPEATS, "rows": pooled},
+        "serialisation": {"points": POINTS, "side": POOLED_SIDE, "repeats": SERIAL_REPEATS,
+                          "rows": serialisation},
     }
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebint
+from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import FloatOrArray, lens_asymmetric, lens_symmetric, piecewise
@@ -303,18 +303,54 @@ _MAX_DEPTH = 40
 
 def _chebyshev_fit(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients of each row of values at _CHEB_POINTS. Each
-    coefficient is a sum over its own row only, so a row's coefficients do
-    not depend on the rows it is fitted with."""
+    coefficient is an elementwise sum over its own row only, so every element
+    goes through the same operations in the same order whatever rows it is
+    fitted with; a BLAS product would not keep that order (see
+    :func:`_weighted_rows`)."""
     return np.sum(values[:, None, :] * _CHEB_FIT, axis=2)
 
 
+# 2k for k = 1, ..., _CHEB_NODES: the divisors of an integral's coefficients
+_TWO_K = 2.0 * np.arange(1, _CHEB_NODES + 1)
+
+
+def _chebyshev_integral(coeffs: np.ndarray) -> np.ndarray:
+    """chebint(coeffs, lbnd=-1.0, axis=1): the coefficients of the integral
+    from -1 of each row's series, in closed form on whole columns instead of
+    numpy's loop over them. t_1 = c_0 - c_2 / 2, t_k = c_{k-1} / (2k) -
+    c_{k+1} / (2k) for k >= 2, and t_0 = c_0 * 0 minus the same chebval at
+    -1. Each element goes through chebint's operations in chebint's order,
+    and the result has its memory layout, so every bit is chebint's."""
+    c = coeffs.T
+    n = len(c)
+    t = np.empty((n + 1, c.shape[1]))
+    t[0] = c[0] * 0
+    t[1] = c[0]
+    t[2:] = c[1:] / _TWO_K[1:n, None]
+    t[1 : n - 1] -= c[2:] / _TWO_K[: n - 2, None]
+    t[0] += 0 - chebval(-1.0, t)
+    return t.T
+
+
 def _clenshaw(rows: np.ndarray, at: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """S(t[i]) for the series S with coefficients rows[:, at[i]]."""
+    """S(t[i]) for the series S with coefficients rows[:, at[i]]: the
+    recurrence b1, b2 = 2t * b1 - b2 + c_k, b1, updated in place. Its bits
+    rest on three facts. A gather does not change a value. The in-place
+    updates take each element through the same operations in the same order.
+    All are elementwise, so an entry depends on its own coefficients and t
+    alone; a BLAS product would not keep that (see :func:`_weighted_rows`).
+    Each row is gathered as the recurrence reaches it: a gather of all rows
+    at once holds every coefficient of every entry, which leaves the cache at
+    large sizes."""
     b1 = np.zeros(t.shape)
     b2 = np.zeros(t.shape)
+    scratch = np.empty(t.shape)
     two_t = 2.0 * t
     for row in rows[:0:-1]:
-        b1, b2 = two_t * b1 - b2 + row[at], b1
+        np.multiply(two_t, b1, out=scratch)
+        np.subtract(scratch, b2, out=b2)
+        b2 += row[at]
+        b1, b2 = b2, b1
     return t * b1 - b2 + rows[0][at]
 
 
@@ -322,15 +358,27 @@ def _clenshaw_difference(rows, at, x: np.ndarray, y: np.ndarray, dx: np.ndarray)
     """S(x[i]) - S(y[i]) for the series S with coefficients rows[:, at[i]],
     given dx = x - y: Clenshaw's recurrence run on the difference of the two
     points' recurrences, which scales with dx instead of cancelling when x
-    and y are close."""
+    and y are close: d1, d2 = 2x * d1 + 2dx * b1 - d2, d1, then
+    b1, b2 = 2y * b1 - b2 + c_k, b1. As in :func:`_clenshaw`, row gathers,
+    which change no value, and elementwise updates in place, which take each
+    element through the same operations in the same order."""
     b1 = np.zeros(x.shape)
     b2 = np.zeros(x.shape)
     d1 = np.zeros(x.shape)
     d2 = np.zeros(x.shape)
+    scratch = np.empty(x.shape)
+    step = np.empty(x.shape)
     two_x, two_y, two_dx = 2.0 * x, 2.0 * y, 2.0 * dx
     for row in rows[:0:-1]:
-        d1, d2 = two_x * d1 + two_dx * b1 - d2, d1
-        b1, b2 = two_y * b1 - b2 + row[at], b1
+        np.multiply(two_x, d1, out=scratch)
+        np.multiply(two_dx, b1, out=step)
+        scratch += step
+        np.subtract(scratch, d2, out=d2)
+        d1, d2 = d2, d1
+        np.multiply(two_y, b1, out=scratch)
+        np.subtract(scratch, b2, out=b2)
+        b2 += row[at]
+        b1, b2 = b2, b1
     return x * d1 + dx * b1 - d2
 
 
@@ -387,8 +435,11 @@ class _Table:
         lo, hi, cut = (np.array(x) for x in zip(*top))
         sign = np.where(lo >= cut, 1.0, -1.0)
         a, b = np.sqrt(np.abs(lo - cut)), np.sqrt(np.abs(hi - cut))
-        pending = (np.minimum(a, b), np.maximum(a, b), sign, cut, lo, np.full(lo.shape, np.inf))
-        kept = []
+        # by row: the ends of each panel in v, sign of u - cut, cut, left
+        # edge in u, and the tail ratio of its parent
+        ends = (np.minimum(a, b), np.maximum(a, b))
+        pending = np.stack([*ends, sign, cut, lo, np.full(lo.shape, np.inf)])
+        levels, kept = [], []
         for depth in range(_MAX_DEPTH + 1):
             a, b, sign, cut, left, prev = pending
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -412,27 +463,27 @@ class _Table:
             # a NaN ratio compares false and is kept, never split
             split = (ratio > _TAIL_TOL) & (ratio <= 0.5 * prev) & (depth < _MAX_DEPTH)
             panels = (left, mid, half, sign, cut, coeffs[:n], coeffs[n:], tail[:n], integral_err)
-            kept.append(tuple(x[~split] for x in panels))
+            levels.append(panels)
+            kept.append(~split)
             if not split.any():
                 break
-            a, b, sign, cut, left, m = (x[split] for x in (a, b, sign, cut, left, mid))
+            parent = pending[:, split]
+            parent[5] = ratio[split]
+            m = mid[split]
             # the child nearer in u to the parent's left edge keeps it
-            m_u = cut + sign * m * m
-            near = sign > 0.0
-            pending = (
-                np.concatenate([a, m]),
-                np.concatenate([m, b]),
-                np.concatenate([sign, sign]),
-                np.concatenate([cut, cut]),
-                np.concatenate([np.where(near, left, m_u), np.where(near, m_u, left)]),
-                np.tile(ratio[split], 2),
-            )
-        panels = [np.concatenate(x) for x in zip(*kept)]
-        order = np.argsort(panels[0])
+            m_u = parent[3] + parent[2] * m * m
+            near = parent[2] > 0.0
+            pending = np.concatenate([parent, parent], axis=1)
+            lower, upper = pending[:, : len(m)], pending[:, len(m) :]
+            lower[1] = upper[0] = m
+            lower[4], upper[4] = np.where(near, parent[4], m_u), np.where(near, m_u, parent[4])
+        panels = [np.concatenate(x) for x in zip(*levels)]
+        keep = np.flatnonzero(np.concatenate(kept))
+        order = keep[np.argsort(panels[0][keep])]
         left, mid, half, sign, cut, fc, hc, value_err, integral_err = (x[order] for x in panels)
         # integral from the panel's left end in u: t = -1 where u grows with
         # t, t = 1 where it falls
-        anti = chebint(hc, lbnd=-1.0, axis=1)
+        anti = _chebyshev_integral(hc)
         anti[sign < 0.0, 0] -= np.sum(anti[sign < 0.0], axis=1)
         self._left = np.concatenate([self._left, left])
         self._mid = np.concatenate([self._mid, mid])
@@ -452,7 +503,7 @@ class _Table:
         """Panel index, v and panel coordinate t of each radius."""
         if x.size:
             self._extend(float(np.max(x)))
-        at = np.clip(np.searchsorted(self._left, x, side="right") - 1, 0, None)
+        at = np.maximum(np.searchsorted(self._left, x, side="right") - 1, 0)
         v = np.sqrt(np.abs(x - self._cut[at]))
         return at, v, (v - self._mid[at]) / self._half[at]
 
@@ -482,14 +533,18 @@ class _Table:
         i, vi, ti = self._locate(lo)
         same = i == j
         start = (np.where(same, lo, left), np.where(same, vi, left_v), np.where(same, ti, -sj))
-        value = self._span(j, hi, vj, tj, *start)
         cross = ~same
-        if cross.any():  # speed guard: lo in an earlier panel
-            k = i[cross]
-            sk = self._sign[k]
-            right_v = self._mid[k] + sk * self._half[k]
-            head = self._span(k, self._left[k + 1], right_v, sk, lo[cross], vi[cross], ti[cross])
-            value[cross] += head + (self._offset[j[cross]] - self._offset[k + 1])
+        if not cross.any():  # speed guard: lo in hi's panel throughout
+            return self._span(j, hi, vj, tj, *start), self._cum_err[j + 1] - self._cum_err[i]
+        # the span in hi's panel and, where lo lies in an earlier panel k, the
+        # head of k from lo to k's right edge, in one run over both
+        k = i[cross]
+        sk = self._sign[k]
+        right_v = self._mid[k] + sk * self._half[k]
+        head = (k, self._left[k + 1], right_v, sk, lo[cross], vi[cross], ti[cross])
+        spans = self._span(*map(np.concatenate, zip((j, hi, vj, tj, *start), head)))
+        value = spans[: len(hi)]
+        value[cross] += spans[len(hi) :] + (self._offset[j[cross]] - self._offset[k + 1])
         return value, self._cum_err[j + 1] - self._cum_err[i]
 
 

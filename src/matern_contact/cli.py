@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 comparison threshold exceeded, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -246,8 +247,9 @@ def _configs(data: dict, case: ContactCase) -> list[ExperimentConfig]:
 
 
 def _csv(header: str, *columns: list) -> str:
-    rows = [header] + [",".join(map(repr, row)) for row in zip(*columns)]
-    return "\n".join(rows) + "\n"
+    # repr of every value, joined by maps rather than a Python loop per row
+    rows = map(",".join, zip(*(map(repr, column) for column in columns)))
+    return "\n".join([header, *rows]) + "\n"
 
 
 def cmd_analytic(data: dict, ns: argparse.Namespace) -> int:
@@ -368,6 +370,10 @@ COMMANDS = {
 }
 
 
+# built once per process: a parser keeps no state between parses, and its
+# help text reads only module constants, so in-process callers (tests,
+# notebooks, the benchmark) pay for it on their first main() only
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matern-contact",

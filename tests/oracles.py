@@ -8,7 +8,9 @@ judge one layer of the package against its own earlier form:
 reference for the tables that replaced them (``quad_contact_cdf``
 integrates it, independently of the hazard table), and
 ``serial_pooled_distances`` is the plain replication loop that the pipelined
-``pooled_distances`` replaced.
+``pooled_distances`` replaced, and ``clenshaw_per_row`` and
+``clenshaw_difference_per_row`` are the table lookups' recurrences as they
+were before they updated in place: fresh arrays at every step.
 """
 
 from __future__ import annotations
@@ -516,3 +518,28 @@ def serial_pooled_distances(config, on_pattern=None) -> np.ndarray:
             for role, pattern in patterns.items():
                 on_pattern(rep, role, pattern)
     return np.concatenate(chunks)
+
+
+def clenshaw_per_row(rows: np.ndarray, at: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """S(t[i]) for the series with coefficients rows[:, at[i]], gathering one
+    coefficient row at a time into fresh arrays."""
+    b1 = np.zeros(t.shape)
+    b2 = np.zeros(t.shape)
+    two_t = 2.0 * t
+    for row in rows[:0:-1]:
+        b1, b2 = two_t * b1 - b2 + row[at], b1
+    return t * b1 - b2 + rows[0][at]
+
+
+def clenshaw_difference_per_row(rows, at, x: np.ndarray, y: np.ndarray, dx: np.ndarray):
+    """S(x[i]) - S(y[i]) from the difference of the two points' Clenshaw
+    recurrences, gathering one coefficient row at a time into fresh arrays."""
+    b1 = np.zeros(x.shape)
+    b2 = np.zeros(x.shape)
+    d1 = np.zeros(x.shape)
+    d2 = np.zeros(x.shape)
+    two_x, two_y, two_dx = 2.0 * x, 2.0 * y, 2.0 * dx
+    for row in rows[:0:-1]:
+        d1, d2 = two_x * d1 + two_dx * b1 - d2, d1
+        b1, b2 = two_y * b1 - b2 + row[at], b1
+    return x * d1 + dx * b1 - d2

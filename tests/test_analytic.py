@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebint
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
@@ -33,6 +34,8 @@ from matern_contact.analytic import (
 from matern_contact.geometry import lens_asymmetric, lens_symmetric
 from oracles import (
     ResolutionError,
+    clenshaw_difference_per_row,
+    clenshaw_per_row,
     cumulative_quad,
     pair_retention_quadrature,
     pair_survival_quadrature,
@@ -749,6 +752,61 @@ class TestTables:
         assert np.max(np.abs(start - np.sin(hi))) <= 1e-14
         density, _ = table.value(hi)
         assert np.max(np.abs(density - np.cos(hi))) <= 1e-14
+
+
+def awkward_coefficients(rng, rows: int, panels: int) -> np.ndarray:
+    """Random Chebyshev coefficients at every scale from subnormal to 1e300,
+    with signed zeros and subnormals sown in."""
+    scale = 10.0 ** rng.uniform(-320.0, 300.0, (rows, panels))
+    block = rng.standard_normal((rows, panels)) * scale
+    block[:, : panels // 4] = rng.standard_normal((rows, panels // 4)) * 1e300
+    sown = rng.integers(0, 5, block.shape)
+    block[sown == 0] = 0.0
+    block[sown == 1] = -0.0
+    block[sown == 2] = 5e-324 * rng.integers(-4096, 4096, np.count_nonzero(sown == 2))
+    return block
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestKernelBits:
+    """The table kernels against the forms they replaced, bit for bit: the
+    closed-form integral against numpy's chebint, the Clenshaw runs against
+    per-row loops (tests/oracles.py)."""
+
+    def test_closed_form_integral_is_chebint(self):
+        rng = np.random.default_rng(22)
+        for panels in (0, 1, 2, 7, 64):
+            coeffs = awkward_coefficients(rng, panels, analytic._CHEB_NODES)
+            mine = analytic._chebyshev_integral(coeffs)
+            reference = chebint(coeffs, lbnd=-1.0, axis=1)
+            assert mine.shape == reference.shape == (panels, analytic._CHEB_NODES + 1)
+            assert same_bits(mine, reference), panels
+            # the layout too: the sums over a row that _extend takes next
+            # depend on it
+            assert mine.strides == reference.strides, panels
+        # rows of signed zeros, the smallest subnormals and ones, where the
+        # constant's 0 - chebval and -chebval differ in the sign of a zero
+        tiny = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0], (20000, analytic._CHEB_NODES))
+        assert same_bits(analytic._chebyshev_integral(tiny), chebint(tiny, lbnd=-1.0, axis=1))
+
+    def test_clenshaw_runs_equal_the_per_row_loops(self):
+        rng = np.random.default_rng(23)
+        rows = awkward_coefficients(rng, analytic._CHEB_NODES, 40)
+        for size in (0, 1, 5, 300):
+            at = rng.integers(0, rows.shape[1], size)
+            x = rng.uniform(-1.0, 1.0, size)
+            y = rng.uniform(-1.0, 1.0, size)
+            x[: size // 3] = rng.choice([-1.0, -0.0, 0.0, 1.0], size // 3)
+            y[: size // 5] = x[: size // 5]
+            dx = x - y
+            value = analytic._clenshaw(rows, at, x)
+            assert value.shape == (size,)
+            assert same_bits(value, clenshaw_per_row(rows, at, x)), size
+            diff = analytic._clenshaw_difference(rows, at, x, y, dx)
+            assert same_bits(diff, clenshaw_difference_per_row(rows, at, x, y, dx)), size
 
 
 class TestDiscretizedVoidProbability:

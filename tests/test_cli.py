@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -19,6 +20,7 @@ import matern_contact
 from matern_contact import (
     ContactCase, ExperimentConfig, PointLabel, ProcessParams, load_pattern
 )
+from matern_contact import cli
 from matern_contact.cli import CASE_THRESHOLDS, COMMANDS, CONFIG_FLAGS, main
 
 
@@ -260,6 +262,41 @@ def test_help_lists_every_config_flag_with_its_default(capsys, monkeypatch):
         for flag in CONFIG_FLAGS:
             assert flag in help_of, (command, flag)
             assert shown.get(flag, "") in help_of[flag], (command, flag, help_of[flag])
+
+
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    argv = ["analytic", "--case", "ppp-ppp", "--rmax", "1", "--points", "2"]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(argv) == 0
+        assert main(argv + ["--format", "json"]) == 0
+    assert built == []
+    capsys.readouterr()
+    # the parser that parsed before still prints the full help, exactly as a
+    # fresh one does, and still rejects a bad flag with its usage
+    monkeypatch.setenv("COLUMNS", "500")
+    for command in COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        shown = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli._build_parser.__wrapped__().parse_args([command, "--help"])
+        assert shown == capsys.readouterr().out
+        assert all(flag in shown for flag in CONFIG_FLAGS), command
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--no-such-flag"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: matern-contact") and "--no-such-flag" in err
 
 
 def test_density_prints_analytic_and_mc_side_by_side(capsys):

@@ -57,6 +57,10 @@ def test_stage_timing_rows_run_at_toy_sizes():
     for case in script.POOLED_CASES:
         pooled = script.pooled_row(case, 1.0, 20.0, 1)
         assert pooled["samples"] > 0 and pooled["pooled_s"] > 0.0, pooled
+    written = script.serialisation_rows(50, 20.0, 1)
+    assert [row["format"] for row in written] == ["csv", "json"]
+    for row in written:
+        assert row["bytes"] > 0 and row["write_q1_s"] <= row["write_s"] <= row["write_q3_s"], row
 
 
 def test_report_diff_compares_hand_made_outputs():
@@ -82,3 +86,17 @@ def test_report_diff_compares_hand_made_outputs():
     codes = script.compare((0, csv), (2, ""))
     assert codes["codes"] == (0, 2) and not codes["identical"]
     assert codes["mismatched"] == ["exit code", "radii"] and codes["F"] == math.inf
+
+
+def test_report_diff_sums_up_every_invocation_in_one_line():
+    script = load_script(ROOT / "scripts" / "report_diff.py")
+    csv = "r,F,abs_error\n0.5,0.0,0.0\n1.0,0.5,1e-17\n"
+    moved = csv.replace("0.5,1e-17", f"{math.nextafter(0.5, 1.0)!r},3e-17")
+    results = [script.compare((0, csv), (0, csv)), script.compare((0, csv), (0, moved))]
+    line = script.summary(results)
+    assert line == (
+        "summary: byte-identical outputs 1 of 2, max|dF| 1.11e-16, "
+        "max|d abs_error| 2.00e-17, max|d sup| 0.00e+00"
+    )
+    assert "\n" not in line
+    assert script.summary([]).startswith("summary: byte-identical outputs 0 of 0,")
