@@ -40,6 +40,10 @@ an ``analytic`` curve of ``POINTS`` radii (``CdfCurve.to_dict`` and
 side-100 torus, ``POOLED_REPS`` replications, the README experiment's size.
 Rows hold the median and quartiles of ``SERIAL_REPEATS`` calls, each on the
 same curve or report, built once before the timing.
+
+The lens section times ``lens_symmetric`` and ``lens_asymmetric`` on
+``LENS_SIZES`` seeded uniform radii in [0, 10], which cross every branch of
+both: rows hold the median and quartiles of ``LENS_REPEATS`` calls.
 Writes ``BENCH_<label>.json`` and prints one line per row:
 
     PYTHONPATH=src python scripts/stage_timings.py --label after
@@ -80,6 +84,7 @@ from matern_contact.estimate import (
     pooled_distances,
     run_experiment,
 )
+from matern_contact.geometry import lens_asymmetric, lens_symmetric
 from matern_contact.simulate import _band_count
 
 
@@ -97,6 +102,8 @@ POOLED_REPS = 5
 POOLED_REPEATS = 11
 POOLED_SIDE = 100.0
 SERIAL_REPEATS = 21
+LENS_SIZES = (1_000, 100_000)
+LENS_REPEATS = 21
 
 
 def best_of(repeats: int, fn, *args):
@@ -230,6 +237,18 @@ def serialisation_rows(points: int, side: float, repeats: int) -> list[dict]:
     return rows
 
 
+def lens_rows(sizes: tuple[int, ...], repeats: int) -> list[dict]:
+    """Median and quartiles of the wall and CPU times of ``repeats`` calls of
+    each lens on each of ``sizes`` seeded uniform radii in [0, 10]."""
+    rows = []
+    for n in sizes:
+        radii = np.random.default_rng(SEEDS[0]).uniform(0.0, 10.0, n)
+        for lens in (lens_symmetric, lens_asymmetric):
+            times, _ = quartiles_of("lens", repeats, lambda: lens(radii))
+            rows.append({"lens": lens.__name__, "radii": n, "repeats": repeats, **times})
+    return rows
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -276,6 +295,13 @@ def main() -> None:
             f"[{row['write_q1_s']:.4f}-{row['write_q3_s']:.4f}] (cpu {row['write_cpu_s']:.4f})",
             flush=True,
         )
+    lens = lens_rows(LENS_SIZES, LENS_REPEATS)
+    for row in lens:
+        print(
+            f"{row['lens']}  {row['radii']} radii  {row['lens_s'] * 1e3:.3f} ms "
+            f"[{row['lens_q1_s'] * 1e3:.3f}-{row['lens_q3_s'] * 1e3:.3f}]",
+            flush=True,
+        )
     record = {
         "label": args.label,
         "repeats": REPEATS,
@@ -293,6 +319,7 @@ def main() -> None:
         "pooled": {"replications": POOLED_REPS, "repeats": POOLED_REPEATS, "rows": pooled},
         "serialisation": {"points": POINTS, "side": POOLED_SIDE, "repeats": SERIAL_REPEATS,
                           "rows": serialisation},
+        "lens": {"repeats": LENS_REPEATS, "rows": lens},
     }
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")

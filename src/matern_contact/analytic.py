@@ -135,18 +135,12 @@ def pair_retention(r: np.ndarray, lam: float) -> np.ndarray:
     """Probability that a candidate point at distance ``r`` and the reference
     point both survive thinning, given the annulus between the hard-core disk
     and the candidate is void of parent points. Exactly 0 for r <= 1; over
-    :func:`mhc_retention`, the first-order mhc-mhc profile."""
+    :func:`mhc_retention`, the first-order mhc-mhc profile. On r > 1, l1 <=
+    l2 <= pi/2, so every exposure below is at least lam * pi / 2."""
 
     def active(r):
         l1 = lens_symmetric(r)
         l2 = lens_asymmetric(r)
-        # on r > 1, l1 <= l2 < pi, so this bounds all four denominators
-        # below; the lens areas cancel at r >> 1 and can break it
-        if not np.all(math.pi - l2 > 1e-14 * math.pi):
-            raise ValueError(
-                f"lens areas lost their precision at radii up to {float(np.max(r))!r} delta "
-                f"(lambda_p * delta**2 = {lam!r})"
-            )
         a = lam * math.pi  # reference-point exposure
         b = lam * (math.pi - l2)  # candidate exposure when its mark is the lower one
         c = lam * (math.pi + l1 - l2)  # candidate exposure when its mark is the higher one
@@ -507,11 +501,11 @@ class _Table:
         v = np.sqrt(np.abs(x - self._cut[at]))
         return at, v, (v - self._mid[at]) / self._half[at]
 
-    def _span(self, at, x, vx, tx, y, vy, ty) -> np.ndarray:
+    def _span(self, at, width, vx, tx, vy, ty) -> np.ndarray:
         """Integral of panel ``at``'s series from radius y to radius x, given
-        their v and t. t_x - t_y is taken from x - y, which is exact for
-        close radii, where the difference of the rounded t's is not."""
-        dv = np.divide(x - y, vx + vy, out=np.zeros(x.shape), where=vx + vy > 0.0)
+        their v and t and the ``width`` x - y, from which t_x - t_y is taken:
+        the difference of the rounded t's of close radii is not precise."""
+        dv = np.divide(width, vx + vy, out=np.zeros(width.shape), where=vx + vy > 0.0)
         return _clenshaw_difference(self._anti, at, tx, ty, self._sign[at] * dv / self._half[at])
 
     def value(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -519,30 +513,32 @@ class _Table:
         at, _, t = self._locate(x)
         return _clenshaw(self._values, at, t), self._value_err[at]
 
-    def integral(self, hi: np.ndarray, lo: np.ndarray | None = None):
-        """Integral of the density from ``lo`` (default: the table's start)
-        to ``hi`` >= ``lo``, and its error estimate: the estimates of every
-        panel the integral touches."""
+    def integral(self, hi: np.ndarray, width: np.ndarray | None = None):
+        """Integral of the density over the ``width`` >= 0 below ``hi``, taken
+        as given within hi's panel (default: from the table's start), and its
+        error estimate: the estimates of every panel the integral touches."""
         j, vj, tj = self._locate(hi)
         sj = self._sign[j]
         # the left edge of hi's panel, in u, v and t
         left, left_v = self._left[j], self._mid[j] - sj * self._half[j]
-        if lo is None:
-            value = self._span(j, hi, vj, tj, left, left_v, -sj)
+        if width is None:
+            value = self._span(j, hi - left, vj, tj, left_v, -sj)
             return self._offset[j] + value, self._cum_err[j + 1]
+        lo = hi - width
         i, vi, ti = self._locate(lo)
         same = i == j
-        start = (np.where(same, lo, left), np.where(same, vi, left_v), np.where(same, ti, -sj))
+        start = (np.where(same, width, hi - left), vj, tj, np.where(same, vi, left_v),
+                 np.where(same, ti, -sj))
         cross = ~same
         if not cross.any():  # speed guard: lo in hi's panel throughout
-            return self._span(j, hi, vj, tj, *start), self._cum_err[j + 1] - self._cum_err[i]
+            return self._span(j, *start), self._cum_err[j + 1] - self._cum_err[i]
         # the span in hi's panel and, where lo lies in an earlier panel k, the
         # head of k from lo to k's right edge, in one run over both
         k = i[cross]
         sk = self._sign[k]
         right_v = self._mid[k] + sk * self._half[k]
-        head = (k, self._left[k + 1], right_v, sk, lo[cross], vi[cross], ti[cross])
-        spans = self._span(*map(np.concatenate, zip((j, hi, vj, tj, *start), head)))
+        head = (k, self._left[k + 1] - lo[cross], right_v, sk, vi[cross], ti[cross])
+        spans = self._span(*map(np.concatenate, zip((j, *start), head)))
         value = spans[: len(hi)]
         value[cross] += spans[len(hi) :] + (self._offset[j[cross]] - self._offset[k + 1])
         return value, self._cum_err[j + 1] - self._cum_err[i]
@@ -557,11 +553,8 @@ def _moment_density(rho: np.ndarray, lam: float) -> np.ndarray:
     """m2'(rho) / 2 for the second factorial moment m2 of :func:`_removed_cdf`,
     0 for rho <= 1/2, where no pair fits. The pair distance s runs in
     v = sqrt(2 rho - s), which smooths the lens edge at s = 2 rho."""
-    # 1 - p = a * W(a) keeps its precision at small a; lam * lam underflows
-    # below lam ~ 1e-154, and lam / (pi W(a)) is the same scale
-    a = lam * math.pi
-    w = _below_rival(a)
-    scale = lam * lam / (a * w) if lam > 1e-150 else lam / (math.pi * w)
+    # lam**2 / (1 - p), 1 - p = a W(a) at a = lam pi, without lam**2's underflow
+    scale = lam / (math.pi * _below_rival(lam * math.pi))
 
     def pairs(rho):
         half = 0.5 * np.sqrt(2.0 * rho - 1.0)
@@ -597,12 +590,21 @@ def _case_tables(case: ContactCase, lam: float) -> dict[str, _Table]:
     }
 
 
+def _void_radius(r: np.ndarray, kept: np.ndarray, floor: float):
+    """r_e = sqrt(r**2 - kept), and the width r - max(r_e, ``floor``) that the
+    void ratio integrates over, as min(kept / (r + r_e), r - floor): that
+    keeps the relative precision which r minus the rounded r_e loses."""
+    r_e = np.sqrt(np.maximum(r * r - kept, 0.0))
+    width = np.divide(kept, r + r_e, out=np.zeros(r.shape), where=r > 0.0)
+    return r_e, np.minimum(width, r - floor)
+
+
 def _eta_ppp_to_mhc(r: np.ndarray, lam: float, tables: dict[str, _Table]):
     """p * exp(H0(r) - H0(r_e)): pair correlation 1, and the void ratio from
     the first-order hazard H0 over the part of the ball that the candidate's
     own disk does not already keep free of survivors (area pi * r_e**2)."""
-    r_e = np.sqrt(np.maximum(r * r - lens_asymmetric(r) / math.pi, 0.0))
-    dh, dh_err = tables["h0"].integral(r, r_e)
+    _, width = _void_radius(r, lens_asymmetric(r) / math.pi, 0.0)
+    dh, dh_err = tables["h0"].integral(r, width)
     eta = expm1_ratio(lam * math.pi) * np.exp(dh)
     return eta, eta * dh_err
 
@@ -618,9 +620,8 @@ def _eta_mhc_to_mhc(r: np.ndarray, lam: float, tables: dict[str, _Table]):
         return eta, err
     ra = r[active]
     l1 = lens_symmetric(ra)
-    l2 = lens_asymmetric(ra)
-    r_e = np.sqrt(np.maximum(ra * ra - (l2 - l1) / math.pi, 1.0))
-    dh, dh_err = tables["h0"].integral(ra, r_e)
+    _, width = _void_radius(ra, (lens_asymmetric(ra) - l1) / math.pi, 1.0)
+    dh, dh_err = tables["h0"].integral(ra, width)
     eta[active] = _pair_free(l1, lam) / expm1_ratio(lam * math.pi) * np.exp(dh)
     err[active] = eta[active] * dh_err
     return eta, err
@@ -672,7 +673,7 @@ def _eta_cmhc_to_mhc(r: np.ndarray, lam: float, tables: dict[str, _Table]):
     outer = ~inner
     if np.any(outer):  # speed guard
         ro = r[outer]
-        r_e = np.sqrt(np.maximum(ro * ro - lens_asymmetric(ro) / math.pi, 0.0))
+        r_e, width = _void_radius(ro, lens_asymmetric(ro) / math.pi, 1.0)
         dh = np.zeros(ro.shape)
         dh_err = np.zeros(ro.shape)
         back = r_e < 1.0
@@ -681,7 +682,7 @@ def _eta_cmhc_to_mhc(r: np.ndarray, lam: float, tables: dict[str, _Table]):
             _, void, void_err = _removed_cdf(np.append(r_e[back], 1.0), moment)
             dh[back] = -np.log(void[-1]) + np.log(void[:-1])
             dh_err[back] = void_err[-1] / void[-1] + void_err[:-1] / void[:-1]
-        tail, tail_err = tables["tail"].integral(ro, np.maximum(r_e, 1.0))
+        tail, tail_err = tables["tail"].integral(ro, width)
         g = _removed_pair_correlation(ro, lam)
         eta[outer] = g * np.exp(dh + tail)
         err[outer] = eta[outer] * (dh_err + tail_err)
@@ -856,7 +857,7 @@ _SATURATED_EXPOSURE = {
 
 # The largest r / delta a curve is read at: beyond it, the doubling table
 # panels and the squares of their radii leave the range of doubles. Default
-# grids reach it only at exposures below about 1e-304.
+# grids reach it only at exposures below about 5e-305.
 _MAX_RHO = 1e153
 
 

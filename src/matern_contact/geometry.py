@@ -3,13 +3,15 @@
 Every conditional retention probability in this package reduces to the area
 cut out of a competition disk by a void region, so two lens shapes carry all
 of the geometry: the equal-radius lens between two hard-core disks, and the
-mixed-radius lens between a void ball of radius r and a competition disk
-whose centre sits on the void ball's boundary. Both take radii in units of
-the hard-core distance delta, so the competition disks have radius 1; a
-caller at a general delta passes r / delta and scales the area by delta**2.
+mixed-radius lens, summed from two terms that never cancel, between a void
+ball of radius r and a competition disk centred on its boundary. Both
+take radii in units of the hard-core distance delta, so the competition disks
+have radius 1; a caller at delta passes r / delta and scales by delta**2.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,30 +55,25 @@ def piecewise(mask: np.ndarray, fn, *args, other=None) -> np.ndarray:
 
 def _symmetric(r: np.ndarray) -> np.ndarray:
     # factored root (2 - r)(2 + r) = 4 - r**2 avoids cancellation at the
-    # vanishing-lens boundary
-    root = np.sqrt(np.maximum((2.0 - r) * (2.0 + r), 0.0))
-    return 2.0 * np.arccos(r / 2.0) - 0.5 * r * root
+    # vanishing-lens boundary; both factors round to non-negative values
+    return 2.0 * np.arccos(r / 2.0) - 0.5 * r * np.sqrt((2.0 - r) * (2.0 + r))
 
 
-def _two_arc(r: np.ndarray) -> np.ndarray:
-    """2 r**2 arcsin(q) + arccos(q) - sqrt((2r - 1)(2r + 1)) / 2, q = 1/(2r),
-    in place and in the order written: one ratio feeds both arcs."""
-    # arccos(1 - 1/(2 r**2)) == 2 arcsin(1/(2 r)); the arcsin form stays
-    # well-conditioned when r >> 1
-    two_r = 2.0 * r
-    q = 1.0 / two_r
-    root = two_r - 1.0
-    two_r += 1.0
-    root *= two_r
-    np.sqrt(np.maximum(root, 0.0, out=root), out=root)
-    area = np.square(r)
-    area *= 2.0
-    arc = np.arcsin(q)
-    area *= arc
-    area += np.arccos(q, out=arc)
-    root *= 0.5
-    area -= root
-    return area
+# Taylor coefficients of (x - sin x) / x**3 in x**2, highest power first; at
+# rounding below x = 1/2
+_X_MINUS_SIN = np.array([(-1.0) ** k / math.factorial(2 * k + 3) for k in range(7, -1, -1)])
+
+
+def _segments(r: np.ndarray) -> np.ndarray:
+    """Both disks' sectors, arccos(q) + r**2 x with q = 1/(2r) and x =
+    2 arcsin(q), less their kite r**2 sin(x), summed as arccos(q) + r**2 (x -
+    sin x), two terms >= 0. Capped at the contained branch's pi r**2, which
+    the rounded sum exceeds by an ulp just above r = 1/2."""
+    q = 1.0 / (2.0 * r)
+    x = 2.0 * np.arcsin(q)
+    series = x * x * x * np.polyval(_X_MINUS_SIN, x * x)  # Horner's scheme in x**2
+    chord = np.where(x < 0.5, series, x - np.sin(x))
+    return np.minimum(np.arccos(q) + r**2 * chord, np.pi * r**2)
 
 
 def lens_symmetric(r: FloatOrArray) -> FloatOrArray:
@@ -96,10 +93,11 @@ def lens_asymmetric(r: FloatOrArray) -> FloatOrArray:
     centre lies on the first disk's boundary (centres ``r`` apart).
 
     Equals the full pi*r**2 while the radius-r disk is contained (r < 1/2),
-    so 0 at r = 0, and approaches half the unit disk, pi/2, as r grows and
-    the big boundary straightens through the small disk's centre.
+    so 0 at r = 0, then the segment form of :func:`_segments`, which tends to
+    half the unit disk, pi/2 - 1/(3r), to an ulp as the big boundary
+    straightens through the small disk's centre.
     """
     scalar = np.ndim(r) == 0
     r_arr = _validated(r)
-    area = piecewise(r_arr < 0.5, lambda r: np.pi * r**2, r_arr, other=_two_arc)
+    area = piecewise(r_arr < 0.5, lambda r: np.pi * r**2, r_arr, other=_segments)
     return float(area[0]) if scalar else area

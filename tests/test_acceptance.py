@@ -192,7 +192,7 @@ def test_criterion_10_lens_area_oracles():
             worst_generic = max(worst_generic, abs(sym - generic_sym) / generic_sym)
         worst_generic = max(worst_generic, abs(asym - generic_asym) / generic_asym)
 
-    # branch agreement AT the boundary radii: at r = delta/2 the two-arc
+    # branch agreement AT the boundary radii: at r = delta/2 the segment
     # branch must reproduce the containment value pi*r**2 exactly, and at
     # r = 2*delta the closed form must reproduce the vanished lens
     worst_continuity = 0.0

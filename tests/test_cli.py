@@ -496,7 +496,7 @@ def test_compare_with_rmin_above_the_smallest_distance(capsys, case, delta, rmin
         # underflowed at tiny delta
         ["analytic", "--case", "mhc-mhc", "--points", "3", "--delta", "1e100"],
         ["analytic", "--case", "mhc-mhc", "--points", "3", "--delta", "1e-160"],
-        # the lens areas cancel at r >> delta
+        # r / delta up to ~4e150, deep in the lens areas' far field
         ["analytic", "--case", "mhc-mhc", "--points", "3", "--lambda", "1e-300",
          "--delta", "1"],
         # pi * delta**2 overflows, or underflows to 0
@@ -525,6 +525,27 @@ def test_extreme_lambda_and_delta_exit_without_a_traceback(capsys, argv):
     err = capsys.readouterr().err
     assert code in (0, 2) and "Traceback" not in err, (argv, code, err)
     assert code == 0 or err.startswith("error: "), (argv, err)
+
+
+EXPOSURES = (1e-300, 1e-200, 1e-100, 1e-14, 1.0, 1e14, 1e100, 1e300)
+
+
+@pytest.mark.parametrize("exposure", EXPOSURES)
+def test_every_hard_core_case_runs_over_the_exposure_domain(capsys, exposure):
+    # a = lambda_p pi delta**2, set through lambda_p at delta 1 and through
+    # delta at lambda_p 1; the suite turns any warning into an error. At
+    # vanishing exposure a hard-core pattern is its parents, so mhc-mhc
+    # prints ppp-mhc's F
+    for scale in (["--lambda", repr(exposure / math.pi), "--delta", "1"],
+                  ["--delta", repr(math.sqrt(exposure / math.pi))]):
+        F = {}
+        for case in ("mhc-mhc", "ppp-mhc", "cmhc-mhc"):
+            assert main(["analytic", "--case", case, "--points", "5", *scale]) == 0, (case, scale)
+            out, err = capsys.readouterr()
+            assert err == "", (case, scale, err)
+            F[case] = [row.split(",")[1] for row in out.strip().splitlines()[1:]]
+        if exposure <= 1e-100:
+            assert F["mhc-mhc"] == F["ppp-mhc"], (scale, F)
 
 
 def test_analytic_ignores_the_simulation_window(capsys):

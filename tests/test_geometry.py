@@ -34,7 +34,7 @@ def test_asymmetric_contained_branch():
 
 
 def test_asymmetric_branch_agreement_at_half_delta():
-    # the two-arc branch reproduces the containment value exactly at r = delta/2
+    # the segment branch reproduces the containment value at r = delta/2
     for delta in (0.3, 1.0, 2.2):
         half = 0.5 * delta
         assert delta * delta * lens_asymmetric(half / delta) == pytest.approx(
@@ -122,17 +122,15 @@ def test_inverse_trig_arguments_stay_in_range_at_extreme_radii():
     assert np.all(np.isfinite(sym)) and np.all(np.isfinite(asym))
     assert np.all((0.0 <= sym) & (sym <= math.pi))
     assert np.all(asym <= math.pi * r**2)
-    # the two-arc form cancels to an absolute error of ~r * eps, which takes
-    # the area out of [0, pi) from r ~ 9e15 (next test)
-    moderate = asym[r < 1e15]
-    assert np.all((0.0 <= moderate) & (moderate < math.pi))
-
-
-@pytest.mark.xfail(strict=True, reason="two-arc cancellation: the area reads 2.0 at r = 1e16")
-def test_asymmetric_area_stays_in_range_at_large_radii():
-    r = extreme_radii()
-    asym = lens_asymmetric(r[r >= 1e15])
     assert np.all((0.0 <= asym) & (asym < math.pi))
+
+
+def test_asymmetric_far_field_series():
+    # arccos(q) + r**2 (x - sin x) = pi/2 - 1/(3r) + O(1/r**3): within an
+    # ulp of that from 1e6 on, where a cancelling form loses ~r * eps
+    r = np.logspace(6, 153, 20001)
+    far = np.pi / 2.0 - 1.0 / (3.0 * r)
+    assert np.all(np.abs(lens_asymmetric(r) - far) <= np.spacing(far))
 
 
 def same_bits(a, b) -> bool:
@@ -142,7 +140,7 @@ def same_bits(a, b) -> bool:
 ARRAYS = {
     "mixed": [0.0, 0.3, 0.5, 1.0, 1.9, 2.5],
     "all contained": [0.01, 0.2, 0.3, np.nextafter(0.5, 0.0)],  # r < 1/2
-    "all two-arc, overlapping": [0.5, 0.8, 1.3, 2.0, 1e6],
+    "all segment, overlapping": [0.5, 0.8, 1.3, 2.0, 1e6],
     "all separated": [np.nextafter(2.0, 3.0), 3.0, 50.0],  # r > 2
 }
 

@@ -43,8 +43,8 @@ def test_source_has_no_assert_statements():
 
 
 def test_stage_timing_rows_run_at_toy_sizes():
-    # the row functions behind BENCH_<label>.json, on side-20 tori and 50
-    # radii; nothing is written
+    # the row functions behind BENCH_<label>.json, on side-20 tori, 50 curve
+    # radii and 10 or 20 lens radii; nothing is written
     script = load_script(ROOT / "scripts" / "stage_timings.py")
     row = script.stage_row(20.0, 1.0)
     assert all(n > 0 for n in row["parents"] + row["survivors"] + row["observers"])
@@ -61,6 +61,12 @@ def test_stage_timing_rows_run_at_toy_sizes():
     assert [row["format"] for row in written] == ["csv", "json"]
     for row in written:
         assert row["bytes"] > 0 and row["write_q1_s"] <= row["write_s"] <= row["write_q3_s"], row
+    lens = script.lens_rows((10, 20), 3)
+    assert [(row["lens"], row["radii"]) for row in lens] == [
+        (name, n) for n in (10, 20) for name in ("lens_symmetric", "lens_asymmetric")
+    ]
+    for row in lens:
+        assert 0.0 < row["lens_q1_s"] <= row["lens_s"] <= row["lens_q3_s"], row
 
 
 def test_report_diff_compares_hand_made_outputs():
