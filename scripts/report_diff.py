@@ -7,14 +7,18 @@ fresh ``python -W error`` interpreter with ``PYTHONPATH`` set to that tree and
 whether the two outputs are byte-identical, and the largest differences in
 ``F``, ``abs_error`` and ``sup_distance``. Exits 1 if an exit code,
 ``within_threshold``, a config echo, the radii, ``F_hat``,
-``pooled_samples`` or a plain-text output (``density``'s table) differs,
-and 0 otherwise. The last line sums up every invocation: how many outputs
-are byte-identical, and the largest differences over them all.
+``pooled_samples``, a plain-text output (``density``'s table) or the
+pattern dumps differ, and 0 otherwise. An invocation with
+``--dump-patterns`` dumps into a fresh temporary directory per tree, and the
+two must hold the same file names with the same bytes ("dumps"). The last
+line sums up every invocation: how many outputs, dumps included, are
+byte-identical, and the largest differences over them all.
 
 The invocations: the benchmark's argvs at seed 11 (read through
 ``perfbench/workloads.py``), the argv of acceptance criterion 11,
 ``analytic --format json`` for every case at delta 1e-3, 0.5, 0.75 and 1,
-one ``simulate --format json`` and one ``density``.
+one ``simulate --format json``, one ``density`` and one ``compare`` of four
+replications with pattern dumps, so that both pooling threads write them.
 
     python scripts/report_diff.py PARENT/src src
 """
@@ -27,6 +31,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,6 +45,8 @@ EXACT = ("within_threshold", "config", "case", "lambda_p", "delta", "radii", "F_
          "pooled_samples", "text")
 CSV_COLUMNS = {"r": "radii", "F": "F", "abs_error": "abs_error", "F_hat": "F_hat",
                "n": "pooled_samples"}
+# stands for the --dump-patterns directory in an argv; each tree gets its own
+DUMPS = "DUMP_DIR"
 
 
 def argvs() -> list[list[str]]:
@@ -61,6 +68,8 @@ def argvs() -> list[list[str]]:
     out.append(["simulate", "--case", "mhc-mhc", "--delta", "0.5", "--window", "30",
                 "--reps", "2", "--seed", "7", "--format", "json"])
     out.append(["density", "--delta", "0.5", "1", "--window", "30", "--reps", "3", "--seed", "7"])
+    out.append(["compare", "--case", "cmhc-mhc", "--delta", "0.5", "--window", "30",
+                "--reps", "4", "--seed", "7", "--dump-patterns", DUMPS])
     return out
 
 
@@ -139,6 +148,17 @@ def compare(parent: tuple[int, str], change: tuple[int, str]) -> dict:
     return result
 
 
+def same_dumps(parent: Path, change: Path) -> bool:
+    """Whether two pattern-dump directories hold the same file names with the
+    same bytes (a missing directory holds none)."""
+
+    def files(directory: Path) -> dict[str, bytes]:
+        paths = directory.iterdir() if directory.is_dir() else ()
+        return {path.name: path.read_bytes() for path in paths}
+
+    return files(parent) == files(change)
+
+
 def summary(results: list[dict]) -> str:
     """One line over the results of :func:`compare`: the byte-identical
     outputs, k of n, and the largest difference of each NUMERIC output."""
@@ -158,7 +178,15 @@ def main(args: list[str]) -> int:
     results = []
     print("codes  identical  max|dF|  max|d abs_error|  max|d sup|  mismatched  argv")
     for argv in argvs():
-        result = compare(run(args[0], argv), run(args[1], argv))
+        with tempfile.TemporaryDirectory() as tmp:
+            dirs = [Path(tmp, "parent"), Path(tmp, "change")]
+            result = compare(*(
+                run(src, [str(dump) if arg == DUMPS else arg for arg in argv])
+                for src, dump in zip(args, dirs)
+            ))
+            if DUMPS in argv and not same_dumps(*dirs):
+                result["identical"] = False
+                result["mismatched"].append("dumps")
         results.append(result)
         print(
             f"{result['codes'][0]}/{result['codes'][1]}  {result['identical']!s:9}  "

@@ -69,9 +69,9 @@ class ProcessParams:
     """Parent Poisson intensity and hard-core distance.
 
     ``delta = 0`` degenerates to a plain Poisson process (no thinning). A
-    ``delta > 0`` must leave pi * delta**2 and lambda_p * pi * delta**2
-    finite normal doubles: the closed forms work in delta units and divide
-    by the exposure lambda_p * pi * delta**2.
+    ``delta > 0`` must leave pi * delta * delta finite and the exposure
+    lambda_p * delta * delta * pi, formed as the delta-unit model forms it, a
+    finite normal double: the closed forms divide by it.
     """
 
     lambda_p: float
@@ -85,12 +85,11 @@ class ProcessParams:
         if not (math.isfinite(delta) and delta >= 0.0):
             raise ValueError(f"delta must be finite and >= 0, got {self.delta!r}")
         # multiplied, not squared: a float power raises OverflowError
-        ball = math.pi * delta * delta
-        normal = [np.finfo(float).tiny <= x < math.inf for x in (ball, lam * ball)]
-        if delta > 0.0 and not all(normal):
+        normal = np.finfo(float).tiny <= lam * delta * delta * math.pi < math.inf
+        if delta > 0.0 and not (normal and math.pi * delta * delta < math.inf):
             raise ValueError(
                 f"delta = {self.delta!r} with lambda_p = {self.lambda_p!r}: pi*delta**2 "
-                "and lambda_p*pi*delta**2 must be finite normal doubles"
+                "must be finite and lambda_p*delta**2*pi a finite normal double"
             )
         object.__setattr__(self, "lambda_p", lam)
         object.__setattr__(self, "delta", delta)
@@ -561,7 +560,7 @@ def _moment_density(rho: np.ndarray, lam: float) -> np.ndarray:
         v = half[:, None] * (1.0 + _MOMENT_X)
         s = 2.0 * rho[:, None] - v * v
         # d/drho rho**2 lens_symmetric(s / rho) = 4 rho arccos(s / (2 rho))
-        arc = np.arccos(np.minimum(s / (2.0 * rho[:, None]), 1.0))
+        arc = np.arccos(s / (2.0 * rho[:, None]))
         weight = scale * 2.0 * v * TWO_PI * s * cmhc_pair_retention(s, lam)
         return 0.5 * half * _weighted_rows(weight * 4.0 * rho[:, None] * arc, _MOMENT_W)
 

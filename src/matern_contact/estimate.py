@@ -13,7 +13,8 @@ The former runs two or more replications on two workers, the calling thread
 and one helper thread (the lane), each taking whole replications in turn;
 :func:`run_experiment` hands it the analytic curve as one more task. A single
 replication runs on the calling thread, with the lane taking the odd row
-bands of its thinning.
+bands of its thinning. A pattern sink is called by whichever worker ran the
+replication, so from two threads and in no fixed replication order.
 Wall-clock times stay out of everything here, so that reports of the same
 config and seed are byte-identical.
 
@@ -383,11 +384,13 @@ def pooled_distances(
     when one of its patterns has two or more bands.
 
     ``on_pattern`` receives every generated pattern (replication index, role,
-    pattern) on the calling thread, in replication order, after that
-    replication's distances — used for optional pattern dumps. A pattern is
-    kept only until the sink has it. A replication with too few points raises
-    :class:`InsufficientDataError` naming its index; of several, the lowest,
-    once every replication below it has reached the sink.
+    pattern), used for optional pattern dumps, from the worker that ran the
+    replication, right after its distances: roles in
+    :func:`replication_patterns` order, replications in no fixed order and
+    from two threads, which the sink must allow. A replication with too few
+    points raises :class:`InsufficientDataError` naming its index. Of several
+    failures, a sink's error counting as its replication's, the lowest is
+    raised, once every replication below it has reached the sink.
     """
     return _pooled(config, on_pattern)[0]
 
@@ -405,33 +408,25 @@ def _pooled(
     take = threading.Lock()
     results: list = [None] * (reps + 1)  # each replication's distances, then then()'s result
     failed: dict[int, Exception] = {}
-    kept: list[dict[str, MarkedPattern] | None] = [None] * reps  # until the sink has them
-    sunk = 0
     halted = False
 
-    def replication(rep: int) -> None:
+    def replication(rep: int) -> np.ndarray:
         _query_threads.workers = -1 if rep + 1 == reps else 1
         try:
             # a single replication is all the caller runs: the lane helps thin it
             patterns = replication_patterns(config, rep, lane if reps == 1 else None)
             try:
-                results[rep] = _case_distances(config.case, patterns)
+                distances = _case_distances(config.case, patterns)
             except InsufficientDataError as exc:
                 raise InsufficientDataError(f"replication {rep} failed: {exc}") from exc
         finally:
             del _query_threads.workers
         if on_pattern is not None:
-            kept[rep] = patterns
+            for role, pattern in patterns.items():
+                on_pattern(rep, role, pattern)
+        return distances
 
-    def sink() -> None:
-        nonlocal sunk
-        while sunk < reps and kept[sunk] is not None:
-            for role, pattern in kept[sunk].items():
-                on_pattern(sunk, role, pattern)
-            kept[sunk] = None
-            sunk += 1
-
-    def work(caller: bool) -> None:
+    def work() -> None:
         # every task below a failed one has been taken, so stopping here
         # still finds the first failure
         while not (halted or failed):
@@ -440,29 +435,23 @@ def _pooled(
             if task is None:
                 return
             try:
-                if task < reps:
-                    replication(task)
-                else:
-                    results[task] = then()
+                results[task] = replication(task) if task < reps else then()
             except Exception as exc:
                 failed[task] = exc
                 return
-            if caller:
-                sink()
 
     # imported here: concurrent.futures is ~10 ms of the package's import
     # time, and the analytic side never pools
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1) as lane:
-        helper = lane.submit(work, False) if reps > 1 else None
+        helper = lane.submit(work) if reps > 1 else None
         try:
-            work(True)
+            work()
         finally:
             halted = True
         if helper is not None:
             helper.result()
-    sink()
     if failed:
         raise failed[min(failed)]
     return empirical_cdf(np.concatenate(results[:reps])), results[reps]
@@ -471,9 +460,10 @@ def _pooled(
 def run_experiment(
     config: ExperimentConfig, on_pattern: PatternSink | None = None
 ) -> ComparisonReport:
-    """Pool nearest-neighbour distances as :func:`pooled_distances` does and
-    compare them against the analytic curve, built as the task after the
-    last replication."""
+    """Pool nearest-neighbour distances as :func:`pooled_distances` does,
+    ``on_pattern`` called from either thread as there, and compare them
+    against the analytic curve, built as the task after the last
+    replication."""
 
     def build() -> CdfCurve:
         eta = RetentionFunction(config.case, config.params)

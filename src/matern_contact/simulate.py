@@ -216,8 +216,9 @@ def thin_mhc_type2(
     each band's tree holds its own rows and a halo, :data:`HALO_DELTAS` x
     ``delta`` high, of the rows just above them, so every pair lies whole in
     the tree of its lower point's band. A band marks its losers and frees its
-    tree and pairs before the next band starts. Given an ``executor``, the odd
-    bands run on it while the calling thread runs the even ones; the call
+    tree and pairs before the next band starts. The calling thread runs the
+    bands in one loop: every band, or, given an ``executor`` and two or more
+    bands, the even ones while the odd ones run on the executor. The call
     returns once every band has ended, and raises what any band raised.
     Labels depend only on the set of pairs found, so they are the same, to the
     bit, for any band count, with or without an executor.
@@ -246,7 +247,7 @@ def thin_mhc_type2(
 
         def thin_band(k: int) -> None:
             band, band_owner = coords, owner
-            if bands > 1:
+            if bands > 1:  # speed guard: one band is every row
                 y = coords[:, 1]
                 # a difference rounds relative to itself, so no pair within delta
                 # of a row below the edge escapes the halo, however small delta is
@@ -263,24 +264,22 @@ def thin_mhc_type2(
             loser = np.where((mj > mi) | ((mj == mi) & (j > i)), j, i)
             label[loser] = int(PointLabel.CMHC)  # both threads write this value only
 
-        if executor is None or bands == 1:
-            for k in range(bands):
+        odd = range(1, bands, 2) if executor is not None else ()  # empty for one band
+        helpers = [executor.submit(thin_band, k) for k in odd]
+        try:
+            for k in range(0, bands, 2 if helpers else 1):
                 thin_band(k)
-        else:
-            from concurrent.futures import wait  # ~10 ms of import time; see estimate
-
-            helpers = [executor.submit(thin_band, k) for k in range(1, bands, 2)]
-            try:
-                for k in range(0, bands, 2):
-                    thin_band(k)
-            except BaseException:
-                for future in helpers:
-                    future.cancel()
-                raise
-            finally:
-                wait(helpers)  # no band outlives the call
+        except BaseException:
             for future in helpers:
-                future.result()
+                future.cancel()
+            raise
+        finally:
+            if helpers:
+                from concurrent.futures import wait  # ~10 ms of import time; see estimate
+
+                wait(helpers)  # no band outlives the call
+        for future in helpers:
+            future.result()
     return replace(pattern, label=label)
 
 

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 import matern_contact
 from matern_contact import (
-    ContactCase, ExperimentConfig, PointLabel, ProcessParams, load_pattern
+    ContactCase, ExperimentConfig, PointLabel, ProcessParams, RetentionFunction, contact_cdf,
+    load_pattern
 )
 from matern_contact import cli
 from matern_contact.cli import CASE_THRESHOLDS, COMMANDS, CONFIG_FLAGS, main
@@ -525,6 +526,30 @@ def test_extreme_lambda_and_delta_exit_without_a_traceback(capsys, argv):
     err = capsys.readouterr().err
     assert code in (0, 2) and "Traceback" not in err, (argv, code, err)
     assert code == 0 or err.startswith("error: "), (argv, err)
+
+
+@pytest.mark.parametrize("case", ["mhc-mhc", "ppp-mhc", "cmhc-mhc"])
+def test_a_subnormal_ball_at_a_normal_exposure_reads_the_delta_unit_curve(capsys, case):
+    # pi delta**2 ~ 3e-320 is subnormal, but only the exposure ~ 3e-20 enters
+    # the model: F is the curve at (lambda_p delta delta, 1), read at r / delta
+    lam, delta = 1e300, 1e-160
+    argv = ["analytic", "--case", case, "--lambda", repr(lam), "--delta", repr(delta)]
+    assert main(argv + ["--points", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = np.array([[float(v) for v in line.split(",")] for line in out.split()[1:]])
+    twin = RetentionFunction(ContactCase(case), ProcessParams(lam * delta * delta, 1.0))
+    assert np.array_equal(rows[:, 1], contact_cdf(twin, rows[:, 0] / delta).values)
+
+
+@pytest.mark.parametrize("case", ["mhc-mhc", "ppp-mhc", "cmhc-mhc"])
+@pytest.mark.parametrize("lam, delta", [("1", "1e-160"), ("1e-300", "1e155")])
+def test_an_exposure_off_the_normal_doubles_exits_two(capsys, case, lam, delta):
+    # the exposure ~ 3e-320 is subnormal; pi delta**2 overflows
+    argv = ["analytic", "--case", case, "--lambda", lam, "--delta", delta, "--points", "3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 EXPOSURES = (1e-300, 1e-200, 1e-100, 1e-14, 1.0, 1e14, 1e100, 1e300)

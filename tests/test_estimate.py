@@ -647,6 +647,19 @@ def record_threads(monkeypatch, on_search=lambda: None):
     return searches, executors
 
 
+def meet_once():
+    """A hook by which each thread's first call waits for the other thread's,
+    so that both threads run a replication."""
+    arrived, barrier = set(), threading.Barrier(2, timeout=30)
+
+    def meet():
+        if threading.get_ident() not in arrived:
+            arrived.add(threading.get_ident())
+            barrier.wait()
+
+    return meet
+
+
 class TestPooledDistances:
     @pytest.mark.parametrize("case", list(ContactCase))
     @pytest.mark.parametrize("reps", [1, 2, 3, 5])
@@ -666,7 +679,9 @@ class TestPooledDistances:
         assert np.array_equal(emp.samples, np.sort(serial))
 
     @pytest.mark.parametrize("case", [ContactCase.PPP_TO_MHC, ContactCase.CMHC_TO_MHC])
-    def test_patterns_reach_the_sink_in_serial_order_on_the_calling_thread(self, case):
+    def test_each_pattern_reaches_the_sink_once_from_the_worker_that_ran_it(
+        self, case, monkeypatch
+    ):
         config = ExperimentConfig(case, P11, Window(30.0, 30.0), replications=4, seed=13)
         seen, expected = [], []
 
@@ -676,10 +691,36 @@ class TestPooledDistances:
 
             return record
 
-        pooled_distances(config, sink(seen))
         serial_pooled_distances(config, sink(expected))
-        assert seen == expected
-        assert {call[3] for call in seen} == {threading.get_ident()}
+        searches, _ = record_threads(monkeypatch, meet_once())
+        pooled_distances(config, sink(seen))
+        assert sorted(call[:3] for call in seen) == sorted(call[:3] for call in expected)
+        for rep in range(config.replications):
+            # roles in replication_patterns order, from the thread that searched
+            roles = [role for r, role, _, _ in seen if r == rep]
+            assert roles == [role for r, role, _, _ in expected if r == rep]
+            searched = {ident for r, ident, _ in searches if r == rep}
+            assert {ident for r, _, _, ident in seen if r == rep} == searched
+        idents = {call[3] for call in seen}
+        assert len(idents) == 2 and threading.get_ident() in idents
+
+    def test_a_sink_error_on_the_lane_is_raised(self, monkeypatch):
+        before = threading.active_count()
+        caller = threading.get_ident()
+
+        class SinkError(Exception):
+            pass
+
+        def sink(rep, role, pat):
+            if threading.get_ident() != caller:
+                raise SinkError(f"replication {rep}")
+
+        record_threads(monkeypatch, meet_once())
+        config = ExperimentConfig(ContactCase.PPP_TO_MHC, P11, Window(30.0, 30.0),
+                                  replications=4, seed=13)
+        with pytest.raises(SinkError):
+            pooled_distances(config, sink)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("reps", [4, 6])  # replication 3 last, or on the lane
     def test_a_later_failure_names_its_replication(self, reps):
@@ -719,14 +760,7 @@ class TestPooledDistances:
 
     def test_replications_run_whole_on_the_caller_and_the_lane(self, monkeypatch):
         before = threading.active_count()
-        arrived, both = set(), threading.Barrier(2, timeout=30)
-
-        def meet():  # each thread's first search waits for the other's
-            if threading.get_ident() not in arrived:
-                arrived.add(threading.get_ident())
-                both.wait()
-
-        searches, executors = record_threads(monkeypatch, meet)
+        searches, executors = record_threads(monkeypatch, meet_once())
         config = ExperimentConfig(ContactCase.PPP_TO_MHC, P11, Window(30.0, 30.0),
                                   replications=4, seed=15)
         pooled_distances(config)

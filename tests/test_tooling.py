@@ -106,3 +106,20 @@ def test_report_diff_sums_up_every_invocation_in_one_line():
     )
     assert "\n" not in line
     assert script.summary([]).startswith("summary: byte-identical outputs 0 of 0,")
+
+
+def test_report_diff_compares_pattern_dumps_byte_for_byte(tmp_path):
+    script = load_script(ROOT / "scripts" / "report_diff.py")
+    assert any(script.DUMPS in argv for argv in script.argvs())
+    dirs = {}
+    for name, last in (("parent", b"1"), ("same", b"1"), ("moved", b"2")):
+        dirs[name] = tmp_path / name
+        dirs[name].mkdir()
+        (dirs[name] / "rep000_pattern.txt").write_bytes(b"# window 30.0 30.0\n")
+        (dirs[name] / "rep001_pattern.txt").write_bytes(b"0.5 0.25 0.125 MHC\n" + last)
+    assert script.same_dumps(dirs["parent"], dirs["same"])
+    assert not script.same_dumps(dirs["parent"], dirs["moved"])
+    # a file on one side only, and no directory at all
+    (dirs["same"] / "rep002_pattern.txt").write_bytes(b"")
+    assert not script.same_dumps(dirs["parent"], dirs["same"])
+    assert script.same_dumps(tmp_path / "none", tmp_path / "missing")
