@@ -17,6 +17,11 @@ wall means the stage ran on more than one core. For each of ``SEEDS`` a stage
 takes the best of ``REPEATS`` calls, and a row holds the median over the seeds,
 since single runs spread widely. Every stage runs on the same seeded patterns
 on every commit, so two files from the same machine compare stage by stage.
+The NN rows also hold the share of queries each step of the search settled
+(``nn_within_settled``, ``nn_cross_settled``): on the plain tree, on the
+strip along the seams and by the unbounded fallback, pooled over the seeds.
+They come from the search's own counts, so they are exact and the same on
+every machine.
 
 The analytic section times ``contact_cdf`` for mhc-mhc, ppp-mhc and cmhc-mhc
 at the analytic sweep's shape: lambda_p = 1, delta 0.5 and 1, ``POINTS`` radii
@@ -79,6 +84,8 @@ from matern_contact import (
 )
 from matern_contact.cli import _csv
 from matern_contact.estimate import (
+    _labelled_points,
+    _nearest,
     empirical_cdf,
     ks_sup_distance,
     pooled_distances,
@@ -93,6 +100,7 @@ ANALYTIC_REPEATS = 11
 SEEDS = (5, 6, 7)
 SIDES = (100.0, 316.0, 1000.0)  # ~1e4, 1e5 and 1e6 parents at lambda_p = 1
 STAGES = ("sample", "thin", "thin_helper", "nn_within", "nn_cross", "sup")
+SETTLED_BY = ("plain", "strip", "fallback")
 DELTAS = (0.5, 1.0)
 ANALYTIC_CASES = (ContactCase.MHC_TO_MHC, ContactCase.PPP_TO_MHC, ContactCase.CMHC_TO_MHC)
 POINTS = 1000
@@ -149,22 +157,32 @@ def seed_row(side: float, delta: float, seed: int, repeats: int) -> dict:
     case, params = ContactCase.MHC_TO_MHC, ProcessParams(1.0, delta)
     curve = contact_cdf(RetentionFunction(case, params), default_r_grid(case, params))
     times["sup"], _ = best_of(repeats, ks_sup_distance, empirical_cdf(within), curve)
+    targets = _labelled_points(thinned, mhc)
     return {
         "parents": parents.n,
         "bands": _band_count(parents.n),
         "survivors": thinned.count(mhc),
         "observers": observers.n,
         "times": times,
+        "settled": {
+            "nn_within": _nearest(targets, window)[1],
+            "nn_cross": _nearest(targets, window, _labelled_points(observers, PointLabel.PARENT))[1],
+        },
     }
 
 
 def stage_row(side: float, delta: float) -> dict:
-    """Counts per seed, and each stage's median over ``SEEDS`` of its
-    best-of-``REPEATS`` wall (``<stage>_s``) and CPU (``<stage>_cpu_s``)."""
+    """Counts per seed, the share of NN queries each search step settled
+    over all seeds (``<stage>_settled``), and each stage's median over
+    ``SEEDS`` of its best-of-``REPEATS`` wall (``<stage>_s``) and CPU
+    (``<stage>_cpu_s``)."""
     per_seed = [seed_row(side, delta, seed, REPEATS) for seed in SEEDS]
     row = {"side": side, "delta": delta, "seeds": list(SEEDS)}
     for count in ("parents", "bands", "survivors", "observers"):
         row[count] = [r[count] for r in per_seed]
+    for stage in ("nn_within", "nn_cross"):
+        settled = np.sum([r["settled"][stage] for r in per_seed], axis=0)
+        row[f"{stage}_settled"] = dict(zip(SETTLED_BY, (settled / settled.sum()).tolist()))
     for stage in STAGES:
         for k, suffix in enumerate(("s", "cpu_s")):
             row[f"{stage}_{suffix}"] = statistics.median(r["times"][stage][k] for r in per_seed)
@@ -265,7 +283,13 @@ def main() -> None:
                 f"{stage} {row[stage + '_s']:.4f} s (cpu {row[stage + '_cpu_s']:.4f})"
                 for stage in STAGES
             )
-            print(f"side {side:g}  delta {delta:g}  {stages}", flush=True)
+            settled = "  ".join(
+                f"{stage} settled " + " ".join(
+                    f"{by} {share:.4f}" for by, share in row[stage + "_settled"].items()
+                )
+                for stage in ("nn_within", "nn_cross")
+            )
+            print(f"side {side:g}  delta {delta:g}  {stages}  {settled}", flush=True)
     analytic = []
     for case in ANALYTIC_CASES:
         for delta in DELTAS:

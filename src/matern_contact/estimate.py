@@ -1,10 +1,12 @@
 """Empirical nearest-neighbour distances, step CDFs, and the analytic versus
 Monte-Carlo comparison pipeline.
 
-Nearest-neighbour distances on the torus come from scipy's periodic k-d tree,
+Nearest-neighbour distances on the torus come from a plain k-d tree, and
+from scipy's periodic one only for the queries near a seam and the few with
+no target within the first search's reach (:func:`_nearest`). They are
 queried on every core unless :func:`pooled_distances` has set the thread to
-one, and equal a brute-force minimum-image scan bit for bit whatever the core
-count. They keep the pattern's (spatial) point order.
+one, equal a brute-force minimum-image scan bit for bit whatever the core
+count, and keep the pattern's (spatial) point order.
 
 :func:`replication_patterns` is the one recipe for the patterns of a
 replication: the seeds of ``SEED_SCHEME`` and the thinning each case calls
@@ -50,6 +52,7 @@ from .simulate import (
     _check_point_cap,
     _check_window_floor,
     _periodic_tree,
+    _wrapped,
     sample_ppp,
     thin_mhc_type2,
 )
@@ -117,38 +120,103 @@ def _query_workers() -> int:
     return getattr(_query_threads, "workers", -1)
 
 
-# The first NN query of a point searches out to this many mean target
-# spacings only, which prunes most of the tree walk; the few points with no
-# target that close are queried again without a bound.
+# A query's first search looks only this many mean target spacings out, or
+# half the window's shorter side if that is less: the reach. It prunes most of
+# the tree walk; the few queries with no target that close are searched again
+# without a bound.
 NN_BOUND_SPACINGS = 2.0
+# a plain-tree hit is final only below its query's edge distance less this
+# many ulps of the window's longer side, and the strip reaches as far past
+# the reach: a margin for rounding in a wrapped difference fl(fl(q - t) +- W).
+# In round-to-nearest the wrap is exact (Sterbenz) and fl(q - t) rounds to no
+# double past an edge, so no case is known that needs it; it costs a few
+# strip queries
+SEAM_SLACK_ULPS = 4
 
 
-def _nearest(tree, queries: np.ndarray, k: int | list[int], window: Window) -> np.ndarray:
-    """One distance per query: ``tree.query``'s to the nearest tree point
-    (``k=1``) or to the second nearest (``k=[2]``), searched out to
-    :data:`NN_BOUND_SPACINGS` first. A point found inside the bound is the
-    one an unbounded search finds, at the same distance, so the result
-    equals the unbounded query's to the bit."""
+def _edge_distance(points: np.ndarray, sides: tuple[float, float], slack: float) -> np.ndarray:
+    """Distance from each :func:`_wrapped` row to the nearest window edge,
+    less ``slack``."""
+    x, y = points[:, 0], points[:, 1]
+    edge = np.subtract(sides[0], x)
+    np.minimum(edge, x, out=edge)
+    np.minimum(edge, y, out=edge)
+    np.minimum(edge, np.subtract(sides[1], y), out=edge)
+    return np.subtract(edge, slack, out=edge)
+
+
+def _nearest(
+    targets: np.ndarray, window: Window, queries: np.ndarray | None = None
+) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """Toroidal distance from each query to its nearest target or, with no
+    queries, from each target to its nearest other target; the rows are
+    :func:`_wrapped` points. Also returns how many queries each step
+    settled: the plain tree, the strip and the fallback.
+
+    1. Every query searches a plain k-d tree of the targets, out to the
+       reach (:data:`NN_BOUND_SPACINGS`, at most half the shorter side). A
+       hit nearer than its query's edge distance, less the slack
+       (:data:`SEAM_SLACK_ULPS`), is final.
+    2. The other hits search a periodic tree (:func:`_periodic_tree`) of the
+       strip, the targets within the reach plus the slack of an edge, on one
+       thread, and keep the smaller of the two distances.
+    3. The misses, with no target within the reach, search a periodic tree
+       of every target without a bound.
+
+    The distances equal the periodic tree's everywhere, to the bit, on two
+    facts. A hit's per-axis gaps are at most its distance, so at most half a
+    side, and scipy's minimum-image code leaves them unwrapped: a plain and a
+    periodic tree compute the same bits for that target. And any target
+    whose nearest image wraps lies at least the query's edge distance away,
+    and within that distance of an edge itself, so it is either farther than
+    a final hit or in the strip. Without queries, a query sent to the strip
+    lies in it too, so that its second-nearest strip point is the nearest
+    other one.
+    """
+    from scipy.spatial import cKDTree
+
+    within = queries is None
+    if within:
+        queries = targets
+    k = [2] if within else 1  # the nearest hit of each target is itself, at 0
     workers = _query_workers()
-    bound = NN_BOUND_SPACINGS * math.sqrt(window.area / tree.n)
-    dist = tree.query(queries, k=k, distance_upper_bound=bound, workers=workers)[0].ravel()
-    miss = np.isinf(dist)
-    if miss.any():  # speed guard
-        dist[miss] = tree.query(queries[miss], k=k, workers=workers)[0].ravel()
-    return dist
+    sides = (window.width, window.height)
+    reach = min(NN_BOUND_SPACINGS * math.sqrt(window.area / len(targets)), 0.5 * min(sides))
+    slack = SEAM_SLACK_ULPS * math.ulp(max(sides))
+    plain = cKDTree(targets, balanced_tree=False, compact_nodes=False)
+    dist = plain.query(queries, k=k, distance_upper_bound=reach, workers=workers)[0].ravel()
+    del plain  # freed before the seam step
+    edge = _edge_distance(queries, sides, slack)
+    seam = np.flatnonzero(~(dist < edge))
+    del edge
+    found = np.isfinite(dist[seam])
+    near_seam, missed = seam[found], seam[~found]
+    if near_seam.size:
+        strip = targets[_edge_distance(targets, sides, slack) <= reach]
+        tree = _periodic_tree(strip[:, 0], strip[:, 1], window)
+        wrapped = tree.query(queries[near_seam], k=k, distance_upper_bound=reach, workers=1)[0]
+        dist[near_seam] = np.minimum(dist[near_seam], wrapped.ravel())
+    if missed.size:
+        tree = _periodic_tree(targets[:, 0], targets[:, 1], window)
+        dist[missed] = tree.query(queries[missed], k=k, workers=workers)[0].ravel()
+    return dist, (len(dist) - len(seam), len(near_seam), len(missed))
+
+
+def _labelled_points(pattern: MarkedPattern, label: PointLabel) -> np.ndarray:
+    """The pattern's ``label`` points as :func:`_wrapped` rows, in its order."""
+    idx = pattern.indices_of(label)
+    return _wrapped(pattern.x[idx], pattern.y[idx], (pattern.window.width, pattern.window.height))
 
 
 def nn_distances_within(pattern: MarkedPattern, label: PointLabel) -> np.ndarray:
     """Toroidal distance from each ``label`` point to its nearest other point
     carrying the same label (query threads: :func:`_query_workers`)."""
-    idx = pattern.indices_of(label)
-    if len(idx) < 2:
+    points = _labelled_points(pattern, label)
+    if len(points) < 2:
         raise InsufficientDataError(
-            f"need >= 2 points labelled {PointLabel(label).name}, have {len(idx)}"
+            f"need >= 2 points labelled {PointLabel(label).name}, have {len(points)}"
         )
-    tree = _periodic_tree(pattern.x[idx], pattern.y[idx], pattern.window)
-    # the nearest hit of each point is itself, at distance 0
-    return _nearest(tree, tree.data, [2], pattern.window)
+    return _nearest(points, pattern.window)[0]
 
 
 def nn_distances_cross(
@@ -165,15 +233,13 @@ def nn_distances_cross(
         raise ValueError("source and target patterns live on different windows")
     if source is target and source_label == target_label:
         raise ValueError("source and target are the same points; use nn_distances_within")
-    s_idx = source.indices_of(source_label)
-    t_idx = target.indices_of(target_label)
-    if len(s_idx) == 0:
+    queries = _labelled_points(source, source_label)
+    targets = _labelled_points(target, target_label)
+    if len(queries) == 0:
         raise InsufficientDataError("source has no points with the requested label")
-    if len(t_idx) == 0:
+    if len(targets) == 0:
         raise InsufficientDataError("target has no points with the requested label")
-    tree = _periodic_tree(target.x[t_idx], target.y[t_idx], target.window)
-    queries = np.column_stack((source.x[s_idx], source.y[s_idx]))
-    return _nearest(tree, queries, 1, target.window)
+    return _nearest(targets, target.window, queries)[0]
 
 
 # The sup distance's first stage reads F at one distinct sample in

@@ -4,8 +4,9 @@ The wrap-around metric realises a stationary process exactly on a finite
 window, so no edge correction is ever needed downstream. Thinning pairs come
 from plain k-d trees padded with ghost copies across the seams, one per row
 band of a large pattern, with the odd bands on a caller's executor when it
-passes one; :mod:`.estimate` searches neighbours on a periodic tree. Both
-match a brute-force minimum-image scan, on any band count and thread.
+passes one. :mod:`.estimate` searches nearest neighbours on a plain tree,
+and on a periodic one only near the seams. Both match a brute-force
+minimum-image scan, on any band count and thread.
 """
 
 from __future__ import annotations
@@ -161,6 +162,9 @@ def _wrapped(x: np.ndarray, y: np.ndarray, sides: tuple[float, float]) -> np.nda
 def _periodic_tree(x: np.ndarray, y: np.ndarray, window: Window) -> cKDTree:
     """Periodic k-d tree over the :func:`_wrapped` points (the tree rejects a
     coordinate equal to a side); row ``k`` of ``tree.data`` is point ``k``.
+    The nearest-neighbour search builds one for its strip along the seams
+    and one for the queries its first, plain search misses
+    (``estimate._nearest``).
 
     Sliding midpoint splits and uncompacted node boxes build faster and serve
     points spread over the whole window as well. ``scipy.spatial`` is imported

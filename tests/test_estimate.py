@@ -200,6 +200,120 @@ class TestNearestNeighbourDistances:
         assert cross.tobytes() == tree.query(queries)[0].tobytes()
         assert np.array_equal(cross, brute_nn_cross(sx, sy, tx, ty, w.width, w.height))
 
+    def test_windows_at_the_floor_send_many_queries_to_the_strip(self):
+        # on sides of 10 delta about a third of the queries find their plain
+        # hit beyond their edge distance
+        settled = np.zeros(3, dtype=int)
+        for seed, (side, delta) in enumerate([(10.0, 1.0), (5.0, 0.5), (8.0, 0.8)] * 8):
+            w = Window(side, side * 1.25)
+            pat = thin_mhc_type2(sample_ppp(1.0, w, (31, seed)), delta)
+            observers = sample_ppp(1.0, w, (32, seed))
+            mhc, cmhc = pat.indices_of(PointLabel.MHC), pat.indices_of(PointLabel.CMHC)
+            mx, my = pat.x[mhc], pat.y[mhc]
+            within = nn_distances_within(pat, PointLabel.MHC)
+            assert np.array_equal(within, brute_nn_within(mx, my, w.width, w.height))
+            cross = nn_distances_cross(observers, PointLabel.PARENT, pat, PointLabel.MHC)
+            brute = brute_nn_cross(observers.x, observers.y, mx, my, w.width, w.height)
+            assert np.array_equal(cross, brute)
+            cross = nn_distances_cross(pat, PointLabel.CMHC, pat, PointLabel.MHC)
+            brute = brute_nn_cross(pat.x[cmhc], pat.y[cmhc], mx, my, w.width, w.height)
+            assert np.array_equal(cross, brute)
+            targets = np.column_stack((mx, my))
+            settled += estimate._nearest(targets, w)[1]
+            settled += estimate._nearest(targets, w, np.column_stack((observers.x, observers.y)))[1]
+        plain, strip, _ = settled
+        assert strip > plain / 3
+
+    def test_sparse_tiny_windows_cap_the_reach_at_half_a_side(self):
+        # 2 mean spacings of at most 8 points exceed half the shorter side
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            w = Window(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0)))
+            n = int(rng.integers(3, 9))
+            shorter = min(w.width, w.height)
+            assert estimate.NN_BOUND_SPACINGS * math.sqrt(w.area / n) > shorter / 2
+            x, ox = on_the_seam(rng, rng.uniform(0, w.width, n), w.width)
+            y, oy = on_the_seam(rng, rng.uniform(0, w.height, n), w.height)
+            pat = labelled_pattern(w, x, y, [1] * (n - 1) + [0])
+            within = nn_distances_within(pat, PointLabel.MHC)
+            assert np.array_equal(within, brute_nn_within(ox[:-1], oy[:-1], w.width, w.height))
+            cross = nn_distances_cross(pat, PointLabel.PARENT, pat, PointLabel.MHC)
+            brute = brute_nn_cross(ox[-1:], oy[-1:], ox[:-1], oy[:-1], w.width, w.height)
+            assert np.array_equal(cross, brute)
+
+    def test_a_target_across_the_seam_beats_a_plain_one_just_farther(self):
+        # reach = half a side = 2. From q on the left edge the plain target
+        # lies one ulp inside the reach, and the other one 4 ulps inside it
+        # across the seam: that one is 4 ulps inside the reach from an edge
+        # too, less than the slack, so a strip that stopped the slack short
+        # of the reach would miss it
+        w = Window(4.0, 4.0)
+        across = np.nextafter(np.nextafter(2.0, 3.0), 3.0)
+        targets = np.array([[np.nextafter(2.0, 0.0), 2.0], [across, 2.0]])
+        q = np.array([[0.0, 2.0]])
+        dist, settled = estimate._nearest(targets, w, q)
+        assert settled == (0, 1, 0)
+        assert dist[0] == 4.0 - across < targets[0, 0]
+        brute = brute_nn_cross(q[:, 0], q[:, 1], targets[:, 0], targets[:, 1], 4.0, 4.0)
+        assert np.array_equal(dist, brute)
+        src = labelled_pattern(w, q[:, 0], q[:, 1], [0])
+        tgt = labelled_pattern(w, targets[:, 0], targets[:, 1], [1, 1])
+        assert np.array_equal(nn_distances_cross(src, PointLabel.PARENT, tgt, PointLabel.MHC), brute)
+
+    def test_a_hit_one_ulp_inside_its_edge_distance_goes_to_the_strip(self):
+        # the query lies 0.75 from the nearest edge and its plain hit one
+        # ulp nearer: the hit is within the slack, so the strip settles it
+        w = Window(10.0, 10.0)
+        hit = np.nextafter(0.75, 0.0)
+        targets = np.array([[0.75 - hit, 5.0]])
+        q = np.array([[0.75, 5.0]])
+        dist, settled = estimate._nearest(targets, w, q)
+        assert settled == (0, 1, 0)
+        assert dist[0] == hit
+        brute = brute_nn_cross(q[:, 0], q[:, 1], targets[:, 0], targets[:, 1], 10.0, 10.0)
+        assert np.array_equal(dist, brute)
+
+    def test_a_point_in_the_strip_finds_its_neighbour_across_the_seam(self):
+        # each end point's plain neighbour lies 0.35 or 0.9 in, the other
+        # end 0.3 across the seam; the two inner points settle on the plain
+        # tree
+        w = Window(10.0, 10.0)
+        x = np.array([0.2, 9.9, 0.55, 9.0])
+        y = np.full(4, 5.0)
+        dist, settled = estimate._nearest(np.column_stack((x, y)), w)
+        assert settled == (2, 2, 0)
+        brute = brute_nn_within(x, y, 10.0, 10.0)
+        assert np.array_equal(dist, brute)
+        assert dist[0] == dist[1] == brute[0] < 0.35
+        pat = labelled_pattern(w, x, y, [1] * 4)
+        assert np.array_equal(nn_distances_within(pat, PointLabel.MHC), brute)
+
+    def test_one_and_every_query_thread_give_the_same_distances(self):
+        # pooled_distances sets a replication's queries to one thread or to
+        # every core; on a window 10 high a quarter of them reach a seam
+        w = Window(200.0, 10.0)
+        pat = thin_mhc_type2(sample_ppp(1.0, w, 33), 1.0)
+        observers = sample_ppp(1.0, w, 34)
+        mhc = pat.indices_of(PointLabel.MHC)
+        calls = [
+            (nn_distances_within, pat, PointLabel.MHC),
+            (nn_distances_cross, observers, PointLabel.PARENT, pat, PointLabel.MHC),
+            (nn_distances_cross, pat, PointLabel.CMHC, pat, PointLabel.MHC),
+        ]
+        runs = {}
+        for workers in (1, -1):
+            estimate._query_threads.workers = workers
+            try:
+                runs[workers] = [fn(*args) for fn, *args in calls]
+            finally:
+                del estimate._query_threads.workers
+        for one, every in zip(runs[1], runs[-1]):
+            assert np.array_equal(one, every)
+        brute = brute_nn_within(pat.x[mhc], pat.y[mhc], w.width, w.height)
+        assert np.array_equal(runs[1][0], brute)
+        _, strip, _ = estimate._nearest(np.column_stack((pat.x[mhc], pat.y[mhc])), w)[1]
+        assert strip > len(mhc) / 5
+
     def test_window_mismatch(self):
         a = labelled_pattern(Window(10, 10), [1.0], [1.0], [1])
         b = labelled_pattern(Window(12, 10), [1.0], [1.0], [1])
