@@ -17,10 +17,12 @@ byte-identical, and the largest differences over them all.
 The invocations: the benchmark's argvs at seed 11 (read through
 ``perfbench/workloads.py``), the argv of acceptance criterion 11,
 ``analytic --format json`` for every case at delta 1e-3, 0.5, 0.75 and 1,
-one ``simulate --format json``, one ``density``, one ``compare`` of four
-replications with pattern dumps, so that both pooling threads write them, and
-two ``compare`` runs on windows so small that many nearest-neighbour queries
-reach the periodic strip along the seams.
+one ``analytic --format json`` per hard-core case at an exposure past its
+saturation (``analytic._SATURATED_EXPOSURE``), so that the dense curves'
+table is gated too, one ``simulate --format json``, one ``density``, one
+``compare`` of four replications with pattern dumps, so that both pooling
+threads write them, and two ``compare`` runs on windows so small that many
+nearest-neighbour queries reach the periodic strip along the seams.
 
     python scripts/report_diff.py PARENT/src src
 """
@@ -66,6 +68,10 @@ def argvs() -> list[list[str]]:
                 "--seed", "20260808", "--points", "80", "--threshold", "0.1"])
     for case in ("ppp-ppp", "mhc-mhc", "ppp-mhc", "cmhc-mhc"):
         out.append(["analytic", "--case", case, "--delta", "1e-3", "0.5", "0.75", "1",
+                    "--format", "json"])
+    for case, lam, deltas in (("mhc-mhc", "100", ["0.5", "1"]), ("ppp-mhc", "100", ["0.5", "1"]),
+                              ("cmhc-mhc", "1e17", ["1"])):
+        out.append(["analytic", "--case", case, "--lambda", lam, "--delta", *deltas,
                     "--format", "json"])
     out.append(["simulate", "--case", "mhc-mhc", "--delta", "0.5", "--window", "30",
                 "--reps", "2", "--seed", "7", "--format", "json"])

@@ -19,7 +19,9 @@ and lambda_p * delta**2, so the kernels below :class:`RetentionFunction`
 work in delta units, on radii rho = r / delta and one parameter
 ``lam`` = lambda_p * delta * delta (exposure lam * pi). They take node arrays
 of any shape and return the same shape. Only :class:`RetentionFunction` and
-:class:`_Hazard` know delta, take scalars, and read Poisson curves.
+:class:`_Hazard` know delta: they keep their tables in delta units, at
+``lam``, and read them at r / delta. Only they take scalars and read
+Poisson curves.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 
-from .geometry import FloatOrArray, lens_asymmetric, lens_symmetric, piecewise
+from .geometry import FloatOrArray, _validated, lens_asymmetric, lens_symmetric, piecewise
 
 __all__ = [
     "CdfCurve",
@@ -376,8 +378,10 @@ def _clenshaw_difference(rows, at, x: np.ndarray, y: np.ndarray, dx: np.ndarray)
 
 
 class _Table:
-    """Piecewise Chebyshev table of a density f(u) from edges[0] on, and of
-    its integral from there, built out to the largest radius asked for.
+    """Piecewise Chebyshev table of the integral of a density f(u) from
+    edges[0] on, built out to the largest radius asked for. Each panel fits
+    f only to decide whether to bisect, and stores only the series of the
+    integral: the table holds no density series.
 
     Top-level panel k spans [edges[k], edges[k + 1]] and runs in
     v = sqrt(|u - cuts[k]|), in which the density is smooth up to a panel
@@ -386,8 +390,8 @@ class _Table:
     bisected in v until the last two coefficients of its series fall below
     _TAIL_TOL of its largest value, or stop falling, at the noise floor of the
     density. The layout thus depends on (density, edges, cuts) alone, never on
-    the order or the extent of the requests, and so does every value and
-    integral it returns: eta and F are pure functions of (r, case, params).
+    the order or the extent of the requests, and so does every integral it
+    returns: eta and F are pure functions of (r, case, params).
 
     The error estimate of a panel's integral is twice the tail of its series.
     With ``density_error`` the density returns its values and their own error
@@ -402,12 +406,11 @@ class _Table:
         self._count = 0  # top-level panels built
         self._end = edges[0]
         # per panel, in the order of u: left edge, v-centre and half-width,
-        # sign of u - cut, cut, series of f and of its integral (coefficient
-        # by row), integral over the panel, error estimates of both series
+        # sign of u - cut, cut, series of the integral (coefficient by row),
+        # integral over the panel and its error estimate
         self._left = self._mid = self._half = self._sign = self._cut = np.zeros(0)
-        self._values = np.zeros((_CHEB_NODES, 0))
         self._anti = np.zeros((_CHEB_NODES + 1, 0))
-        self._integral = self._value_err = self._integral_err = np.zeros(0)
+        self._integral = self._integral_err = np.zeros(0)
         # integral and its error estimate at every panel's left edge, and at
         # the table's end
         self._offset = self._cum_err = np.zeros(1)
@@ -455,7 +458,7 @@ class _Table:
             ratio = np.maximum(ratio[:n], ratio[n:])
             # a NaN ratio compares false and is kept, never split
             split = (ratio > _TAIL_TOL) & (ratio <= 0.5 * prev) & (depth < _MAX_DEPTH)
-            panels = (left, mid, half, sign, cut, coeffs[:n], coeffs[n:], tail[:n], integral_err)
+            panels = (left, mid, half, sign, cut, coeffs[n:], integral_err)
             levels.append(panels)
             kept.append(~split)
             if not split.any():
@@ -473,7 +476,7 @@ class _Table:
         panels = [np.concatenate(x) for x in zip(*levels)]
         keep = np.flatnonzero(np.concatenate(kept))
         order = keep[np.argsort(panels[0][keep])]
-        left, mid, half, sign, cut, fc, hc, value_err, integral_err = (x[order] for x in panels)
+        left, mid, half, sign, cut, hc, integral_err = (x[order] for x in panels)
         # integral from the panel's left end in u: t = -1 where u grows with
         # t, t = 1 where it falls
         anti = _chebyshev_integral(hc)
@@ -483,11 +486,9 @@ class _Table:
         self._half = np.concatenate([self._half, half])
         self._sign = np.concatenate([self._sign, sign])
         self._cut = np.concatenate([self._cut, cut])
-        self._values = np.concatenate([self._values, fc.T], axis=1)
         self._anti = np.concatenate([self._anti, anti.T], axis=1)
         integral = _clenshaw(anti.T, np.arange(len(anti)), sign)
         self._integral = np.concatenate([self._integral, integral])
-        self._value_err = np.concatenate([self._value_err, value_err])
         self._integral_err = np.concatenate([self._integral_err, integral_err])
         self._offset = np.concatenate([[0.0], np.cumsum(self._integral)])
         self._cum_err = np.concatenate([[0.0], np.cumsum(self._integral_err)])
@@ -506,11 +507,6 @@ class _Table:
         the difference of the rounded t's of close radii is not precise."""
         dv = np.divide(width, vx + vy, out=np.zeros(width.shape), where=vx + vy > 0.0)
         return _clenshaw_difference(self._anti, at, tx, ty, self._sign[at] * dv / self._half[at])
-
-    def value(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The density at x and its error estimate."""
-        at, _, t = self._locate(x)
-        return _clenshaw(self._values, at, t), self._value_err[at]
 
     def integral(self, hi: np.ndarray, width: np.ndarray | None = None):
         """Integral of the density over the ``width`` >= 0 below ``hi``, taken
@@ -569,11 +565,12 @@ def _moment_density(rho: np.ndarray, lam: float) -> np.ndarray:
 
 def _case_tables(case: ContactCase, lam: float) -> dict[str, _Table]:
     """The unbuilt tables of one hard-core case: "h0", the density of the
-    first-order hazard in eta's void ratio, or for a removed observer "tail",
-    the density 2 pi u lam g(u) beyond 1, and "moment", :func:`_moment_density`.
-    A moment panel runs about 1/2 below 3/4 and about 1 above: the moment has
-    a (1 - rho)**3 log(1 - rho) term, which a panel in v = sqrt(rho - 1/2)
-    resolves only after eight bisections."""
+    first-order hazard H0 in eta's void ratio (for a removed observer its
+    density 2 pi u lam g(u) beyond 1), and for a removed observer also
+    "moment", :func:`_moment_density`. A moment panel runs about 1/2 below
+    3/4 and about 1 above: the moment has a (1 - rho)**3 log(1 - rho) term,
+    which a panel in v = sqrt(rho - 1/2) resolves only after eight
+    bisections."""
     if case is ContactCase.PPP_TO_MHC:
         h0 = lambda u: TWO_PI * lam * u * retention_ppp_to_mhc(u, lam)  # noqa: E731
         return {"h0": _Table(h0, (0.0, 0.5, 1.0, 2.0), (0.5,))}
@@ -581,12 +578,9 @@ def _case_tables(case: ContactCase, lam: float) -> dict[str, _Table]:
         p = expm1_ratio(lam * math.pi)
         h0 = lambda u: TWO_PI * lam * u * (pair_retention(u, lam) / p)  # noqa: E731
         return {"h0": _Table(h0, (1.0, 2.0), (2.0,))}
-    tail = lambda u: TWO_PI * lam * u * _removed_pair_correlation(u, lam)  # noqa: E731
-    moment = lambda rho: _moment_density(rho, lam)  # noqa: E731
-    return {
-        "tail": _Table(tail, (1.0, 2.0), (2.0,)),
-        "moment": _Table(moment, (0.0, 0.5, 0.75, 1.0), (0.5, 0.5, 1.0)),
-    }
+    h0 = lambda u: TWO_PI * lam * u * _removed_pair_correlation(u, lam)  # noqa: E731
+    moment = _Table(lambda rho: _moment_density(rho, lam), (0.0, 0.5, 0.75, 1.0), (0.5, 0.5, 1.0))
+    return {"h0": _Table(h0, (1.0, 2.0), (2.0,)), "moment": moment}
 
 
 def _void_radius(r: np.ndarray, kept: np.ndarray, floor: float):
@@ -596,34 +590,6 @@ def _void_radius(r: np.ndarray, kept: np.ndarray, floor: float):
     r_e = np.sqrt(np.maximum(r * r - kept, 0.0))
     width = np.divide(kept, r + r_e, out=np.zeros(r.shape), where=r > 0.0)
     return r_e, np.minimum(width, r - floor)
-
-
-def _eta_ppp_to_mhc(r: np.ndarray, lam: float, tables: dict[str, _Table]):
-    """p * exp(H0(r) - H0(r_e)): pair correlation 1, and the void ratio from
-    the first-order hazard H0 over the part of the ball that the candidate's
-    own disk does not already keep free of survivors (area pi * r_e**2)."""
-    _, width = _void_radius(r, lens_asymmetric(r) / math.pi, 0.0)
-    dh, dh_err = tables["h0"].integral(r, width)
-    eta = expm1_ratio(lam * math.pi) * np.exp(dh)
-    return eta, eta * dh_err
-
-
-def _eta_mhc_to_mhc(r: np.ndarray, lam: float, tables: dict[str, _Table]):
-    """(k(r) / p) * exp(H0(r) - H0(r_e)) above 1, 0 below: pair correlation
-    from the unconditional two-point retention, and the void ratio over the
-    part of the annulus outside both hard-core disks."""
-    eta = np.zeros(r.shape)
-    err = np.zeros(r.shape)
-    active = r > 1.0
-    if not np.any(active):  # speed guard
-        return eta, err
-    ra = r[active]
-    l1 = lens_symmetric(ra)
-    _, width = _void_radius(ra, (lens_asymmetric(ra) - l1) / math.pi, 1.0)
-    dh, dh_err = tables["h0"].integral(ra, width)
-    eta[active] = _pair_free(l1, lam) / expm1_ratio(lam * math.pi) * np.exp(dh)
-    err[active] = eta[active] * dh_err
-    return eta, err
 
 
 def _removed_cdf(rho: np.ndarray, moment: _Table):
@@ -644,55 +610,57 @@ def _removed_cdf(rho: np.ndarray, moment: _Table):
     return rho**2 - half_m2, (1.0 - rho) * (1.0 + rho) + half_m2, err
 
 
-def _eta_cmhc_to_mhc(r: np.ndarray, lam: float, tables: dict[str, _Table]):
-    """Removed observer. Up to 1, the hazard F'(r) / (1 - F(r)) of
-    :func:`_removed_cdf`. Beyond it, g(r) * exp(H0(r) - H0(r_e)) with the
-    exact pair correlation lambda_t * g / lambda_p = (p - k(r)) / (1 - p) of
-    a removed point and a survivor, and H0 the zeroth-order hazard: that of
-    :func:`_removed_cdf` up to 1, then 2 pi u lam g(u)."""
-    moment = tables["moment"]
-    eta = np.empty(r.shape)
-    err = np.zeros(r.shape)
-    inner = r <= 1.0
-    if np.any(inner):  # speed guard
-        ri = r[inner]
-        _, void, void_err = _removed_cdf(ri, moment)
-        half_dm2, fp_err = moment.value(ri)
-        fp = 2.0 * ri - half_dm2
+def _eta(case: ContactCase, rho: np.ndarray, lam: float, tables: dict[str, _Table]):
+    """eta(rho) of a hard-core case at exposure lam * pi, and its error
+    estimate: g(rho) * exp(H0(rho) - H0(r_e)), the pair correlation times the
+    one-step closure of the void ratio (see :class:`RetentionFunction`), with
+    H0 from the "h0" table of :func:`_case_tables`. g is p for ppp-mhc,
+    k(rho) / p for mhc-mhc and (p - k(rho)) / (1 - p), that of a removed
+    point and a survivor, for cmhc-mhc. pi (rho**2 - r_e**2) is the area of
+    b(o, rho) that the target's own disk keeps free of survivors,
+    lens_asymmetric, less the lens l1 of o's disk for mhc-mhc; r_e's floor
+    is 0 for ppp-mhc, 1 for the others. mhc-mhc's eta is 0 up to 1. A
+    removed observer's H0 is -log(1 - F) of :func:`_removed_cdf` up to 1,
+    and up to 1 its eta is that closed form's hazard F' / (1 - F), with the
+    void's error estimate."""
+    eta, err = np.zeros(rho.shape), np.zeros(rho.shape)
+    floor = 0.0 if case is ContactCase.PPP_TO_MHC else 1.0
+    outer = rho > 1.0 if floor else slice(None)
+    if case is ContactCase.CMHC_TO_MHC and not outer.all():  # speed guard
+        inner = ~outer
+        ri = rho[inner]
+        _, void, void_err = _removed_cdf(ri, tables["moment"])
+        fp = 2.0 * ri - _moment_density(ri, lam)
         # F'(r) / (2 pi r lam), whose limit at r = 0 is 1 / (lam pi)
         positive = ri > 0.0
-        rate = np.where(
-            positive,
-            fp / (TWO_PI * lam * np.where(positive, ri, 1.0)),
-            1.0 / (lam * math.pi),
-        )
+        safe = np.where(positive, ri, 1.0)
+        rate = np.where(positive, fp / (TWO_PI * lam * safe), 1.0 / (lam * math.pi))
         eta[inner] = rate / void
-        fp_rel = np.divide(fp_err, fp, out=np.zeros(fp.shape), where=fp_err > 0.0)
-        err[inner] = eta[inner] * (fp_rel + void_err / void)
-    outer = ~inner
-    if np.any(outer):  # speed guard
-        ro = r[outer]
-        r_e, width = _void_radius(ro, lens_asymmetric(ro) / math.pi, 1.0)
-        dh = np.zeros(ro.shape)
-        dh_err = np.zeros(ro.shape)
+        err[inner] = eta[inner] * (void_err / void)
+    ro = rho[outer]
+    if not ro.size:  # speed guard
+        return eta, err
+    kept = lens_asymmetric(ro)
+    if case is ContactCase.PPP_TO_MHC:
+        g = expm1_ratio(lam * math.pi)
+    elif case is ContactCase.MHC_TO_MHC:
+        l1 = lens_symmetric(ro)
+        kept = kept - l1
+        g = _pair_free(l1, lam) / expm1_ratio(lam * math.pi)
+    else:
+        g = _removed_pair_correlation(ro, lam)
+    r_e, width = _void_radius(ro, kept / math.pi, floor)
+    dh, dh_err = tables["h0"].integral(ro, width)
+    if case is ContactCase.CMHC_TO_MHC:
         back = r_e < 1.0
         if np.any(back):  # speed guard
             # H0(1) = -log(1 - F(1)), then back down to r_e
-            _, void, void_err = _removed_cdf(np.append(r_e[back], 1.0), moment)
-            dh[back] = -np.log(void[-1]) + np.log(void[:-1])
-            dh_err[back] = void_err[-1] / void[-1] + void_err[:-1] / void[:-1]
-        tail, tail_err = tables["tail"].integral(ro, width)
-        g = _removed_pair_correlation(ro, lam)
-        eta[outer] = g * np.exp(dh + tail)
-        err[outer] = eta[outer] * (dh_err + tail_err)
+            _, void, void_err = _removed_cdf(np.append(r_e[back], 1.0), tables["moment"])
+            dh[back] += -np.log(void[-1]) + np.log(void[:-1])
+            dh_err[back] += void_err[-1] / void[-1] + void_err[:-1] / void[:-1]
+    eta[outer] = g * np.exp(dh)
+    err[outer] = eta[outer] * dh_err
     return eta, err
-
-
-_EVALUATORS = {
-    ContactCase.MHC_TO_MHC: _eta_mhc_to_mhc,
-    ContactCase.PPP_TO_MHC: _eta_ppp_to_mhc,
-    ContactCase.CMHC_TO_MHC: _eta_cmhc_to_mhc,
-}
 
 
 def _check_case(case: ContactCase, params: ProcessParams) -> None:
@@ -721,37 +689,36 @@ class RetentionFunction:
     exceeds 1 where the source attracts targets (removed observers).
 
     eta is a pure function of (r / delta, case, lambda_p delta**2), so an
-    instance at delta != 1 holds its delta-unit twin, the instance at
-    (lambda_p * delta * delta, 1), and eta(r) is the twin's eta at r / delta.
-    The twin tabulates the inner integrals, H0 and the removed observer's
-    second factorial moment, which depend on one radius each, on first use
-    as piecewise Chebyshev series out to the largest radius asked for (see
-    :class:`_Table`), and eta looks them up, whatever the order of the calls.
+    instance keeps its tables in delta units, at lam = lambda_p * delta *
+    delta, and evaluates eta (:func:`_eta`) at r / delta, or at r itself
+    when delta = 1. The tables hold the inner integrals, H0 and the removed
+    observer's second factorial moment, which depend on one radius each.
+    Each is built on first use as piecewise Chebyshev series out to the
+    largest radius asked for (see :class:`_Table`), and eta looks them up,
+    whatever the order of the calls.
 
     ``eta(r)`` takes a scalar or an array of any shape and is 1 for ppp-ppp
-    and at delta = 0, which have no twin; ``eta(r, with_error=True)`` also
+    and at delta = 0, which have no tables; ``eta(r, with_error=True)`` also
     returns an error estimate: the tail estimates of the table panels that
     its lookups touch, propagated to eta. :func:`contact_cdf` integrates it
     into ``abs_error``.
 
     Raises:
         ValueError: for cmhc-mhc at delta = 0, which has no removed observer.
+        DomainError: when called at a negative, NaN or infinite radius.
     """
 
     case: ContactCase
     params: ProcessParams
-    # the delta-unit twin: this instance at delta = 1, None for a Poisson curve
-    _unit: RetentionFunction | None = field(init=False, repr=False, compare=False)
+    # the tables of eta at (lambda_p * delta * delta, 1), none for a Poisson curve
     _tables: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_case(self.case, self.params)
-        lam, d = self.params.lambda_p, self.params.delta
-        unit = None if self.case is ContactCase.PPP_TO_PPP or d == 0.0 else self
-        if unit is not None and d != 1.0:
-            unit = RetentionFunction(self.case, ProcessParams(lam * d * d, 1.0))
-        object.__setattr__(self, "_unit", unit)
-        object.__setattr__(self, "_tables", _case_tables(self.case, lam) if unit is self else {})
+        d = self.params.delta
+        poisson = self.case is ContactCase.PPP_TO_PPP or d == 0.0
+        tables = {} if poisson else _case_tables(self.case, self.params.lambda_p * d * d)
+        object.__setattr__(self, "_tables", tables)
 
     @property
     def lower_support(self) -> float:
@@ -769,14 +736,13 @@ class RetentionFunction:
 
     def __call__(self, r: FloatOrArray, with_error: bool = False):
         scalar = np.ndim(r) == 0
-        flat = np.atleast_1d(np.asarray(r, dtype=float)).ravel()
-        if self._unit is None:
-            values, errors = np.ones(flat.shape), np.zeros(flat.shape)
-        elif self._unit is self:
-            evaluate = _EVALUATORS[self.case]
-            values, errors = evaluate(flat, self.params.lambda_p, self._tables)
+        flat = _validated(r).ravel()
+        d = self.params.delta
+        if self._tables:
+            rho = flat if d == 1.0 else flat / d
+            values, errors = _eta(self.case, rho, self.params.lambda_p * d * d, self._tables)
         else:
-            values, errors = self._unit(flat / self.params.delta, with_error=True)
+            values, errors = np.ones(flat.shape), np.zeros(flat.shape)
         if scalar:
             values, errors = float(values[0]), float(errors[0])
         else:
@@ -816,14 +782,17 @@ class CdfCurve:
     def cdf(self, x: np.ndarray) -> np.ndarray:
         """F at any radii, read from the table the curve was built from: to
         the bit, the values of a curve built on those radii. 0 below the
-        lower support.
+        lower support, and so at every negative radius.
 
         Raises:
+            ValueError: at a NaN radius.
             QuadratureError: if the error estimate of F exceeds the curve's
                 ``abs_tol`` at any of the radii.
         """
         x = np.asarray(x, dtype=float)
-        hazard, herr = self._hazard_at(x)
+        if np.isnan(x).any():
+            raise ValueError("F is not defined at a NaN radius")
+        hazard, herr = self._hazard_at(np.maximum(x, 0.0))
         _check_error(x, hazard, herr, self.abs_tol)
         return -np.expm1(-hazard)
 
@@ -865,24 +834,27 @@ class _Hazard:
 
     A Poisson curve has no delta to scale by: H = lambda_p pi r**2, with error
     estimate 0. Any other is H(r) = H1(r / delta), from one table of the
-    hazard density 2 pi u lam eta1(u) of eta's delta-unit twin (at exposure
-    _SATURATED_EXPOSURE of its case for dense curves), grown out to the
-    largest radius read. It starts at the twin's lower support, with edges at
-    the kinks above it and the midpoints between them, so that every
-    top-level panel runs in sqrt(|u - c|) about its singular end c. A removed
-    observer needs no table up to 1: there H1 = -log(1 - F) with F in closed
-    form (:func:`_removed_cdf`), and the table starts at 1 from H1(1)."""
+    hazard density 2 pi u lam eta1(u), grown out to the largest radius read.
+    eta1 is eta at (lambda_p delta**2, 1), or at exposure _SATURATED_EXPOSURE
+    of its case for dense curves: eta itself when those are its parameters,
+    else one RetentionFunction at delta 1. It starts at eta1's lower support,
+    with edges at the kinks above it and the midpoints between them, so that
+    every top-level panel runs in sqrt(|u - c|) about its singular end c. A
+    removed observer needs no table up to 1: there H1 = -log(1 - F) with F
+    in closed form (:func:`_removed_cdf`), and the table starts at 1 from
+    H1(1)."""
 
     def __init__(self, eta: RetentionFunction):
         self._params = eta.params
         self._table = None
-        unit = eta._unit
-        if unit is None:
+        if not eta._tables:
             return
+        lam = eta.params.lambda_p * eta.params.delta * eta.params.delta
         saturated = _SATURATED_EXPOSURE[eta.case]
-        if unit.params.lambda_p * math.pi > saturated:
-            unit = RetentionFunction(eta.case, ProcessParams(saturated / math.pi, 1.0))
-        lam = unit.params.lambda_p
+        if lam * math.pi > saturated:
+            lam = saturated / math.pi
+        params = ProcessParams(lam, 1.0)
+        unit = eta if eta.params == params else RetentionFunction(eta.case, params)
         self._moment = unit._tables.get("moment")
         self._start = 1.0 if self._moment is not None else unit.lower_support
         points = [self._start] + [k for k in _KINKS if k > self._start]

@@ -2,11 +2,12 @@
 Monte-Carlo comparison pipeline.
 
 Nearest-neighbour distances on the torus come from a plain k-d tree, and
-from scipy's periodic one only for the queries near a seam and the few with
-no target within the first search's reach (:func:`_nearest`). They are
-queried on every core unless :func:`pooled_distances` has set the thread to
-one, equal a brute-force minimum-image scan bit for bit whatever the core
-count, and keep the pattern's (spatial) point order.
+from scipy's periodic one (:func:`_periodic_tree`, built here and nowhere
+else) only for the queries near a seam and the few with no target within
+the first search's reach (:func:`_nearest`). They are queried on every core
+unless :func:`pooled_distances` has set the thread to one, equal a
+brute-force minimum-image scan bit for bit whatever the core count, and
+keep the pattern's (spatial) point order.
 
 :func:`replication_patterns` is the one recipe for the patterns of a
 replication: the seeds of ``SEED_SCHEME`` and the thinning each case calls
@@ -51,7 +52,6 @@ from .simulate import (
     Window,
     _check_point_cap,
     _check_window_floor,
-    _periodic_tree,
     _wrapped,
     sample_ppp,
     thin_mhc_type2,
@@ -59,6 +59,8 @@ from .simulate import (
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
+
+    from scipy.spatial import cKDTree
 
 __all__ = [
     "ComparisonReport",
@@ -143,6 +145,23 @@ def _edge_distance(points: np.ndarray, sides: tuple[float, float], slack: float)
     np.minimum(edge, y, out=edge)
     np.minimum(edge, np.subtract(sides[1], y), out=edge)
     return np.subtract(edge, slack, out=edge)
+
+
+def _periodic_tree(x: np.ndarray, y: np.ndarray, window: Window) -> cKDTree:
+    """Periodic k-d tree over the :func:`_wrapped` points (the tree rejects a
+    coordinate equal to a side); row ``k`` of ``tree.data`` is point ``k``.
+    :func:`_nearest` builds one for its strip along the seams and one for
+    the queries its first, plain search misses.
+
+    Sliding midpoint splits and uncompacted node boxes build faster and serve
+    points spread over the whole window as well. ``scipy.spatial`` is imported
+    here, not at module level: it is most of the package's import time, and
+    the analytic side never builds a tree.
+    """
+    from scipy.spatial import cKDTree
+
+    sides = (window.width, window.height)
+    return cKDTree(_wrapped(x, y, sides), boxsize=sides, balanced_tree=False, compact_nodes=False)
 
 
 def _nearest(

@@ -5,8 +5,8 @@ window, so no edge correction is ever needed downstream. Thinning pairs come
 from plain k-d trees padded with ghost copies across the seams, one per row
 band of a large pattern, with the odd bands on a caller's executor when it
 passes one. :mod:`.estimate` searches nearest neighbours on a plain tree,
-and on a periodic one only near the seams. Both match a brute-force
-minimum-image scan, on any band count and thread.
+and on a periodic one, which it builds itself, only near the seams. Both
+match a brute-force minimum-image scan, on any band count and thread.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .analytic import ProcessParams
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
-
-    from scipy.spatial import cKDTree
 
 __all__ = [
     "CapacityError",
@@ -157,24 +155,6 @@ def _wrapped(x: np.ndarray, y: np.ndarray, sides: tuple[float, float]) -> np.nda
     coords = np.mod(coords, sides)
     coords[coords == sides] = 0.0  # np.mod of a tiny negative input, or a loaded point
     return coords
-
-
-def _periodic_tree(x: np.ndarray, y: np.ndarray, window: Window) -> cKDTree:
-    """Periodic k-d tree over the :func:`_wrapped` points (the tree rejects a
-    coordinate equal to a side); row ``k`` of ``tree.data`` is point ``k``.
-    The nearest-neighbour search builds one for its strip along the seams
-    and one for the queries its first, plain search misses
-    (``estimate._nearest``).
-
-    Sliding midpoint splits and uncompacted node boxes build faster and serve
-    points spread over the whole window as well. ``scipy.spatial`` is imported
-    here, not at module level: it is most of the package's import time, and
-    the analytic side never builds a tree.
-    """
-    from scipy.spatial import cKDTree
-
-    sides = (window.width, window.height)
-    return cKDTree(_wrapped(x, y, sides), boxsize=sides, balanced_tree=False, compact_nodes=False)
 
 
 def sample_ppp(lam: float, window: Window, seed: SeedLike) -> MarkedPattern:

@@ -31,7 +31,7 @@ from matern_contact.analytic import (
     pair_retention,
     retention_ppp_to_mhc,
 )
-from matern_contact.geometry import lens_asymmetric, lens_symmetric
+from matern_contact.geometry import DomainError, lens_asymmetric, lens_symmetric
 from oracles import (
     ResolutionError,
     clenshaw_difference_per_row,
@@ -199,6 +199,21 @@ class TestRetentionProfiles:
             curve = contact_cdf(eta, default_r_grid(case, p))
             for field in ("radii", "values", "abs_error", "hazard", "hazard_error"):
                 assert getattr(curve, field).tobytes() == getattr(reference, field).tobytes()
+
+    @pytest.mark.parametrize("case", list(ContactCase))
+    def test_eta_rejects_negative_nan_and_infinite_radii(self, case):
+        # one check for every case, Poisson curves at delta 0 included, before
+        # any lookup: no case may return 0 or 1 there, or fail in a table
+        for p in (ProcessParams(1.0, 0.5), P11, ProcessParams(2.0, 0.0)):
+            if case is ContactCase.CMHC_TO_MHC and p.delta == 0.0:
+                continue
+            eta = RetentionFunction(case, p)
+            for bad in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError):
+                    eta(bad)
+                with pytest.raises(DomainError):
+                    eta(np.array([[0.5, 2.0], [bad, 1.0]]), with_error=True)
+            assert eta(np.array([0.0, 0.5, 2.0])).shape == (3,)
 
     def test_lower_support_and_target_intensity(self):
         eta = RetentionFunction(ContactCase.MHC_TO_MHC, P11)
@@ -385,6 +400,20 @@ class TestContactCdf:
         assert np.all(np.diff(curve.values) >= 0.0)
         assert curve.values[0] == 0.0
         assert np.all((curve.values >= 0.0) & (curve.values <= 1.0))
+
+    @pytest.mark.parametrize("case", list(ContactCase))
+    def test_cdf_is_zero_at_negative_radii_and_rejects_nan(self, case):
+        # F is 0 below the lower support, so at every negative radius, where
+        # the Poisson closed form 1 - exp(-lambda_p pi r**2) is not
+        for p in (ProcessParams(1.0, 0.5), ProcessParams(1.0, 0.0)):
+            if case is ContactCase.CMHC_TO_MHC and p.delta == 0.0:
+                continue
+            curve = contact_cdf(RetentionFunction(case, p), np.linspace(0.0, 2.0, 9))
+            below = curve.cdf(np.array([-1.0, -1e-300, -0.0, -math.inf]))
+            assert below.tobytes() == np.zeros(4).tobytes(), (case, p)
+            assert curve.cdf(curve.radii).tobytes() == curve.values.tobytes()
+            with pytest.raises(ValueError, match="NaN"):
+                curve.cdf(np.array([0.5, math.nan]))
 
     def test_zero_below_hard_core(self):
         grid = np.array([0.2, 0.6, 1.0, 1.5, 2.0])
@@ -629,8 +658,8 @@ class TestHazardTable:
 
     def test_empty_lookups_before_the_first_extension(self):
         table = analytic._Table(np.cos, (0.0, 1.0), (0.0,))
-        for value, err in (table.integral(np.zeros(0)), table.value(np.zeros(0))):
-            assert value.shape == err.shape == (0,)
+        value, err = table.integral(np.zeros(0))
+        assert value.shape == err.shape == (0,)
         value, err = table.integral(np.zeros(0), np.zeros(0))
         assert value.shape == err.shape == (0,)
 
@@ -750,8 +779,6 @@ class TestTables:
         assert np.max(np.abs(value / (np.cos(lo[:400]) * (tiny - lo[:400])) - 1.0)) <= 1e-12
         start, _ = table.integral(hi)
         assert np.max(np.abs(start - np.sin(hi))) <= 1e-14
-        density, _ = table.value(hi)
-        assert np.max(np.abs(density - np.cos(hi))) <= 1e-14
 
 
 def awkward_coefficients(rng, rows: int, panels: int) -> np.ndarray:

@@ -33,12 +33,13 @@ from matern_contact import (
 )
 from matern_contact.analytic import default_r_grid
 from matern_contact.estimate import (
+    _periodic_tree,
     empirical_cdf,
     ks_sup_distance,
     pooled_distances,
     replication_patterns,
 )
-from matern_contact.simulate import _band_count, _periodic_tree
+from matern_contact.simulate import _band_count
 from oracles import (
     brute_nn_cross,
     brute_nn_within,

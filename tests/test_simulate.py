@@ -22,7 +22,8 @@ from matern_contact import (
     thin_mhc_type2,
 )
 from matern_contact.analytic import mhc_retention
-from matern_contact.simulate import _band_count, _periodic_tree, _spatial_order, dump_pattern
+from matern_contact.estimate import _periodic_tree
+from matern_contact.simulate import _band_count, _spatial_order, dump_pattern
 from oracles import brute_mhc_mask, brute_nn_within, on_the_seam
 
 W100 = Window(100.0, 100.0)
