@@ -15,14 +15,17 @@ line sums up every invocation: how many outputs, dumps included, are
 byte-identical, and the largest differences over them all.
 
 The invocations: the benchmark's argvs at seed 11 (read through
-``perfbench/workloads.py``), the argv of acceptance criterion 11,
-``analytic --format json`` for every case at delta 1e-3, 0.5, 0.75 and 1,
-one ``analytic --format json`` per hard-core case at an exposure past its
+``perfbench/workloads.py``), the argv of acceptance criterion 11, ``analytic
+--format json`` for every case at delta 1e-3, 0.5, 0.75 and 1, one
+``analytic --format json`` per hard-core case at an exposure past its
 saturation (``analytic._SATURATED_EXPOSURE``), so that the dense curves'
 table is gated too, one ``simulate --format json``, one ``density``, one
-``compare`` of four replications with pattern dumps, so that both pooling
-threads write them, and two ``compare`` runs on windows so small that many
-nearest-neighbour queries reach the periodic strip along the seams.
+cmhc-mhc ``compare`` of four replications with pattern dumps, so that both
+pooling threads write them, one ppp-mhc ``compare`` with pattern dumps, so
+that every label (PARENT, MHC, CMHC) and every role (pattern, source,
+target) of the dump writer is gated, and two ``compare`` runs on windows so
+small that many nearest-neighbour queries reach the periodic strip along the
+seams.
 
     python scripts/report_diff.py PARENT/src src
 """
@@ -78,6 +81,8 @@ def argvs() -> list[list[str]]:
     out.append(["density", "--delta", "0.5", "1", "--window", "30", "--reps", "3", "--seed", "7"])
     out.append(["compare", "--case", "cmhc-mhc", "--delta", "0.5", "--window", "30",
                 "--reps", "4", "--seed", "7", "--dump-patterns", DUMPS])
+    out.append(["compare", "--case", "ppp-mhc", "--delta", "0.5", "--window", "30",
+                "--reps", "2", "--seed", "7", "--dump-patterns", DUMPS])
     out.append(["compare", "--case", "cmhc-mhc", "--delta", "1", "--window", "10",
                 "--reps", "3", "--seed", "5"])
     out.append(["compare", "--case", "ppp-ppp", "--window", "6", "--reps", "3", "--seed", "5"])

@@ -545,7 +545,7 @@ _MOMENT_X, _MOMENT_W = leggauss(24)
 
 
 def _moment_density(rho: np.ndarray, lam: float) -> np.ndarray:
-    """m2'(rho) / 2 for the second factorial moment m2 of :func:`_removed_cdf`,
+    """m2'(rho) / 2 for the second factorial moment m2 of :func:`_removed_hazard`,
     0 for rho <= 1/2, where no pair fits. The pair distance s runs in
     v = sqrt(2 rho - s), which smooths the lens edge at s = 2 rho."""
     # lam**2 / (1 - p), 1 - p = a W(a) at a = lam pi, without lam**2's underflow
@@ -564,13 +564,13 @@ def _moment_density(rho: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _case_tables(case: ContactCase, lam: float) -> dict[str, _Table]:
-    """The unbuilt tables of one hard-core case: "h0", the density of the
-    first-order hazard H0 in eta's void ratio (for a removed observer its
-    density 2 pi u lam g(u) beyond 1), and for a removed observer also
-    "moment", :func:`_moment_density`. A moment panel runs about 1/2 below
-    3/4 and about 1 above: the moment has a (1 - rho)**3 log(1 - rho) term,
-    which a panel in v = sqrt(rho - 1/2) resolves only after eight
-    bisections."""
+    """The unbuilt tables of one hard-core case, a set per RetentionFunction:
+    "h0", the density of the first-order hazard H0 in eta's void ratio (for
+    a removed observer its density 2 pi u lam g(u) beyond 1), and for a
+    removed observer also "moment", :func:`_moment_density`, which only
+    :func:`_removed_hazard` reads. A moment panel runs about 1/2 below 3/4
+    and about 1 above: the moment has a (1 - rho)**3 log(1 - rho) term, which
+    a panel in v = sqrt(rho - 1/2) resolves only after eight bisections."""
     if case is ContactCase.PPP_TO_MHC:
         h0 = lambda u: TWO_PI * lam * u * retention_ppp_to_mhc(u, lam)  # noqa: E731
         return {"h0": _Table(h0, (0.0, 0.5, 1.0, 2.0), (0.5,))}
@@ -592,9 +592,9 @@ def _void_radius(r: np.ndarray, kept: np.ndarray, floor: float):
     return r_e, np.minimum(width, r - floor)
 
 
-def _removed_cdf(rho: np.ndarray, moment: _Table):
-    """Contact CDF F(rho) of a removed point, its void probability 1 - F(rho)
-    and their error estimate, for 0 <= rho <= 1.
+def _removed_hazard(rho: np.ndarray, moment: _Table):
+    """Contact hazard H(rho) = -log(1 - F(rho)) of a removed point, its error
+    estimate and the void probability 1 - F(rho), for 0 <= rho <= 1.
 
     Every survivor within distance 1 of a removed point o beats o's mark, so
     the survivor count N in b(o, rho) has mean rho**2 exactly, and
@@ -603,11 +603,17 @@ def _removed_cdf(rho: np.ndarray, moment: _Table):
     integrated over point pairs in the ball: over their distance s in
     (1, 2 rho) with weight 2 pi s * rho**2 lens_symmetric(s / rho), the lens
     of two disks of radius rho. ``moment`` tabulates m2'(rho) / 2
-    (:func:`_moment_density`).
+    (:func:`_moment_density`). H takes log1p of F below F = 1/2, which keeps
+    the relative precision of a small F, and the log of the void above it,
+    factored so that it keeps full relative precision as rho -> 1.
     """
     half_m2, err = moment.integral(rho)
-    # the void factored so that it keeps full relative precision as rho -> 1
-    return rho**2 - half_m2, (1.0 - rho) * (1.0 + rho) + half_m2, err
+    f = rho**2 - half_m2
+    void = (1.0 - rho) * (1.0 + rho) + half_m2
+    h = -np.log(void)
+    small = f < 0.5
+    h[small] = -np.log1p(-f[small])
+    return h, err / void, void
 
 
 def _eta(case: ContactCase, rho: np.ndarray, lam: float, tables: dict[str, _Table]):
@@ -620,23 +626,22 @@ def _eta(case: ContactCase, rho: np.ndarray, lam: float, tables: dict[str, _Tabl
     b(o, rho) that the target's own disk keeps free of survivors,
     lens_asymmetric, less the lens l1 of o's disk for mhc-mhc; r_e's floor
     is 0 for ppp-mhc, 1 for the others. mhc-mhc's eta is 0 up to 1. A
-    removed observer's H0 is -log(1 - F) of :func:`_removed_cdf` up to 1,
-    and up to 1 its eta is that closed form's hazard F' / (1 - F), with the
-    void's error estimate."""
+    removed observer's H0 is H of :func:`_removed_hazard` up to 1, and up to
+    1 its eta is that closed form's hazard rate F' / (1 - F), with H's error
+    estimate."""
     eta, err = np.zeros(rho.shape), np.zeros(rho.shape)
     floor = 0.0 if case is ContactCase.PPP_TO_MHC else 1.0
     outer = rho > 1.0 if floor else slice(None)
     if case is ContactCase.CMHC_TO_MHC and not outer.all():  # speed guard
         inner = ~outer
         ri = rho[inner]
-        _, void, void_err = _removed_cdf(ri, tables["moment"])
+        _, e, void = _removed_hazard(ri, tables["moment"])
         fp = 2.0 * ri - _moment_density(ri, lam)
         # F'(r) / (2 pi r lam), whose limit at r = 0 is 1 / (lam pi)
-        positive = ri > 0.0
-        safe = np.where(positive, ri, 1.0)
-        rate = np.where(positive, fp / (TWO_PI * lam * safe), 1.0 / (lam * math.pi))
+        limit = np.full(ri.shape, 1.0 / (lam * math.pi))
+        rate = np.divide(fp, TWO_PI * lam * ri, out=limit, where=ri > 0.0)
         eta[inner] = rate / void
-        err[inner] = eta[inner] * (void_err / void)
+        err[inner] = eta[inner] * e
     ro = rho[outer]
     if not ro.size:  # speed guard
         return eta, err
@@ -655,9 +660,9 @@ def _eta(case: ContactCase, rho: np.ndarray, lam: float, tables: dict[str, _Tabl
         back = r_e < 1.0
         if np.any(back):  # speed guard
             # H0(1) = -log(1 - F(1)), then back down to r_e
-            _, void, void_err = _removed_cdf(np.append(r_e[back], 1.0), tables["moment"])
-            dh[back] += -np.log(void[-1]) + np.log(void[:-1])
-            dh_err[back] += void_err[-1] / void[-1] + void_err[:-1] / void[:-1]
+            h, e, _ = _removed_hazard(np.append(r_e[back], 1.0), tables["moment"])
+            dh[back] += h[-1] - h[:-1]
+            dh_err[back] += e[-1] + e[:-1]
     eta[outer] = g * np.exp(dh)
     err[outer] = eta[outer] * dh_err
     return eta, err
@@ -685,7 +690,7 @@ class RetentionFunction:
     to a fixed point is less accurate and diverges once lambda_p pi delta**2
     exceeds about 1.3. A removed observer is treated exactly up to the
     second factorial moment of its survivor count within delta (see
-    :func:`_removed_cdf`). eta is a hazard ratio, not a probability, and
+    :func:`_removed_hazard`). eta is a hazard ratio, not a probability, and
     exceeds 1 where the source attracts targets (removed observers).
 
     eta is a pure function of (r / delta, case, lambda_p delta**2), so an
@@ -792,9 +797,7 @@ class CdfCurve:
         x = np.asarray(x, dtype=float)
         if np.isnan(x).any():
             raise ValueError("F is not defined at a NaN radius")
-        hazard, herr = self._hazard_at(np.maximum(x, 0.0))
-        _check_error(x, hazard, herr, self.abs_tol)
-        return -np.expm1(-hazard)
+        return -np.expm1(-self._hazard_at(np.maximum(x, 0.0), self.abs_tol)[0])
 
     def to_dict(self) -> dict:
         """The curve's ``radii``, ``F`` and ``abs_error`` as JSON lists."""
@@ -835,14 +838,16 @@ class _Hazard:
     A Poisson curve has no delta to scale by: H = lambda_p pi r**2, with error
     estimate 0. Any other is H(r) = H1(r / delta), from one table of the
     hazard density 2 pi u lam eta1(u), grown out to the largest radius read.
-    eta1 is eta at (lambda_p delta**2, 1), or at exposure _SATURATED_EXPOSURE
-    of its case for dense curves: eta itself when those are its parameters,
-    else one RetentionFunction at delta 1. It starts at eta1's lower support,
-    with edges at the kinks above it and the midpoints between them, so that
-    every top-level panel runs in sqrt(|u - c|) about its singular end c. A
-    removed observer needs no table up to 1: there H1 = -log(1 - F) with F
-    in closed form (:func:`_removed_cdf`), and the table starts at 1 from
-    H1(1)."""
+    eta1 is eta of a RetentionFunction of its own at (lambda_p delta**2, 1),
+    or at exposure _SATURATED_EXPOSURE of its case for dense curves. The table
+    starts at eta1's lower support, with edges at the kinks above it and the
+    midpoints between them, so that every top-level panel runs in
+    sqrt(|u - c|) about its singular end c. A removed observer needs no table
+    up to 1: there H1 is :func:`_removed_hazard`, and the table starts at 1
+    from H1(1). H(inf) = inf with error 0 on every curve; a finite r beyond
+    _MAX_RHO * delta raises ValueError. A call raises
+    :class:`QuadratureError` where exp(-H) times the error estimate of H, that
+    of F, exceeds ``abs_tol``."""
 
     def __init__(self, eta: RetentionFunction):
         self._params = eta.params
@@ -853,8 +858,7 @@ class _Hazard:
         saturated = _SATURATED_EXPOSURE[eta.case]
         if lam * math.pi > saturated:
             lam = saturated / math.pi
-        params = ProcessParams(lam, 1.0)
-        unit = eta if eta.params == params else RetentionFunction(eta.case, params)
+        unit = RetentionFunction(eta.case, ProcessParams(lam, 1.0))
         self._moment = unit._tables.get("moment")
         self._start = 1.0 if self._moment is not None else unit.lower_support
         points = [self._start] + [k for k in _KINKS if k > self._start]
@@ -869,13 +873,14 @@ class _Hazard:
 
         self._table = _Table(density, tuple(edges), tuple(cuts), density_error=True)
 
-    def __call__(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, radii: np.ndarray, abs_tol: float) -> tuple[np.ndarray, np.ndarray]:
         if self._table is None:
             # an overflow to inf is exact: F = 1 there, with error 0
             with np.errstate(over="ignore"):
                 hazard = math.pi * self._params.lambda_p * radii * radii
             return hazard, np.zeros(radii.shape)
-        rho = radii / self._params.delta
+        far = radii == math.inf
+        rho = np.where(far, 0.0, radii) / self._params.delta
         if rho.size and rho.max() > _MAX_RHO:
             raise ValueError(f"r / delta = {rho.max():.3g} is beyond the model's {_MAX_RHO:g}")
         hazard = np.zeros(rho.shape)
@@ -883,31 +888,22 @@ class _Hazard:
         offset = offset_err = 0.0
         if self._moment is not None:
             inner = (rho > 0.0) & (rho <= 1.0)
-            f, void, err = _removed_cdf(np.append(rho[inner], 1.0), self._moment)
-            # log1p keeps the relative precision of a small F, log that of a small void
-            h = -np.log(void)
-            small = f < 0.5
-            h[small] = -np.log1p(-f[small])
-            e = err / void
+            h, e, _ = _removed_hazard(np.append(rho[inner], 1.0), self._moment)
             hazard[inner], herr[inner] = h[:-1], e[:-1]
             offset, offset_err = h[-1], e[-1]
         outer = rho > self._start
         h, e = self._table.integral(rho[outer])
         hazard[outer] = offset + h
         herr[outer] = offset_err + e
+        hazard[far] = math.inf
+        error = np.exp(-hazard) * herr
+        if not np.all(error <= abs_tol):
+            worst = int(np.argmax(np.where(np.isnan(error), np.inf, error)))
+            raise QuadratureError(
+                f"quadrature stalled at r = {float(radii[worst])!r}: the hazard table's error "
+                f"estimate {error[worst]:.3e} of F exceeds the tolerance {abs_tol:.3e}"
+            )
         return hazard, herr
-
-
-def _check_error(radii: np.ndarray, hazard: np.ndarray, herr: np.ndarray, abs_tol: float):
-    """Raise :class:`QuadratureError` where the error estimate of F exceeds
-    ``abs_tol``."""
-    error = np.exp(-hazard) * herr
-    if not np.all(error <= abs_tol):
-        worst = int(np.argmax(np.where(np.isnan(error), np.inf, error)))
-        raise QuadratureError(
-            f"quadrature stalled at r = {float(radii[worst])!r}: the hazard table's error "
-            f"estimate {error[worst]:.3e} of F exceeds the tolerance {abs_tol:.3e}"
-        )
 
 
 def contact_cdf(eta: RetentionFunction, r_grid: FloatOrArray, abs_tol: float = 1e-9) -> CdfCurve:
@@ -919,11 +915,11 @@ def contact_cdf(eta: RetentionFunction, r_grid: FloatOrArray, abs_tol: float = 1
     curve is monotone by construction. A Poisson curve (ppp-ppp, or mhc-mhc
     and ppp-mhc at delta = 0) is the closed form H = lambda_p pi R**2; any
     other is H1(R / delta), with H1 the hazard at (lambda_p delta**2, 1) read
-    in one lookup from one table of its density (see :class:`_Hazard`). The
-    table's layout depends on (case, lambda_p delta**2) alone, so F at a
-    radius is the same, to the bit, on any grid that holds it and at any
-    tolerance. The curve keeps its table, and :meth:`CdfCurve.cdf` reads F at
-    any other radii from it.
+    in one lookup from one table of its density (see :class:`_Hazard`). It
+    reads only ``eta``'s case and parameters. The table's layout depends on
+    (case, lambda_p delta**2) alone, so F at a radius is the same, to the bit,
+    on any grid that holds it and at any tolerance. The curve keeps its table,
+    and :meth:`CdfCurve.cdf` reads F at any other radii from it.
 
     ``abs_error`` is exp(-H) times the error estimate of H: the tails of the
     table panels up to each radius, plus the integral of eta's own error
@@ -945,8 +941,7 @@ def contact_cdf(eta: RetentionFunction, r_grid: FloatOrArray, abs_tol: float = 1
         raise ValueError(f"abs_tol must be > 0, got {abs_tol!r}")
 
     hazard_at = _Hazard(eta)
-    hazard, herr = hazard_at(grid)
-    _check_error(grid, hazard, herr, abs_tol)
+    hazard, herr = hazard_at(grid, abs_tol)
     return CdfCurve(eta.case, eta.params, grid, hazard, herr, abs_tol, hazard_at)
 
 

@@ -96,7 +96,13 @@ class EmpiricalDistribution:
         return len(self.samples)
 
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        """F_hat(x) = (#samples <= x) / n."""
+        """F_hat(x) = (#samples <= x) / n.
+
+        Raises:
+            ValueError: at a NaN radius.
+        """
+        if np.isnan(x).any():
+            raise ValueError("F_hat is not defined at a NaN radius")
         out = np.searchsorted(self.samples, x, side="right") / self.n
         return float(out) if np.ndim(x) == 0 else out
 

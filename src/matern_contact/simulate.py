@@ -291,10 +291,10 @@ def dump_pattern(
         lines.append(f"# lambda_p {params.lambda_p!r}")
         lines.append(f"# delta {params.delta!r}")
     lines.append("# columns x y mark label")
-    for x, y, mark, lab in zip(pattern.x, pattern.y, pattern.mark, pattern.label):
-        lines.append(
-            f"{float(x)!r} {float(y)!r} {float(mark)!r} {PointLabel(int(lab)).name}"
-        )
+    # repr of every value, joined by maps rather than a Python loop per row
+    columns = [map(repr, column.tolist()) for column in (pattern.x, pattern.y, pattern.mark)]
+    names = np.array([label.name for label in PointLabel])[pattern.label].tolist()
+    lines.extend(map(" ".join, zip(*columns, names)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -415,6 +415,23 @@ class TestContactCdf:
             with pytest.raises(ValueError, match="NaN"):
                 curve.cdf(np.array([0.5, math.nan]))
 
+    @pytest.mark.parametrize("case", list(ContactCase))
+    def test_cdf_is_one_at_infinity(self, case):
+        # F(inf) = 1 with error 0 on every curve, and it grows no table to
+        # get there; a finite radius beyond the model still raises
+        curve = contact_cdf(RetentionFunction(case, ProcessParams(1.0, 0.5)), np.array([0.75]))
+        assert curve.cdf(np.array([math.inf])).tobytes() == np.ones(1).tobytes()
+        hazard, herr = curve._hazard_at(np.array([0.5, math.inf, 1.0]), curve.abs_tol)
+        assert hazard[1] == math.inf and herr[1] == 0.0
+        both = curve.cdf(np.array([0.5, math.inf, 1.0]))
+        assert both[[0, 2]].tobytes() == curve.cdf(np.array([0.5, 1.0])).tobytes()
+        assert both[1] == 1.0
+        table = curve._hazard_at._table
+        if table is not None:
+            assert table._end < 4.0
+            with pytest.raises(ValueError, match="beyond the model"):
+                curve.cdf(np.array([1e160]))
+
     def test_zero_below_hard_core(self):
         grid = np.array([0.2, 0.6, 1.0, 1.5, 2.0])
         curve = contact_cdf(RetentionFunction(ContactCase.MHC_TO_MHC, P11), grid)
@@ -450,16 +467,17 @@ class TestContactCdf:
         with pytest.raises(ValueError):
             contact_cdf(eta, np.array([0.0, 1.0]), abs_tol=0.0)
 
-    def test_quadrature_failure_is_reported(self):
+    def test_quadrature_failure_is_reported(self, monkeypatch):
         # a hard-core case: a Poisson curve is a closed form and builds no table
-        class NoisyEta(RetentionFunction):
-            def __call__(self, r, with_error=False):
-                rng = np.random.default_rng(len(np.atleast_1d(r)))
-                values = rng.random(np.shape(r))
-                return (values, np.zeros(np.shape(r))) if with_error else values
+        def noisy_eta(self, r, with_error=False):
+            rng = np.random.default_rng(len(np.atleast_1d(r)))
+            values = rng.random(np.shape(r))
+            return (values, np.zeros(np.shape(r))) if with_error else values
 
+        eta = RetentionFunction(ContactCase.PPP_TO_MHC, P11)
+        monkeypatch.setattr(RetentionFunction, "__call__", noisy_eta)
         with pytest.raises(QuadratureError):
-            contact_cdf(NoisyEta(ContactCase.PPP_TO_MHC, P11), np.array([0.0, 1.0]), abs_tol=1e-12)
+            contact_cdf(eta, np.array([0.0, 1.0]), abs_tol=1e-12)
 
     def test_deterministic_across_calls(self):
         p = ProcessParams(1.0, 0.5)

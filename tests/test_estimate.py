@@ -336,6 +336,13 @@ class TestEmpiricalCdf:
         with pytest.raises(ValueError):
             empirical_cdf([1.0, math.nan])
 
+    def test_rejects_nan_radius(self):
+        emp = empirical_cdf([1.0, 2.0])
+        for x in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="NaN"):
+                emp.cdf(x)
+        assert emp.cdf(np.array([0.5, math.inf])).tolist() == [0.0, 1.0]
+
     def test_pooling_associativity(self):
         rng = np.random.default_rng(4)
         chunks = [rng.exponential(1.0, rng.integers(1, 50)) for _ in range(5)]

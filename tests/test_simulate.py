@@ -426,6 +426,30 @@ class TestDump:
         assert params is None
         assert loaded.n == pat.n
 
+    def test_round_trip_keeps_every_label_and_float(self, tmp_path):
+        below_w, below_h, below_1 = (float(np.nextafter(x, 0.0)) for x in (7.0, 3.0, 1.0))
+        pat = MarkedPattern(
+            Window(7.0, 3.0),
+            np.array([5e-324, 0.1, below_w]),
+            np.array([0.1, below_h, 5e-324]),
+            np.array([0.1, 5e-324, below_1]),
+            np.array([PointLabel.PARENT, PointLabel.MHC, PointLabel.CMHC]),
+            (4, 2),
+        )
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        dump_pattern(pat, first, ProcessParams(2.0, 0.5))
+        rows = first.read_text().splitlines()[-3:]
+        assert rows == [
+            "5e-324 0.1 0.1 PARENT",
+            f"0.1 {below_h!r} 5e-324 MHC",
+            f"{below_w!r} 5e-324 {below_1!r} CMHC",
+        ]
+        loaded, params = load_pattern(first)
+        for name in ("x", "y", "mark", "label"):
+            assert getattr(loaded, name).tobytes() == getattr(pat, name).tobytes(), name
+        dump_pattern(loaded, second, params)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1.0 2.0 0.5 PARENT\n")
