@@ -23,9 +23,11 @@ table is gated too, one ``simulate --format json``, one ``density``, one
 cmhc-mhc ``compare`` of four replications with pattern dumps, so that both
 pooling threads write them, one ppp-mhc ``compare`` with pattern dumps, so
 that every label (PARENT, MHC, CMHC) and every role (pattern, source,
-target) of the dump writer is gated, and two ``compare`` runs on windows so
-small that many nearest-neighbour queries reach the periodic strip along the
-seams.
+target) of the dump writer is gated, an mhc-mhc ``compare`` and a ppp-mhc
+``simulate --format json`` over two deltas of three replications each, so
+that one pool runs both deltas and each delta's reports, outputs and dumps
+are gated, and two ``compare`` runs on windows so small that many
+nearest-neighbour queries reach the periodic strip along the seams.
 
     python scripts/report_diff.py PARENT/src src
 """
@@ -83,6 +85,10 @@ def argvs() -> list[list[str]]:
                 "--reps", "4", "--seed", "7", "--dump-patterns", DUMPS])
     out.append(["compare", "--case", "ppp-mhc", "--delta", "0.5", "--window", "30",
                 "--reps", "2", "--seed", "7", "--dump-patterns", DUMPS])
+    out.append(["compare", "--case", "mhc-mhc", "--delta", "0.5", "1", "--window", "30",
+                "--reps", "3", "--seed", "7", "--dump-patterns", DUMPS])
+    out.append(["simulate", "--case", "ppp-mhc", "--delta", "0.5", "1", "--window", "30",
+                "--reps", "3", "--seed", "7", "--format", "json"])
     out.append(["compare", "--case", "cmhc-mhc", "--delta", "1", "--window", "10",
                 "--reps", "3", "--seed", "5"])
     out.append(["compare", "--case", "ppp-ppp", "--window", "6", "--reps", "3", "--seed", "5"])

@@ -640,8 +640,13 @@ def _eta(case: ContactCase, rho: np.ndarray, lam: float, tables: dict[str, _Tabl
         # F'(r) / (2 pi r lam), whose limit at r = 0 is 1 / (lam pi)
         limit = np.full(ri.shape, 1.0 / (lam * math.pi))
         rate = np.divide(fp, TWO_PI * lam * ri, out=limit, where=ri > 0.0)
-        eta[inner] = rate / void
-        err[inner] = eta[inner] * e
+        # about 1 / (lam pi (1 - rho**2)), past the largest double at a
+        # vanishing exposure and rho near 1: eta is inf there
+        with np.errstate(over="ignore"):
+            rate /= void
+        eta[inner] = rate
+        # an exact eta keeps an error of 0 where it is inf, not inf * 0
+        err[inner] = np.multiply(rate, e, out=np.zeros(ri.shape), where=e != 0.0)
     ro = rho[outer]
     if not ro.size:  # speed guard
         return eta, err

@@ -6,7 +6,9 @@ config flag: its config key, its check, its help text and its parser
 options. The defaults that help shows come from ``ExperimentConfig`` and
 ``CASE_THRESHOLDS``. ``COMMANDS`` holds each subcommand's handler and help.
 The patterns of a replication come from ``estimate.replication_patterns``
-for every command that simulates.
+for every command that simulates, and ``compare`` and ``simulate`` hand
+their whole delta list to one pool, ``estimate._sweep``, which delivers each
+delta's result in delta order.
 
 Exit codes: 0 ok, 1 comparison threshold exceeded, 2 usage error.
 """
@@ -31,7 +33,13 @@ from .analytic import (
     default_r_grid,
     mhc_intensity,
 )
-from .estimate import ExperimentConfig, pooled_distances, replication_patterns, run_experiment
+from .estimate import (
+    ExperimentConfig,
+    _sweep,
+    replication_patterns,
+    # unused here, but perfbench's tracer wraps cli.run_experiment
+    run_experiment,  # noqa: F401
+)
 from .simulate import CapacityError, PointLabel, WindowFloorError, dump_pattern
 
 __all__ = ["main"]
@@ -281,16 +289,21 @@ def _make_sink(dump_dir: Path | None, case: ContactCase, params: ProcessParams):
     return sink
 
 
+def _jobs(configs: list[ExperimentConfig], dump_dir: Path | None, case: ContactCase) -> list:
+    """Each config paired with the pattern sink of its delta."""
+    return [(config, _make_sink(dump_dir, case, config.params)) for config in configs]
+
+
 def cmd_simulate(data: dict, ns: argparse.Namespace) -> int:
     _check_file_names(data, ns.out, ns.dump_patterns)
     case = _require_case(data)
     configs = _configs(data, case)
     many = len(configs) > 1
-    for config in configs:
+    start = time.perf_counter()
+
+    def write(job: int, empirical) -> None:
+        config = configs[job]
         delta = config.params.delta
-        sink = _make_sink(ns.dump_patterns, case, config.params)
-        start = time.perf_counter()
-        empirical = pooled_distances(config, on_pattern=sink)
         radii = config.r_grid()
         f_hat, n = empirical.cdf(radii).tolist(), empirical.n
         if ns.format == "json":
@@ -304,6 +317,8 @@ def cmd_simulate(data: dict, ns: argparse.Namespace) -> int:
             f"({time.perf_counter() - start:.2f} s)",
             file=sys.stderr,
         )
+
+    _sweep(_jobs(configs, ns.dump_patterns, case), False, write)
     return 0
 
 
@@ -313,26 +328,25 @@ def cmd_compare(data: dict, ns: argparse.Namespace) -> int:
     threshold = data["threshold"]
     if threshold is None:
         threshold = CASE_THRESHOLDS[case]
+    configs = _configs(data, case)
     entries = []
-    failed = False
-    for config in _configs(data, case):
-        delta = config.params.delta
-        sink = _make_sink(ns.dump_patterns, case, config.params)
-        start = time.perf_counter()
-        report = run_experiment(config, on_pattern=sink)
+    start = time.perf_counter()
+
+    def enter(job: int, report) -> None:
         entry = report.to_dict()
         entry["config"]["threshold"] = threshold
         entry["within_threshold"] = bool(report.sup_distance <= threshold)
         entries.append(entry)
-        failed = failed or report.sup_distance > threshold
         print(
-            f"compare {case.value} delta={delta:g}: sup_distance="
+            f"compare {case.value} delta={configs[job].params.delta:g}: sup_distance="
             f"{report.sup_distance:.5f} threshold={threshold:g} "
             f"({time.perf_counter() - start:.2f} s)",
             file=sys.stderr,
         )
+
+    _sweep(_jobs(configs, ns.dump_patterns, case), True, enter)
     _emit(json.dumps({"reports": entries}, sort_keys=True, indent=2), ns.out)
-    return 1 if failed else 0
+    return 1 if any(entry["sup_distance"] > threshold for entry in entries) else 0
 
 
 def cmd_density(data: dict, ns: argparse.Namespace) -> int:

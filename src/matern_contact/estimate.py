@@ -5,18 +5,22 @@ Nearest-neighbour distances on the torus come from a plain k-d tree, and
 from scipy's periodic one (:func:`_periodic_tree`, built here and nowhere
 else) only for the queries near a seam and the few with no target within
 the first search's reach (:func:`_nearest`). They are queried on every core
-unless :func:`pooled_distances` has set the thread to one, equal a
-brute-force minimum-image scan bit for bit whatever the core count, and
-keep the pattern's (spatial) point order.
+unless :func:`_sweep` has set the thread to one, equal a brute-force
+minimum-image scan bit for bit whatever the core count, and keep the
+pattern's (spatial) point order.
 
 :func:`replication_patterns` is the one recipe for the patterns of a
 replication: the seeds of ``SEED_SCHEME`` and the thinning each case calls
-for. :func:`pooled_distances` and the command line's ``density`` both use it.
-The former runs two or more replications on two workers, the calling thread
-and one helper thread (the lane), each taking whole replications in turn;
-:func:`run_experiment` hands it the analytic curve as one more task. A single
-replication runs on the calling thread, with the lane taking the odd row
-bands of its thinning. A pattern sink is called by whichever worker ran the
+for. :func:`_sweep` and the command line's ``density`` both use it. The
+former runs the configs of a sweep, one per delta of the command line's
+``compare`` and ``simulate``, on one pool: with two or more replications per
+config, the calling thread and one helper thread (the lane) take whole
+replications and then each config's analytic curve in sweep order, and the
+worker that finishes a config builds its report while the other already
+takes the next config's replications. With single replications the calling
+thread runs every task, with the lane taking the odd row bands of its
+thinning. :func:`pooled_distances` and :func:`run_experiment` are sweeps of
+one config. A pattern sink is called by whichever worker ran the
 replication, so from two threads and in no fixed replication order.
 Wall-clock times stay out of everything here, so that reports of the same
 config and seed are byte-identical.
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -117,14 +121,14 @@ def empirical_cdf(samples) -> EmpiricalDistribution:
     return EmpiricalDistribution(arr)
 
 
-# the NN query threads of the thread that runs a replication; only
-# pooled_distances sets them
+# the NN query threads of the thread that runs a replication; only _sweep
+# sets them
 _query_threads = threading.local()
 
 
 def _query_workers() -> int:
-    """scipy query threads: every core, unless :func:`pooled_distances` has
-    set this thread to one while the other thread runs a replication too."""
+    """scipy query threads: every core, unless :func:`_sweep` has set this
+    thread to one while the other thread runs a task too."""
     return getattr(_query_threads, "workers", -1)
 
 
@@ -298,14 +302,21 @@ def ks_sup_distance(emp: EmpiricalDistribution, curve: CdfCurve) -> tuple[float,
     Returns the sup and the smallest sample at which it is attained.
     """
     x = emp.samples
-    # the last copy of each distinct sample, F_hat there and its left limit
+    # the last copy of each distinct sample and F_hat there. A sweep builds a
+    # report while its other worker runs a replication, so few arrays as
+    # long as the samples are made: F_hat's left limit is read from F_hat
     last = np.flatnonzero(np.append(x[1:] != x[:-1], True))
     radii = x[last]
-    at_most = (last + 1) / emp.n
-    below = np.append(0.0, at_most[:-1])
+    last += 1
+    at_most = np.divide(last, emp.n)
+    del last
+
+    def below(at: np.ndarray) -> np.ndarray:
+        """F_hat's left limit at the distinct samples ``at``."""
+        return np.where(at > 0, at_most[at - 1], 0.0)
 
     def gaps(at: np.ndarray, f: np.ndarray) -> np.ndarray:
-        return np.maximum(at_most[at] - f, f - below[at])
+        return np.maximum(at_most[at] - f, f - below(at))
 
     m = len(radii)
     bins = min(SUP_GRID_MAX, max(1, m // SUP_STRIDE))
@@ -313,13 +324,13 @@ def ks_sup_distance(emp: EmpiricalDistribution, curve: CdfCurve) -> tuple[float,
     f = curve.cdf(radii[edges])
     edge_gaps = gaps(edges, f)
     lo, hi = edges[:-1], edges[1:]
-    bound = np.maximum(below[hi] - f[:-1], f[1:] - at_most[lo])
+    bound = np.maximum(below(hi) - f[:-1], f[1:] - at_most[lo])
     searched = (hi - lo > 1) & (bound + SUP_SLACK >= edge_gaps.max())
     # the samples strictly inside the searched bins
     step = np.zeros(m + 1, dtype=np.intp)
     step[lo[searched] + 1] += 1
     step[hi[searched]] -= 1
-    inside = np.flatnonzero(np.cumsum(step[:-1]))
+    inside = np.flatnonzero(np.cumsum(step, out=step)[:-1])
     at = np.concatenate([edges, inside])
     found = np.concatenate([edge_gaps, gaps(inside, curve.cdf(radii[inside]))])
     sup = float(found.max())
@@ -463,16 +474,8 @@ def pooled_distances(
     config: ExperimentConfig, on_pattern: PatternSink | None = None
 ) -> EmpiricalDistribution:
     """Generate the patterns each case calls for and pool their
-    nearest-neighbour distances across replications, in replication order.
-
-    Two or more replications run on two workers: the calling thread and the
-    lane, one helper thread living for this call. Each worker takes the next
-    whole replication (draw, thin, search) until none is left. A replication
-    queries on one core, as the other worker is busy too; the last one
-    queries on every core. A single replication runs on the calling thread,
-    which queries on every core, while the lane takes the odd row bands of
-    its large patterns (:func:`thin_mhc_type2`). So it starts a thread only
-    when one of its patterns has two or more bands.
+    nearest-neighbour distances across replications, in replication order:
+    a sweep (:func:`_sweep`) of this one config, without its curve.
 
     ``on_pattern`` receives every generated pattern (replication index, role,
     pattern), used for optional pattern dumps, from the worker that ran the
@@ -483,29 +486,82 @@ def pooled_distances(
     failures, a sink's error counting as its replication's, the lowest is
     raised, once every replication below it has reached the sink.
     """
-    return _pooled(config, on_pattern)[0]
+    return _single(config, on_pattern, curves=False)
 
 
-def _pooled(
-    config: ExperimentConfig,
-    on_pattern: PatternSink | None,
-    then: Callable[[], object] | None = None,
-) -> tuple[EmpiricalDistribution, object]:
-    """:func:`pooled_distances`, and the result of ``then``, run as one more
-    task after the last replication by whichever worker is free first. The
-    first failing task, in task order, is raised; ``then`` fails last."""
-    reps = config.replications
-    tasks = iter(range(reps + (then is not None)))
-    take = threading.Lock()
-    results: list = [None] * (reps + 1)  # each replication's distances, then then()'s result
+def run_experiment(
+    config: ExperimentConfig, on_pattern: PatternSink | None = None
+) -> ComparisonReport:
+    """Pool nearest-neighbour distances as :func:`pooled_distances` does,
+    ``on_pattern`` called from either thread as there, and compare them
+    against the analytic curve, built as the task after the last
+    replication: a sweep (:func:`_sweep`) of this one config."""
+    return _single(config, on_pattern, curves=True)
+
+
+def _single(config: ExperimentConfig, on_pattern: PatternSink | None, curves: bool):
+    """The one result of a :func:`_sweep` of ``config``."""
+    out = []
+    _sweep([(config, on_pattern)], curves, lambda _, result: out.append(result))
+    return out[0]
+
+
+def _sweep(
+    jobs: Sequence[tuple[ExperimentConfig, PatternSink | None]],
+    curves: bool,
+    deliver: Callable[[int, object], None],
+) -> None:
+    """Run the configs of ``jobs``, each paired with its pattern sink (see
+    :func:`pooled_distances`), on one pool, and hand each config's result to
+    ``deliver(job index, result)`` in job order: its
+    :class:`ComparisonReport` with ``curves``, else its pooled
+    :class:`EmpiricalDistribution`.
+
+    The tasks, in sweep order, are each config's replications and then, with
+    ``curves``, its analytic curve. When every config has two or more
+    replications, two workers take them in that order: the calling thread
+    and the lane, one helper thread living for this call. Each replication
+    runs whole (draw, thin, search) and queries on one core, as the other
+    worker is busy too, but for the sweep's last replication, which queries
+    on every core. The worker that finishes a config's last task builds its
+    result while the other already takes the next config's tasks. A config's
+    replication 0 starts only once the previous config's has finished, so
+    their searches end in config order. Otherwise the calling thread runs
+    every task alone, with every core for its queries, while the lane takes
+    the odd row bands of each large pattern (:func:`thin_mhc_type2`): two
+    whole large replications at once would double the peak memory. So it
+    starts a thread only when one of its patterns has two or more bands.
+
+    ``deliver`` runs on either worker, one call at a time, and the pool
+    drops a result once it is delivered. The first failing task, in task
+    order, is raised once every task below it has finished and every config
+    below its own has been delivered; a config's result and its delivery
+    fail as its last task.
+    """
+    tasks = [
+        (job, step)
+        for job, (config, _) in enumerate(jobs)
+        for step in range(config.replications + curves)
+    ]
+    last = {job: index for index, (job, _) in enumerate(tasks)}  # each job's last task
+    final = len(tasks) - 1 - curves  # the sweep's last replication
+    paired = all(config.replications > 1 for config, _ in jobs)
+    queue = iter(enumerate(tasks))
+    results: list = [[None] * (config.replications + curves) for config, _ in jobs]
+    left = [len(parts) for parts in results]  # each job's unfinished tasks
+    take = threading.Lock()  # the queue and the counts in left
+    first_done = [threading.Event() for _ in jobs]  # each job's replication 0
+    ready: dict[int, object] = {}  # built results, by job, until delivered
+    delivered = 0
+    order = threading.Lock()  # ready and deliveries
     failed: dict[int, Exception] = {}
     halted = False
 
-    def replication(rep: int) -> np.ndarray:
-        _query_threads.workers = -1 if rep + 1 == reps else 1
+    def replication(job: int, rep: int, everywhere: bool) -> np.ndarray:
+        config, on_pattern = jobs[job]
+        _query_threads.workers = -1 if everywhere else 1
         try:
-            # a single replication is all the caller runs: the lane helps thin it
-            patterns = replication_patterns(config, rep, lane if reps == 1 else None)
+            patterns = replication_patterns(config, rep, None if paired else lane)
             try:
                 distances = _case_distances(config.case, patterns)
             except InsufficientDataError as exc:
@@ -517,26 +573,78 @@ def _pooled(
                 on_pattern(rep, role, pattern)
         return distances
 
+    def run(index: int, job: int, step: int):
+        """Task ``index``'s result: a replication's distances or a curve."""
+        config = jobs[job][0]
+        if step == config.replications:
+            eta = RetentionFunction(config.case, config.params)
+            return contact_cdf(eta, config.r_grid(), config.abs_tol)
+        try:
+            if step == 0 and job:
+                first_done[job - 1].wait()
+            return replication(job, step, not paired or index == final)
+        finally:
+            if step == 0:
+                first_done[job].set()
+
+    def finish(job: int):
+        """The job's result, built from its tasks' results, which it frees:
+        the other worker runs a replication meanwhile, so each replication's
+        distances go before the sort, and the unsorted pool before the sup."""
+        parts, results[job] = results[job], None
+        curve = parts.pop() if curves else None
+        pooled = np.concatenate(parts)
+        parts.clear()
+        emp = empirical_cdf(pooled)
+        del pooled
+        if not curves:
+            return emp
+        sup, radius = ks_sup_distance(emp, curve)
+        return ComparisonReport(
+            config=jobs[job][0], analytic=curve, empirical=emp, sup_distance=sup, sup_radius=radius
+        )
+
     def work() -> None:
+        nonlocal delivered
         # every task below a failed one has been taken, so stopping here
         # still finds the first failure
         while not (halted or failed):
             with take:
-                task = next(tasks, None)
+                task = next(queue, None)
             if task is None:
                 return
+            index, (job, step) = task
             try:
-                results[task] = replication(task) if task < reps else then()
+                results[job][step] = run(index, job, step)
             except Exception as exc:
-                failed[task] = exc
+                failed[index] = exc
                 return
+            with take:
+                left[job] -= 1
+                if left[job]:
+                    continue
+            try:
+                built = finish(job)
+            except Exception as exc:
+                failed[last[job]] = exc
+                return
+            with order:
+                ready[job] = built
+                del built
+                while delivered in ready:
+                    try:
+                        deliver(delivered, ready.pop(delivered))
+                    except Exception as exc:
+                        failed[last[delivered]] = exc
+                        return
+                    delivered += 1
 
     # imported here: concurrent.futures is ~10 ms of the package's import
     # time, and the analytic side never pools
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1) as lane:
-        helper = lane.submit(work) if reps > 1 else None
+        helper = lane.submit(work) if paired else None
         try:
             work()
         finally:
@@ -545,23 +653,3 @@ def _pooled(
             helper.result()
     if failed:
         raise failed[min(failed)]
-    return empirical_cdf(np.concatenate(results[:reps])), results[reps]
-
-
-def run_experiment(
-    config: ExperimentConfig, on_pattern: PatternSink | None = None
-) -> ComparisonReport:
-    """Pool nearest-neighbour distances as :func:`pooled_distances` does,
-    ``on_pattern`` called from either thread as there, and compare them
-    against the analytic curve, built as the task after the last
-    replication."""
-
-    def build() -> CdfCurve:
-        eta = RetentionFunction(config.case, config.params)
-        return contact_cdf(eta, config.r_grid(), config.abs_tol)
-
-    emp, curve = _pooled(config, on_pattern, build)
-    sup, radius = ks_sup_distance(emp, curve)
-    return ComparisonReport(
-        config=config, analytic=curve, empirical=emp, sup_distance=sup, sup_radius=radius
-    )

@@ -215,6 +215,17 @@ class TestRetentionProfiles:
                     eta(np.array([[0.5, 2.0], [bad, 1.0]]), with_error=True)
             assert eta(np.array([0.0, 0.5, 2.0])).shape == (3,)
 
+    @pytest.mark.parametrize("delta", [0.5, 1.0])
+    def test_removed_observer_eta_is_inf_without_a_warning_at_a_vanishing_exposure(self, delta):
+        # eta ~ 1 / (a (1 - rho**2)) at exposure a passes the largest double
+        # just below delta; the suite turns an overflow warning into an error
+        params = ProcessParams(1e-300 / (math.pi * delta * delta), delta)
+        eta = RetentionFunction(ContactCase.CMHC_TO_MHC, params)
+        values, errors = eta(np.array([delta * (1.0 - 1e-9), np.nextafter(delta, 0.0)]),
+                             with_error=True)
+        assert np.all(values == math.inf)
+        assert not np.isnan(errors).any()
+
     def test_lower_support_and_target_intensity(self):
         eta = RetentionFunction(ContactCase.MHC_TO_MHC, P11)
         assert eta.lower_support == 1.0

@@ -410,6 +410,23 @@ def test_an_empty_radius_range_stops_every_delta_before_the_first_runs(capsys, t
         assert not list(tmp_path.iterdir()), argv
 
 
+def test_a_later_deltas_failure_exits_two_after_every_earlier_replication(capsys, tmp_path):
+    # cmhc-mhc at lambda 0.1 on a 10 x 10 torus: delta 1 runs, and delta
+    # 0.5's replication 3 has no removed point; one pool runs both deltas
+    dumps = tmp_path / "dumps"
+    argv = ["compare", "--case", "cmhc-mhc", "--lambda", "0.1", "--delta", "1", "0.5",
+            "--window", "10", "--reps", "4", "--seed", "40", "--dump-patterns", str(dumps)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert errors == [err.splitlines()[-1]], err
+    assert errors[0].startswith("error: replication 3 failed: "), err
+    # every replication of delta 1 was dumped before the error
+    dumped = sorted(path.name for path in dumps.iterdir() if "_delta1_" in path.name)
+    assert dumped == [f"cmhc-mhc_delta1_rep{rep:03d}_pattern.txt" for rep in range(4)]
+
+
 def test_cmhc_mhc_at_delta_zero_exits_two_before_any_delta_runs(capsys, tmp_path):
     # at delta 0 no point is removed: a sweep used to run its first delta in
     # full and then fail on replication 0, and analytic printed the Poisson curve

@@ -3,6 +3,7 @@ the experiment pipeline."""
 
 import json
 import math
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -953,4 +954,172 @@ class TestPooledDistances:
         assert threading.active_count() == before
         with pytest.raises(InsufficientDataError, match="replication 3"):
             pooled_distances(SPARSE)
+        assert threading.active_count() == before
+
+
+def sweep(jobs, curves=True):
+    """The results estimate._sweep delivers, in delivery order, with their
+    job indices."""
+    delivered = []
+    estimate._sweep(jobs, curves, lambda job, result: delivered.append((job, result)))
+    return delivered
+
+
+# cmhc-mhc at lambda 0.1 on a 10 x 10 torus: every replication at delta 1
+# has a removed point, and replication 3 at delta 0.5 is the first without
+SWEEP_FAILS_LATER = [
+    ExperimentConfig(ContactCase.CMHC_TO_MHC, ProcessParams(0.1, delta), Window(10.0, 10.0),
+                     replications=4, seed=40)
+    for delta in (1.0, 0.5)
+]
+
+
+class TestSweep:
+    @pytest.mark.parametrize("reps", [1, 2, 5])
+    @pytest.mark.parametrize("deltas", [[1.0], [0.5, 1.0], [1.0, 0.5, 0.75]])
+    def test_reports_equal_one_config_runs_and_each_pattern_reaches_its_sink_once(
+        self, reps, deltas
+    ):
+        configs = [ExperimentConfig(ContactCase.PPP_TO_MHC, ProcessParams(1.0, delta),
+                                    Window(20.0, 20.0), replications=reps, seed=21)
+                   for delta in deltas]
+        calls = []
+
+        def sink(job):
+            return lambda rep, role, pat: calls.append((job, rep, role, pat))
+
+        reports = sweep([(config, sink(job)) for job, config in enumerate(configs)])
+        assert [job for job, _ in reports] == list(range(len(configs)))
+        assert [report.to_dict() for _, report in reports] == [
+            run_experiment(config).to_dict() for config in configs]
+        distances = sweep([(config, None) for config in configs], curves=False)
+        for (_, emp), config in zip(distances, configs):
+            assert np.array_equal(emp.samples, pooled_distances(config).samples)
+        keys = [(job, rep, role) for job, rep, role, _ in calls]
+        assert sorted(keys) == [(job, rep, role) for job in range(len(configs))
+                                for rep in range(reps) for role in ("source", "target")]
+        for job, rep, role, pat in calls:
+            # the delta's own pattern: the target is thinned at that delta
+            want = replication_patterns(configs[job], rep)[role]
+            assert pat.seed == want.seed and np.array_equal(pat.label, want.label)
+
+    @pytest.mark.parametrize("reps", [1, 2])
+    def test_query_threads_are_one_per_replication_but_the_sweeps_last(self, reps, monkeypatch):
+        monkeypatch.setattr(simulate, "BAND_PARENTS", 50)
+        before = threading.active_count()
+        _, executors = record_threads(monkeypatch)
+        within, searches = estimate.nn_distances_within, []
+
+        def searching(pattern, label):
+            searches.append((*pattern.seed[:2], estimate._query_workers()))
+            return within(pattern, label)
+
+        monkeypatch.setattr(estimate, "nn_distances_within", searching)
+        configs = [ExperimentConfig(ContactCase.MHC_TO_MHC, ProcessParams(1.0, delta),
+                                    Window(30.0, 30.0), replications=reps, seed=seed)
+                   for seed, delta in ((1, 0.5), (2, 1.0))]
+        sweep([(config, None) for config in configs])
+        if reps == 1:
+            # the caller alone, on every core, with the lane thinning
+            assert searches == [(1, 0, -1), (2, 0, -1)]
+            assert all(isinstance(executor, ThreadPoolExecutor) for executor in executors)
+        else:
+            assert sorted(searches) == [(1, 0, 1), (1, 1, 1), (2, 0, 1), (2, 1, -1)]
+            assert executors == [None] * 4
+        assert threading.active_count() == before
+
+    def test_each_config_is_delivered_once_and_in_order_under_fast_thread_switches(self):
+        # the per-config task counts and the delivery order are shared by the
+        # two workers: a lost update would drop or repeat a delivery
+        configs = [ExperimentConfig(ContactCase.PPP_TO_PPP, P11, Window(8.0, 8.0),
+                                    replications=3, seed=seed) for seed in range(8)]
+        expected = [pooled_distances(config).samples for config in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rounds = [sweep([(config, None) for config in configs], curves=False)
+                      for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for delivered in rounds:
+            assert [job for job, _ in delivered] == list(range(len(configs)))
+            for (_, emp), samples in zip(delivered, expected):
+                assert np.array_equal(emp.samples, samples)
+
+    def test_replication_0_searches_end_in_config_order(self, monkeypatch):
+        # the benchmark pairs each delta's replication-0 search with its
+        # report in config order, so a slow replication 0 holds the next
+        # config's back
+        patterns_of = estimate.replication_patterns
+        ended = []
+
+        def slowed(config, rep, executor=None):
+            if (config.seed, rep) == (1, 0):
+                time.sleep(0.3)
+            return patterns_of(config, rep, executor)
+
+        def recording(search):
+            def recorded(pattern, *args):
+                out = search(pattern, *args)
+                ended.append(pattern.seed[:2])
+                return out
+
+            return recorded
+
+        monkeypatch.setattr(estimate, "replication_patterns", slowed)
+        monkeypatch.setattr(estimate, "nn_distances_within",
+                            recording(estimate.nn_distances_within))
+        configs = [ExperimentConfig(ContactCase.MHC_TO_MHC, P11, Window(20.0, 20.0),
+                                    replications=2, seed=seed) for seed in (1, 2, 3)]
+        sweep([(config, None) for config in configs])
+        assert [seed for seed, rep in ended if rep == 0] == [1, 2, 3]
+
+    def test_a_later_deltas_failure_waits_for_every_earlier_replication(self, monkeypatch):
+        # delta 1's last replication waits until delta 0.5's replication 3
+        # has failed on the other thread, and still reaches its sink and its
+        # report before the failure is raised
+        later_failed = threading.Event()
+        patterns_of, cross = estimate.replication_patterns, estimate.nn_distances_cross
+
+        def delayed(config, rep, executor=None):
+            if (config.params.delta, rep) == (1.0, 3):
+                later_failed.wait(timeout=30)
+                time.sleep(0.05)  # while the other thread records its failure
+            return patterns_of(config, rep, executor)
+
+        def flagging(*args):
+            try:
+                return cross(*args)
+            except InsufficientDataError:
+                later_failed.set()
+                raise
+
+        monkeypatch.setattr(estimate, "replication_patterns", delayed)
+        monkeypatch.setattr(estimate, "nn_distances_cross", flagging)
+        sunk, delivered = [], []
+        jobs = [(config, lambda rep, role, pat, job=job: sunk.append((job, rep)))
+                for job, config in enumerate(SWEEP_FAILS_LATER)]
+        with pytest.raises(InsufficientDataError, match="^replication 3 failed:"):
+            estimate._sweep(jobs, True, lambda job, report: delivered.append(job))
+        assert later_failed.is_set()
+        assert sorted(rep for job, rep in sunk if job == 0) == [0, 1, 2, 3]
+        assert sorted(rep for job, rep in sunk if job == 1) == [0, 1, 2]
+        assert delivered == [0]
+
+    def test_a_delivery_error_is_raised_and_stops_later_deliveries(self):
+        class DeliveryError(Exception):
+            pass
+
+        delivered = []
+
+        def deliver(job, report):
+            delivered.append(job)
+            if job == 0:
+                raise DeliveryError
+
+        before = threading.active_count()
+        configs = [replace(config, case=ContactCase.MHC_TO_MHC) for config in SWEEP_FAILS_LATER]
+        with pytest.raises(DeliveryError):
+            estimate._sweep([(config, None) for config in configs], True, deliver)
+        assert delivered == [0]
         assert threading.active_count() == before
