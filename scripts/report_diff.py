@@ -26,8 +26,10 @@ that every label (PARENT, MHC, CMHC) and every role (pattern, source,
 target) of the dump writer is gated, an mhc-mhc ``compare`` and a ppp-mhc
 ``simulate --format json`` over two deltas of three replications each, so
 that one pool runs both deltas and each delta's reports, outputs and dumps
-are gated, and two ``compare`` runs on windows so small that many
-nearest-neighbour queries reach the periodic strip along the seams.
+are gated, the same mhc-mhc ``compare`` at one replication per delta, where
+the caller runs every task and delivers each delta between them, and two
+``compare`` runs on windows so small that many nearest-neighbour queries
+reach the periodic strip along the seams.
 
     python scripts/report_diff.py PARENT/src src
 """
@@ -89,6 +91,8 @@ def argvs() -> list[list[str]]:
                 "--reps", "3", "--seed", "7", "--dump-patterns", DUMPS])
     out.append(["simulate", "--case", "ppp-mhc", "--delta", "0.5", "1", "--window", "30",
                 "--reps", "3", "--seed", "7", "--format", "json"])
+    out.append(["compare", "--case", "mhc-mhc", "--delta", "0.5", "1", "--window", "30",
+                "--reps", "1", "--seed", "7", "--dump-patterns", DUMPS])
     out.append(["compare", "--case", "cmhc-mhc", "--delta", "1", "--window", "10",
                 "--reps", "3", "--seed", "5"])
     out.append(["compare", "--case", "ppp-ppp", "--window", "6", "--reps", "3", "--seed", "5"])

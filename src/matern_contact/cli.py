@@ -242,6 +242,8 @@ def _configs(data: dict, case: ContactCase) -> list[ExperimentConfig]:
     sides = " ".join(f"{side:g}" for side in data["window"])
     configs = []
     for delta in data["delta"]:
+        # ahead of the config, which rejects the grid with no flag named
+        _grid(data, case, ProcessParams(data["lambda_p"], delta))
         mapping = {**data, "case": case.value, "delta": delta, "r_grid": grid}
         try:
             configs.append(ExperimentConfig.from_dict(mapping))
@@ -250,7 +252,6 @@ def _configs(data: dict, case: ContactCase) -> list[ExperimentConfig]:
             raise UsageError(f"{flags}: {exc}") from None
         except WindowFloorError as exc:
             raise UsageError(f"--window {sides} --delta {delta:g}: {exc}") from None
-        _grid(data, case, configs[-1].params)
     return configs
 
 

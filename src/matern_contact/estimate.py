@@ -15,13 +15,14 @@ for. :func:`_sweep` and the command line's ``density`` both use it. The
 former runs the configs of a sweep, one per delta of the command line's
 ``compare`` and ``simulate``, on one pool: with two or more replications per
 config, the calling thread and one helper thread (the lane) take whole
-replications and then each config's analytic curve in sweep order, and the
-worker that finishes a config builds its report while the other already
-takes the next config's replications. With single replications the calling
-thread runs every task, with the lane taking the odd row bands of its
-thinning. :func:`pooled_distances` and :func:`run_experiment` are sweeps of
-one config. A pattern sink is called by whichever worker ran the
-replication, so from two threads and in no fixed replication order.
+replications and then each config's analytic curve in sweep order, and
+whichever first sees the next config done builds and delivers its report
+while the other already takes the next config's replications. With single
+replications the calling thread runs every task, with the lane taking the
+odd row bands of its thinning. :func:`pooled_distances` and
+:func:`run_experiment` are sweeps of one config. A pattern sink is called
+by whichever worker ran the replication, so from two threads and in no fixed
+replication order.
 Wall-clock times stay out of everything here, so that reports of the same
 config and seed are byte-identical.
 
@@ -33,6 +34,7 @@ fixed thresholds, never a formal hypothesis test.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -44,7 +46,6 @@ from .analytic import (
     ContactCase,
     ProcessParams,
     RetentionFunction,
-    _check_case,
     contact_cdf,
     default_r_grid,
     # unused here, but perfbench's tracer wraps estimate.extend_curve
@@ -352,15 +353,21 @@ class ExperimentConfig:
     abs_tol: float = 1e-9
 
     def __post_init__(self) -> None:
+        # the counts are integers, numpy's too, and are kept as Python ints
+        for name in ("replications", "seed", "r_points"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.r_points < 2:
             raise ValueError(f"r_points must be >= 2, got {self.r_points}")
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise ValueError(f"abs_tol must be > 0, got {self.abs_tol!r}")
-        # the patterns every replication generates must fit, so a config
-        # that cannot run fails here and not in its first replication
-        _check_case(self.case, self.params)
+        # a config that cannot run fails here and not in its first
+        # replication or its curve: the radius grid (which checks the case)
+        # must be valid, and the patterns every replication generates must fit
+        self.r_grid()
         _check_point_cap(self.params.lambda_p, self.window)
         if self.case is not ContactCase.PPP_TO_PPP:
             _check_window_floor(self.window, self.params.delta)
@@ -523,66 +530,59 @@ def _sweep(
     and the lane, one helper thread living for this call. Each replication
     runs whole (draw, thin, search) and queries on one core, as the other
     worker is busy too, but for the sweep's last replication, which queries
-    on every core. The worker that finishes a config's last task builds its
-    result while the other already takes the next config's tasks. A config's
-    replication 0 starts only once the previous config's has finished, so
-    their searches end in config order. Otherwise the calling thread runs
-    every task alone, with every core for its queries, while the lane takes
-    the odd row bands of each large pattern (:func:`thin_mhc_type2`): two
-    whole large replications at once would double the peak memory. So it
-    starts a thread only when one of its patterns has two or more bands.
+    on every core. A config's replication 0 starts only once the previous
+    config's has finished, so their searches end in config order. Otherwise
+    the calling thread runs every task alone, with every core for its
+    queries, while the lane takes the odd row bands of each large pattern
+    (:func:`thin_mhc_type2`): two whole large replications at once would
+    double the peak memory. So it starts a thread only when one of its
+    patterns has two or more bands.
 
-    ``deliver`` runs on either worker, one call at a time, and the pool
-    drops a result once it is delivered. The first failing task, in task
-    order, is raised once every task below it has finished and every config
-    below its own has been delivered; a config's result and its delivery
-    fail as its last task.
+    After each task a worker takes the delivery lock and, while the next
+    undelivered config has no task left, builds its result, delivers it and
+    drops it: whichever worker first sees the next config done builds and
+    delivers it, one call at a time, while the other takes the next config's
+    tasks. Failures are keyed (config, step), which sorts in task order, a
+    config's build or delivery failing as step ``replications + curves``.
+    The first failure in that order is raised once every task below it has
+    finished and every config below its own has been delivered. A build
+    frees its config's parts, so after a failed build or delivery no worker
+    builds again.
     """
-    tasks = [
-        (job, step)
-        for job, (config, _) in enumerate(jobs)
-        for step in range(config.replications + curves)
-    ]
-    last = {job: index for index, (job, _) in enumerate(tasks)}  # each job's last task
-    final = len(tasks) - 1 - curves  # the sweep's last replication
+    steps = [config.replications + curves for config, _ in jobs]  # each job's tasks
+    queue = ((job, step) for job, n in enumerate(steps) for step in range(n))
+    final = (len(jobs) - 1, jobs[-1][0].replications - 1)  # the sweep's last replication
     paired = all(config.replications > 1 for config, _ in jobs)
-    queue = iter(enumerate(tasks))
-    results: list = [[None] * (config.replications + curves) for config, _ in jobs]
-    left = [len(parts) for parts in results]  # each job's unfinished tasks
-    take = threading.Lock()  # the queue and the counts in left
+    results: list = [[None] * n for n in steps]
+    left = list(steps)  # each job's unfinished tasks
+    take = threading.Lock()  # the queue
     first_done = [threading.Event() for _ in jobs]  # each job's replication 0
-    ready: dict[int, object] = {}  # built results, by job, until delivered
     delivered = 0
-    order = threading.Lock()  # ready and deliveries
-    failed: dict[int, Exception] = {}
+    order = threading.Lock()  # the counts in left, builds and deliveries
+    failed: dict[tuple[int, int], Exception] = {}
     halted = False
 
-    def replication(job: int, rep: int, everywhere: bool) -> np.ndarray:
+    def run(job: int, step: int):
+        """Task (job, step)'s result: a replication's distances or a curve."""
         config, on_pattern = jobs[job]
-        _query_threads.workers = -1 if everywhere else 1
-        try:
-            patterns = replication_patterns(config, rep, None if paired else lane)
-            try:
-                distances = _case_distances(config.case, patterns)
-            except InsufficientDataError as exc:
-                raise InsufficientDataError(f"replication {rep} failed: {exc}") from exc
-        finally:
-            del _query_threads.workers
-        if on_pattern is not None:
-            for role, pattern in patterns.items():
-                on_pattern(rep, role, pattern)
-        return distances
-
-    def run(index: int, job: int, step: int):
-        """Task ``index``'s result: a replication's distances or a curve."""
-        config = jobs[job][0]
         if step == config.replications:
             eta = RetentionFunction(config.case, config.params)
             return contact_cdf(eta, config.r_grid(), config.abs_tol)
         try:
             if step == 0 and job:
                 first_done[job - 1].wait()
-            return replication(job, step, not paired or index == final)
+            _query_threads.workers = 1 if paired and (job, step) != final else -1
+            try:
+                patterns = replication_patterns(config, step, None if paired else lane)
+                distances = _case_distances(config.case, patterns)
+            except InsufficientDataError as exc:
+                raise InsufficientDataError(f"replication {step} failed: {exc}") from exc
+            finally:
+                del _query_threads.workers
+            if on_pattern is not None:
+                for role, pattern in patterns.items():
+                    on_pattern(step, role, pattern)
+            return distances
         finally:
             if step == 0:
                 first_done[job].set()
@@ -613,29 +613,21 @@ def _sweep(
                 task = next(queue, None)
             if task is None:
                 return
-            index, (job, step) = task
+            job, step = task
             try:
-                results[job][step] = run(index, job, step)
+                results[job][step] = run(job, step)
             except Exception as exc:
-                failed[index] = exc
-                return
-            with take:
-                left[job] -= 1
-                if left[job]:
-                    continue
-            try:
-                built = finish(job)
-            except Exception as exc:
-                failed[last[job]] = exc
+                failed[task] = exc
                 return
             with order:
-                ready[job] = built
-                del built
-                while delivered in ready:
+                left[job] -= 1
+                # a build frees its job's parts (None), so none is built twice
+                # when its build or delivery has failed
+                while delivered < len(jobs) and not left[delivered] and results[delivered]:
                     try:
-                        deliver(delivered, ready.pop(delivered))
+                        deliver(delivered, finish(delivered))
                     except Exception as exc:
-                        failed[last[delivered]] = exc
+                        failed[delivered, steps[delivered]] = exc
                         return
                     delivered += 1
 

@@ -614,6 +614,36 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match="cmhc-mhc needs delta > 0"):
                 build()
 
+    @pytest.mark.parametrize("changes, error, match", [
+        # the grid [1, 0.5] of mhc-mhc at delta 1 used to fail in the curve
+        # task, after every replication had run
+        ({"r_max": 0.5}, ValueError, r"radius range \[1.0, 0.5\]"),
+        ({"seed": -1}, ValueError, "seed must be >= 0"),
+        ({"replications": 2.0}, TypeError, "'float'"),
+        ({"r_points": 3.0}, TypeError, "'float'"),
+        ({"seed": 1.5}, TypeError, "'float'"),
+    ], ids=["empty-grid", "negative-seed", "float-replications", "float-points", "float-seed"])
+    def test_a_config_its_run_would_reject_fails_when_it_is_built(
+        self, changes, error, match, monkeypatch
+    ):
+        def draw(*args):
+            raise AssertionError("a pattern was drawn")
+
+        monkeypatch.setattr(estimate, "sample_ppp", draw)
+        with pytest.raises(error, match=match):
+            ExperimentConfig(ContactCase.MHC_TO_MHC, P11, Window(30.0, 30.0),
+                             **{"replications": 3, **changes})
+
+    def test_numpy_integer_counts_are_kept_as_python_ints(self):
+        config = ExperimentConfig(ContactCase.MHC_TO_MHC, P11, Window(30.0, 30.0),
+                                  replications=np.int64(2), seed=np.uint8(4),
+                                  r_points=np.int32(5))
+        assert config == ExperimentConfig(ContactCase.MHC_TO_MHC, P11, Window(30.0, 30.0),
+                                          replications=2, seed=4, r_points=5)
+        assert [type(count) for count in (config.replications, config.seed,
+                                          config.r_points)] == [int] * 3
+        assert json.loads(json.dumps(config.to_dict()))["seed"] == 4
+
 
 class TestRunExperiment:
     def test_ppp_case_is_accurate_and_deterministic(self):
@@ -1104,6 +1134,38 @@ class TestSweep:
         assert later_failed.is_set()
         assert sorted(rep for job, rep in sunk if job == 0) == [0, 1, 2, 3]
         assert sorted(rep for job, rep in sunk if job == 1) == [0, 1, 2]
+        assert delivered == [0]
+
+    def test_a_failed_delivery_is_never_rebuilt(self, monkeypatch):
+        # the other worker ends a delta 1 replication after delta 0.5's
+        # delivery has failed; that build freed delta 0.5's parts, so a
+        # second build would fail with another error
+        class DeliveryError(Exception):
+            pass
+
+        later_started = threading.Event()
+        patterns_of = estimate.replication_patterns
+
+        def slowed(config, rep, executor=None):
+            if config.params.delta == 1.0:
+                later_started.set()
+                time.sleep(0.3)
+            return patterns_of(config, rep, executor)
+
+        delivered = []
+
+        def deliver(job, report):
+            delivered.append(job)
+            later_started.wait(timeout=30)
+            if job == 0:
+                raise DeliveryError
+
+        monkeypatch.setattr(estimate, "replication_patterns", slowed)
+        configs = [ExperimentConfig(ContactCase.MHC_TO_MHC, ProcessParams(1.0, delta),
+                                    Window(20.0, 20.0), replications=2, seed=3)
+                   for delta in (0.5, 1.0)]
+        with pytest.raises(DeliveryError):
+            estimate._sweep([(config, None) for config in configs], True, deliver)
         assert delivered == [0]
 
     def test_a_delivery_error_is_raised_and_stops_later_deliveries(self):
